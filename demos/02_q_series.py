@@ -25,24 +25,22 @@ print()
 print("Pochhammer symbols")
 print("------------------")
 P2 = poch_finite(2, 4)
-print("(t;q)_2 rows by t-degree:",
-      [list(map(int, r.coeffs)) for r in P2.rows])
+print("(t;q)_2 rows by t-degree:", [list(r.coeffs) for r in P2])
 print()
 print("the infinite product against its summation formula, orders (8, 30):")
 prod = poch_inf_product(8, 30)
 summ = poch_inf_sum(8, 30)
 print("  equal:", prod == summ)
-print("  t^1 coefficient starts:", list(map(int, prod.coeff(1).coeffs[:6])))
+print("  t^1 coefficient starts:", list(prod[1].coeffs[:6]))
 print()
 
 print("Euler function and the discriminant")
 print("-----------------------------------")
 phi = euler_phi(30)
-support = [(k, int(c)) for k, c in enumerate(phi.coeffs) if c]
+support = [(k, c) for k, c in enumerate(phi.coeffs) if c]
 print("pentagonal support/signs:", support)
 d = discriminant(12)
-print("discriminant coefficients 1..12:",
-      [int(d[k]) for k in range(1, 13)])
+print("discriminant coefficients 1..12:", list(d.coeffs[1:13]))
 eta = eta_from_phi(12)
 print("eta = q^(1/24) * Euler function; eta^24 folds to the discriminant:",
       eta_pow(eta, 24).fold() == d)

@@ -61,7 +61,6 @@ from .fgl import (
 )
 from .qcomb import (
     QSeries,
-    TQSeries,
     q_int,
     q_fact,
     q_binom,

@@ -16,12 +16,11 @@ made through ``negate_t``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .scalar import Scalar, ZERO, ONE, Q
 from .series import Series
 from .mobius import Mobius, mob_apply_scalar
-from .qcomb import QSeries, q_fact, euler_phi, discriminant
+from .qcomb import QSeries, q_fact, euler_phi, discriminant, _unit_rows, _times_power
 from .report import Check, VerificationReport
 
 __all__ = [
@@ -75,9 +74,10 @@ def adams(a: Scalar, k: int) -> Scalar:
 class WittElement:
     """An element of 1 + t R[[t]]: group under series multiplication.
 
-    ``body`` is a series in t with scalar coefficients, exact as far as
-    the generating product went; ``q_order`` records the q-precision the
-    coefficients are trusted to.
+    ``body`` is a series in t with scalar coefficients; ``q_order``
+    records the q-precision the coefficients are trusted to.  The body
+    that ``lambda_t`` builds has its coefficients reduced mod
+    q^(q_order+1): they are polynomials in q of degree at most q_order.
     """
 
     body: Series
@@ -92,33 +92,25 @@ class WittElement:
         return QSeries.from_scalar(self.body[k], self.q_order)
 
 
-def _unit_linear(c: Scalar, t_order: int) -> Series:
-    return Series("t", t_order, (ONE, c))
-
-
 def lambda_t(a, t_order: int, q_order: int) -> WittElement:
     """Total lambda operation: prod_n (1 + t q^n)^(a_n) truncated.
 
     ``a`` may be a Scalar (expanded here) or a prepared QExpandable; the
     expansion coefficients must be integers.  The product is cut at
-    factor index q_order, which is exact at this q-precision.
+    factor index q_order, which is exact at this q-precision.  It runs
+    on integer rows, one per t-degree, that each factor (1 + t q^n)^(a_n)
+    multiplies in place; a negative a_n divides.
     """
     if isinstance(a, Scalar):
         a = q_expandable(a, q_order)
     if not a.integral:
         raise ValueError("lambda_t needs integer expansion coefficients")
-    acc = Series.constant("t", t_order, ONE)
-    one = Series.constant("t", t_order, ONE)
-    for n, c in enumerate(a.expansion.coeffs):
-        m = int(c)
-        if m == 0:
-            continue
-        base = _unit_linear(Scalar.q_power(n), t_order)
-        if m < 0:
-            base = one / base
-            m = -m
-        acc = acc * base ** m
-    return WittElement(body=acc, q_order=a.expansion.order)
+    rows = _unit_rows(t_order, a.expansion.order)
+    for n, m in enumerate(a.expansion.coeffs):
+        if m:
+            _times_power(rows, n, 1, m)
+    body = Series("t", t_order, [Scalar.from_q_coeffs(r) for r in rows])
+    return WittElement(body=body, q_order=a.expansion.order)
 
 
 def negate_t(w: WittElement) -> WittElement:
@@ -262,6 +254,12 @@ def discriminant_limit(q_order: int) -> VerificationReport:
     the discriminant: (a) direct substitution t = 1, which vanishes
     through the (1-t)^24 factor, and (b) dropping that unit factor first,
     which lands exactly on q times the 24th power of the Euler function.
+
+    Reading (b) raises the pentagonal product ``euler_phi`` to the 24th
+    power, a route genuinely different from ``discriminant()``, which
+    uses Jacobi's identity for phi^3.  Reading (a) is still hard-coded
+    (1 - 1)^24 rather than computed from the lambda ring; routing both
+    readings through ``lambda_t`` of 24/(1-q) is left open.
     """
     m = Mobius(ZERO, Scalar.from_int(24), -ONE, ONE)
     mapped = mob_apply_scalar(m, Q)
@@ -288,7 +286,7 @@ def discriminant_limit(q_order: int) -> VerificationReport:
 
     # (b) drop the n = 0 factor, then t = 1: prod_{n>=1} (1 - q^n)^24
     candidate_b = (euler_phi(q_order) ** 24).truncate(q_order)
-    q_candidate_b = QSeries(q_order, (Fraction(0),) + candidate_b.coeffs)
+    q_candidate_b = QSeries(q_order, (0,) + candidate_b.coeffs)
     checks.append(Check("reading (b): q * (dropped-factor product at t = 1) "
                         "equals the discriminant", q_order,
                         q_candidate_b == delta))

@@ -1,22 +1,24 @@
 """q-combinatorics: q-integers, Gaussian binomials, Pochhammer products,
 the Euler function and the modular discriminant.
 
-Two data shapes are used besides Scalar: ``QSeries`` for truncated power
-series in q over exact rationals, and ``TQSeries`` for the rectangular
-(t-order, q-order) truncations of objects like the infinite Pochhammer
-product, stored as one QSeries per t-degree.
+Besides Scalar, one data shape is used: ``QSeries``, a truncated power
+series in q over exact rationals, which holds ``int`` coefficients where
+they are integral.  A rectangular (t-order, q-order) truncation, such as
+the infinite Pochhammer product, is a tuple of QSeries indexed by
+t-degree.  It is computed on integer rows, one list of q-coefficients per
+t-degree, that each factor (1 + c*t*q^n)^m updates in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .scalar import Scalar, ZERO, ONE, Q
 
 __all__ = [
     "QSeries",
-    "TQSeries",
     "q_int",
     "q_fact",
     "q_binom",
@@ -61,16 +63,30 @@ def q_binom(n: int, k: int) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# QSeries: truncated power series in q over Fraction
+# QSeries: truncated power series in q over exact rationals
+
+def _exact(c):
+    """An exact rational coefficient: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
 
 class QSeries:
-    """Dense truncated series in q with exact rational coefficients."""
+    """Dense truncated series in q with exact rational coefficients.
+
+    A coefficient is stored as an ``int`` when it is integral and as a
+    ``Fraction`` only when it is not, so integral series run on machine
+    integers and print exactly as their Fraction forms would.
+    """
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=()):
-        cs = [Fraction(c) for c in coeffs][: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
+        cs = [_exact(c) for c in coeffs][: order + 1]
+        cs += [0] * (order + 1 - len(cs))
         self.order = order
         self.coeffs = tuple(cs)
 
@@ -86,7 +102,7 @@ class QSeries:
     def from_scalar(a: Scalar, order: int) -> "QSeries":
         return QSeries(order, a.q_expansion(order))
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int):
         if 0 <= k <= self.order:
             return self.coeffs[k]
         raise IndexError(f"degree {k} beyond computed order {self.order}")
@@ -97,10 +113,10 @@ class QSeries:
         return QSeries(order, self.coeffs)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
@@ -115,28 +131,26 @@ class QSeries:
 
     def __add__(self, other: "QSeries") -> "QSeries":
         n = self._common(other)
-        return QSeries(n, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
+        return QSeries(n, list(map(add, self.coeffs[: n + 1], other.coeffs)))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         n = self._common(other)
-        return QSeries(n, [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
+        return QSeries(n, list(map(sub, self.coeffs[: n + 1], other.coeffs)))
 
     def __neg__(self) -> "QSeries":
         return QSeries(self.order, [-c for c in self.coeffs])
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         n = self._common(other)
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
+        ys = other.coeffs
         for i, a in enumerate(self.coeffs[: n + 1]):
             if a:
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
+                out[i:] = map(add, out[i:], [a * b for b in ys[: n + 1 - i]])
         return QSeries(n, out)
 
     def scale(self, c) -> "QSeries":
-        c = Fraction(c)
+        c = _exact(c)
         return QSeries(self.order, [c * a for a in self.coeffs])
 
     def shift(self, k: int) -> "QSeries":
@@ -149,14 +163,15 @@ class QSeries:
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("reciprocal needs an invertible constant term")
-        out = [Fraction(0)] * (self.order + 1)
-        out[0] = 1 / c0
+        inv0 = _exact(1 / Fraction(c0))
+        out = [0] * (self.order + 1)
+        out[0] = inv0
         for k in range(1, self.order + 1):
-            acc = Fraction(0)
+            acc = 0
             for i in range(1, k + 1):
                 if self.coeffs[i]:
                     acc -= self.coeffs[i] * out[k - i]
-            out[k] = acc / c0
+            out[k] = _exact(acc * inv0)
         return QSeries(self.order, out)
 
     def __pow__(self, k: int) -> "QSeries":
@@ -173,7 +188,7 @@ class QSeries:
 
     def to_scalar(self) -> Scalar:
         """The truncation read back as a polynomial in q."""
-        return Scalar.from_q_coeffs(list(self.coeffs))
+        return Scalar.from_q_coeffs(self.coeffs)
 
     def __repr__(self):
         terms = []
@@ -185,104 +200,73 @@ class QSeries:
 
 
 # ---------------------------------------------------------------------------
-# rectangular (t, q) truncations
+# (t, q) truncations as integer rows, one list of q-coefficients per t-degree
 
-class TQSeries:
-    """Series in t whose coefficients are q-truncated series."""
-
-    __slots__ = ("t_order", "q_order", "rows")
-
-    def __init__(self, t_order: int, q_order: int, rows=()):
-        rs = [r.truncate(q_order) if isinstance(r, QSeries) else QSeries(q_order, r)
-              for r in rows][: t_order + 1]
-        rs += [QSeries.zero(q_order)] * (t_order + 1 - len(rs))
-        self.t_order = t_order
-        self.q_order = q_order
-        self.rows = tuple(rs)
-
-    @staticmethod
-    def one(t_order: int, q_order: int) -> "TQSeries":
-        return TQSeries(t_order, q_order, (QSeries.one(q_order),))
-
-    def coeff(self, k: int) -> QSeries:
-        """Coefficient of t**k as a QSeries."""
-        if 0 <= k <= self.t_order:
-            return self.rows[k]
-        raise IndexError(f"t-degree {k} beyond computed order {self.t_order}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TQSeries):
-            return NotImplemented
-        return (self.t_order == other.t_order and self.q_order == other.q_order
-                and self.rows == other.rows)
-
-    def __mul__(self, other: "TQSeries") -> "TQSeries":
-        nt = min(self.t_order, other.t_order)
-        nq = min(self.q_order, other.q_order)
-        out = [QSeries.zero(nq) for _ in range(nt + 1)]
-        for i, a in enumerate(self.rows[: nt + 1]):
-            if a.is_zero():
-                continue
-            a = a.truncate(nq)
-            for j in range(nt + 1 - i):
-                b = other.rows[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b.truncate(nq)
-        return TQSeries(nt, nq, out)
-
-    def __pow__(self, k: int) -> "TQSeries":
-        if k < 0:
-            raise ValueError("negative TQSeries powers are not supported")
-        acc = TQSeries.one(self.t_order, self.q_order)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+def _unit_rows(t_order: int, q_order: int) -> list:
+    rows = [[0] * (q_order + 1) for _ in range(t_order + 1)]
+    rows[0][0] = 1
+    return rows
 
 
-def _poch_factor(n: int, t_order: int, q_order: int) -> TQSeries:
-    """The single factor 1 - t*q^n."""
-    rows = [QSeries.one(q_order)]
-    if t_order >= 1:
-        row1 = [0] * (q_order + 1)
-        if n <= q_order:
-            row1[n] = -1
-        rows.append(QSeries(q_order, row1))
-    return TQSeries(t_order, q_order, rows)
+def _times_power(rows: list, n: int, c: int, m: int) -> None:
+    """Multiply the t-series held in ``rows`` by (1 + c*t*q^n)^m, in place.
+
+    rows[j] is the list of q-coefficients of t^j; all rows have one
+    length, the q-truncation.  The t^i coefficient of the factor is
+    binom(m, i) c^i q^(n*i) for every integer m, so a negative m divides.
+    Walking j downward, rows[j] reads only rows below it, which still
+    hold their old values.  One pass costs O(t * q) per nonzero term of
+    the factor, whatever the size of m.
+    """
+    width = len(rows[0])
+    terms = [1]
+    for i in range(1, len(rows)):
+        b = terms[-1] * (m - i + 1) * c // i    # exact: i divides it
+        if not b or n * i >= width:
+            break
+        terms.append(b)
+    for j in range(len(rows) - 1, 0, -1):
+        dst = rows[j]
+        for i in range(1, min(j + 1, len(terms))):
+            b, s = terms[i], n * i
+            dst[s:] = map(add, dst[s:], [b * x for x in rows[j - i][: width - s]])
 
 
-def poch_finite(n: int, q_order: int) -> TQSeries:
-    """(t; q)_n, the product of (1 - t*q^k) for 0 <= k < n."""
+def poch_finite(n: int, q_order: int) -> tuple:
+    """(t; q)_n, the product of (1 - t*q^k) for 0 <= k < n.
+
+    Returned as the tuple of its t^0 .. t^n coefficients, each a QSeries.
+    """
     if n < 0:
         raise ValueError("Pochhammer length must be >= 0")
-    acc = TQSeries.one(n, q_order)
+    rows = _unit_rows(n, q_order)
     for k in range(n):
-        acc = acc * _poch_factor(k, n, q_order)
-    return acc
+        _times_power(rows, k, -1, 1)
+    return tuple(QSeries(q_order, r) for r in rows)
 
 
-def poch_inf_product(t_order: int, q_order: int) -> TQSeries:
+def poch_inf_product(t_order: int, q_order: int) -> tuple:
     """(t; q)_infinity via its product, factors cut at index q_order.
 
     Every omitted factor 1 - t*q^n with n > q_order differs from 1 only
     in q-degrees beyond the truncation, at every positive t-degree, so
-    the cut is exact at this precision.
+    the cut is exact at this precision.  Returned as the tuple of the
+    t^0 .. t^t_order coefficients.
     """
-    acc = TQSeries.one(t_order, q_order)
+    rows = _unit_rows(t_order, q_order)
     for k in range(q_order + 1):
-        acc = acc * _poch_factor(k, t_order, q_order)
-    return acc
+        _times_power(rows, k, -1, 1)
+    return tuple(QSeries(q_order, r) for r in rows)
 
 
-def poch_inf_sum(t_order: int, q_order: int) -> TQSeries:
+def poch_inf_sum(t_order: int, q_order: int) -> tuple:
     """(t; q)_infinity via the summation formula.
 
     The t^k coefficient is (-1)^k q^(k(k-1)/2) / ((1-q)^k [k]_q!), taken
     with the binomial exponent k(k-1)/2; each coefficient is a Scalar
-    expanded to the q-truncation.
+    expanded to the q-truncation.  This closed form shares no code with
+    the row kernel, so it is the independent oracle of the product route
+    and of the lambda route.
     """
     one_minus_q = ONE - Q
     rows = []
@@ -290,7 +274,7 @@ def poch_inf_sum(t_order: int, q_order: int) -> TQSeries:
         num = Scalar.from_int((-1) ** k) * Scalar.q_power(k * (k - 1) // 2)
         den = q_fact(k) * one_minus_q ** k
         rows.append(QSeries.from_scalar(num / den, q_order))
-    return TQSeries(t_order, q_order, rows)
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +288,7 @@ def euler_phi(q_order: int) -> QSeries:
     out[0] = 1
     for k in range(1, q_order + 1):
         # multiply by (1 - q^k) in place
-        for i in range(q_order, k - 1, -1):
-            out[i] -= out[i - k]
+        out[k:] = map(sub, out[k:], out[: q_order + 1 - k])
     return QSeries(q_order, out)
 
 
@@ -313,12 +296,22 @@ def discriminant(q_order: int) -> QSeries:
     """q times the 24th power of the Euler function, truncated.
 
     The coefficient of q^n is the n-th coefficient of the discriminant
-    cusp form.
+    cusp form.  Computed from Jacobi's identity
+    phi^3 = sum_j (-1)^j (2j+1) q^(j(j+1)/2) as q * (phi^3)^8, by three
+    squarings; the pentagonal product ``euler_phi`` is the independent
+    route to the same series.
     """
     if q_order < 1:
         raise ValueError("q-order must be >= 1")
-    phi24 = euler_phi(q_order) ** 24
-    return QSeries(q_order, (Fraction(0),) + phi24.coeffs)
+    cube = [0] * q_order
+    j = 0
+    while j * (j + 1) // 2 < q_order:
+        cube[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1)
+        j += 1
+    p = QSeries(q_order - 1, cube)
+    for _ in range(3):
+        p = p * p
+    return QSeries(q_order, (0,) + p.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +336,7 @@ class EtaElement:
         k = self.exponent.numerator
         if k < 0:
             raise ValueError("cannot fold a negative exponent into a series")
-        body = self.body.truncate(self.body.order - k) if k else self.body
-        out = (Fraction(0),) * k + self.body.coeffs
+        out = (0,) * k + self.body.coeffs
         return QSeries(self.body.order, out)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "Scalar",
@@ -314,16 +314,18 @@ class Scalar:
     @staticmethod
     def from_q_coeffs(coeffs) -> "Scalar":
         """Polynomial in q from a mapping degree -> rational coefficient."""
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = enumerate(coeffs)
-        acc = ZERO
+        items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+        items = [(k, c if type(c) is int else Fraction(c)) for k, c in items]
+        items = [(k, c) for k, c in items if c]
+        if not items:
+            return ZERO
+        lo = min(k for k, _ in items)
+        hi = max(k for k, _ in items)
+        den = lcm(*(c.denominator for _, c in items))
+        out = [0] * (2 * (hi - lo) + 1)
         for k, c in items:
-            c = Fraction(c)
-            if c:
-                acc = acc + Scalar.from_fraction(c) * Scalar.q_power(k)
-        return acc
+            out[2 * (k - lo)] = c.numerator * (den // c.denominator)
+        return Scalar(_lp_make(2 * lo, den, out), (1,))
 
     # -- predicates ----------------------------------------------------------
 
@@ -466,42 +468,24 @@ class Scalar:
         if self.num[0] < 0:
             raise ZeroDivisionError("pole at q = 0")
         nval, nden, nco = self.num
-        n = [Fraction(0)] * (order + 1)
+        out = [Fraction(0)] * (order + 1)
         for i, c in enumerate(nco):
             e = (nval + i) // 2
             if c and e <= order:
-                n[e] = Fraction(c, nden)
-        d = [Fraction(0)] * (order + 1)
-        for i, c in enumerate(self.den):
-            if c and i // 2 <= order:
-                d[i // 2] = Fraction(c)
-        out = [Fraction(0)] * (order + 1)
-        d0 = d[0]
+                out[e] = Fraction(c, nden)
+        if self.den == (1,):
+            return out
+        # divide by the denominator in place, over its nonzero terms only
+        d = [(i // 2, c) for i, c in enumerate(self.den) if c and 0 < i // 2 <= order]
+        d0 = self.den[0]
         for k in range(order + 1):
-            acc = n[k]
-            for i in range(1, k + 1):
-                if d[i]:
-                    acc -= d[i] * out[k - i]
+            acc = out[k]
+            for i, c in d:
+                if i > k:
+                    break
+                acc -= c * out[k - i]
             out[k] = acc / d0
         return out
-
-    def q_truncate(self, order: int) -> "Scalar":
-        """Drop q-degrees above ``order``; only for polynomials in q."""
-        if self.den != (1,) or not self.lives_in_q():
-            raise ValueError("q_truncate needs a Laurent polynomial in q")
-        nval, nden, nco = self.num
-        kept = [c if (nval + i) <= 2 * order else 0 for i, c in enumerate(nco)]
-        return Scalar(_lp_make(nval, nden, kept), (1,))
-
-    def q_coefficient(self, k: int) -> Fraction:
-        """Coefficient of q**k; only for Laurent polynomials in q."""
-        if self.den != (1,) or not self.lives_in_q():
-            raise ValueError("q_coefficient needs a Laurent polynomial in q")
-        nval, nden, nco = self.num
-        i = 2 * k - nval
-        if i < 0 or i >= len(nco):
-            return Fraction(0)
-        return Fraction(nco[i], nden)
 
 
 def _reduce(num, den) -> Scalar:

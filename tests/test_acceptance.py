@@ -135,7 +135,7 @@ def test_criterion_08_pochhammer_identity_and_lambda_k():
     Ssum = poch_inf_sum(nt, nq)
     ok = P == Ssum
     w = negate_t(lambda_t(ONE / (ONE - Q), nt, nq))
-    ok = ok and all(w.coeff(k) == P.coeff(k) for k in range(nt + 1))
+    ok = ok and all(w.coeff(k) == P[k] for k in range(nt + 1))
     for k in range(1, 9):
         rep = lambda_k_closed(k, 20)
         ok = ok and rep.selected == "binom(k,2)"

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from qfgl import (
-    Scalar, ZERO, ONE, Q, S,
-    QSeries, q_fact, euler_phi, discriminant, poch_inf_product, poch_inf_sum,
-    q_expandable, adams, lambda_t, negate_t, witt_add, witt_neg, witt_ghost,
+    Scalar, ZERO, ONE, Q, S, Series,
+    QSeries, q_int, q_fact, euler_phi, discriminant, poch_inf_product,
+    poch_inf_sum, q_expandable, adams, lambda_t, WittElement, negate_t,
+    witt_add, witt_neg, witt_ghost,
     newton_adams_from_lambda, lambda_k_closed, elementary_symmetric_oracle,
     thom_class, discriminant_limit,
 )
@@ -82,14 +83,14 @@ def test_lambda_of_geometric_is_pochhammer():
     w = negate_t(lambda_t(geom(), 8, 30))
     P = poch_inf_product(8, 30)
     for k in range(9):
-        assert w.coeff(k) == P.coeff(k)
+        assert w.coeff(k) == P[k]
 
 
 def test_lambda_route_closes_triangle_with_sum_form():
     w = negate_t(lambda_t(geom(), 8, 30))
     Ssum = poch_inf_sum(8, 30)
     for k in range(9):
-        assert w.coeff(k) == Ssum.coeff(k)
+        assert w.coeff(k) == Ssum[k]
 
 
 def test_lambda_additive_on_two_lines():
@@ -113,6 +114,58 @@ def test_lambda_additivity_random(rng):
         rhs = lambda_t(a + b, nt, nq)
         for k in range(nt + 1):
             assert lhs.coeff(k) == rhs.coeff(k)
+
+
+def lambda_t_series_oracle(a, t_order, q_order):
+    """prod_n (1 + t q^n)^(a_n) as a product of Series over Scalar.
+
+    Shares no code with the integer row kernel of ``lambda_t``: each
+    factor is an exact t-series, and a negative a_n takes the series
+    inverse 1/(1 + t q^n).  The body is exact, not reduced mod q.
+    """
+    one = Series.constant("t", t_order, ONE)
+    acc = one
+    for n, c in enumerate(a.q_expansion(q_order)):
+        m = int(c)
+        if m == 0:
+            continue
+        base = Series("t", t_order, (ONE, Scalar.q_power(n)))
+        if m < 0:
+            base, m = one / base, -m
+        acc = acc * base ** m
+    return WittElement(body=acc, q_order=q_order)
+
+
+def assert_matches_series_oracle(a, nt, nq):
+    w = lambda_t(a, nt, nq)
+    oracle = lambda_t_series_oracle(a, nt, nq)
+    for k in range(nt + 1):
+        assert w.coeff(k) == oracle.coeff(k), (str(a), nt, nq, k)
+    assert newton_adams_from_lambda(w, nt) == newton_adams_from_lambda(oracle, nt)
+
+
+def test_lambda_row_kernel_matches_series_oracle_random(rng):
+    negative = 0
+    for _ in range(20):
+        rep = random_virtual_rep(rng)
+        negative += any(c < 0 for c in rep.values())
+        assert_matches_series_oracle(Scalar.from_q_coeffs(rep), 6, 20)
+    assert negative > 0  # the division branch was exercised
+
+
+def test_lambda_row_kernel_matches_series_oracle_cli_elements():
+    elements = (geom(), ONE + Q, Scalar.from_int(2) * Q, q_int(3))
+    for a in elements:
+        for nt in (2, 4, 6):
+            for nq in (10, 20, 30):
+                assert_matches_series_oracle(a, nt, nq)
+        assert_matches_series_oracle(a, 8, 60)
+
+
+def test_lambda_row_kernel_matches_series_oracle_large_multiplicity():
+    # multiplicities beyond the t-order take one binomial pass each
+    for rep in ({0: 100000}, {1: -9, 2: 12, 5: -40}, {0: -7, 3: 25}):
+        assert_matches_series_oracle(Scalar.from_q_coeffs(rep), 6, 20)
 
 
 def test_witt_unit_and_negation():

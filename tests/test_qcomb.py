@@ -7,12 +7,13 @@ oracles first.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from qfgl import (
     Scalar, ZERO, ONE, Q, eval_q1, membership, is_cromulent,
-    QSeries, TQSeries, q_int, q_fact, q_binom,
+    QSeries, q_int, q_fact, q_binom,
     poch_finite, poch_inf_product, poch_inf_sum,
     euler_phi, discriminant,
     eta_from_phi, eta_mul, eta_inv, eta_pow,
@@ -125,36 +126,41 @@ def test_q_binom_range_check():
 
 def test_poch_empty():
     P = poch_finite(0, 4)
-    assert P.coeff(0) == QSeries.one(4)
+    assert P == (QSeries.one(4),)
 
 
 def test_poch_two_by_hand():
     # (1 - t)(1 - tq) = 1 - t(1+q) + t^2 q
     P = poch_finite(2, 4)
-    assert P.coeff(0) == QSeries.one(4)
-    assert P.coeff(1) == QSeries(4, (-1, -1))
-    assert P.coeff(2) == QSeries(4, (0, 1))
+    assert P[0] == QSeries.one(4)
+    assert P[1] == QSeries(4, (-1, -1))
+    assert P[2] == QSeries(4, (0, 1))
 
 
 def test_poch_recursion():
+    # (t;q)_(n+1) = (t;q)_n * (1 - t q^n), the product taken coefficient
+    # by coefficient in (t, q) with the brute-force oracle
     for n in range(11):
         lhs = poch_finite(n + 1, 12)
-        step = TQSeries(n + 1, 12, (QSeries.one(12),
-                                    -QSeries(12, (0,) * n + (1,))))
-        rhs = poch_finite(n, 12)
-        rhs = TQSeries(n + 1, 12, rhs.rows) * step
-        assert lhs == rhs
+        rows = [[int(c) for c in r.coeffs] for r in poch_finite(n, 12)]
+        step = [[1], [0] * n + [-1]]
+        rhs = [[0] * 13 for _ in range(n + 2)]
+        for i, a in enumerate(rows):
+            for j, b in enumerate(step):
+                for k, c in enumerate(poly_mul(a, b)[:13]):
+                    rhs[i + j][k] += c
+        assert lhs == tuple(QSeries(12, r) for r in rhs)
 
 
 def test_infinite_product_linear_coefficient():
     P = poch_inf_product(2, 4)
-    assert P.coeff(1) == QSeries(4, (-1, -1, -1, -1, -1))
+    assert P[1] == QSeries(4, (-1, -1, -1, -1, -1))
 
 
 def test_sum_route_first_terms():
     Ssum = poch_inf_sum(2, 6)
-    assert Ssum.coeff(0) == QSeries.one(6)
-    assert Ssum.coeff(1) == QSeries(6, (-1,) * 7)
+    assert Ssum[0] == QSeries.one(6)
+    assert Ssum[1] == QSeries(6, (-1,) * 7)
 
 
 def test_sum_equals_product():
@@ -191,7 +197,7 @@ def test_euler_phi_from_pochhammer_shift():
     P = poch_inf_product(nt, nq)
     acc = QSeries.zero(nq)
     for k in range(nt + 1):
-        acc = acc + P.coeff(k).shift(k)
+        acc = acc + P[k].shift(k)
     assert acc == euler_phi(nq)
 
 
@@ -210,6 +216,44 @@ def test_discriminant_multiplicativity_spot_check():
     d = discriminant(12)
     assert d[6] == d[2] * d[3]
     assert d[10] == d[2] * d[5]
+
+
+# -- structural oracles for the discriminant at high order ---------------------------
+
+@pytest.fixture(scope="module")
+def tau():
+    """tau(0..1000), read off discriminant(1000) (the Jacobi route)."""
+    return discriminant(1000).coeffs
+
+
+def primes_up_to(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+def test_discriminant_jacobi_route_equals_pentagonal_route():
+    # discriminant() squares Jacobi's phi^3 three times; euler_phi is the
+    # pentagonal product, raised to the 24th power here
+    assert discriminant(300) == QSeries(300, (0,) + (euler_phi(300) ** 24).coeffs)
+
+
+def test_tau_multiplicative_on_coprime_indices(tau):
+    for m in range(2, 1001):
+        for n in range(m + 1, 1000 // m + 1):
+            if gcd(m, n) == 1:
+                assert tau[m * n] == tau[m] * tau[n], (m, n)
+
+
+def test_tau_hecke_recursion_at_prime_powers(tau):
+    # tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1)), every p^(k+1) <= 1000
+    checked = 0
+    for p in primes_up_to(1000):
+        k = 1
+        while p ** (k + 1) <= 1000:
+            assert tau[p ** (k + 1)] == \
+                tau[p] * tau[p ** k] - p ** 11 * tau[p ** (k - 1)], (p, k)
+            checked += 1
+            k += 1
+    assert checked == 25
 
 
 # -- eta bookkeeping ------------------------------------------------------------------
