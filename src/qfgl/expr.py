@@ -9,10 +9,14 @@ Grammar (whitespace insensitive):
 
 Builtin calls: qint(k), qfact(k), qbinom(n, k), cyclotomic(d),
 adams(e, k).  Exponents are integer literals, optionally negative.
-Syntax errors carry the byte offset of the offending token.
+Syntax errors carry the byte offset of the offending token.  Atoms nest
+at most ``MAX_NESTING`` deep (parentheses, unary minus, call arguments),
+which keeps parsing and evaluation well inside Python's recursion limit.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .scalar import Scalar, ONE, Q, S, cyclotomic
 from .qcomb import q_int, q_fact, q_binom
@@ -38,6 +42,11 @@ Expr = tuple
 
 
 _ARITIES = {"qint": 1, "qfact": 1, "qbinom": 2, "cyclotomic": 1, "adams": 2}
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+MAX_NESTING = 100
 
 
 class _Lexer:
@@ -84,6 +93,7 @@ class _Lexer:
 class _Parser:
     def __init__(self, text: str):
         self.lex = _Lexer(text)
+        self.depth = 0
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -135,6 +145,15 @@ class _Parser:
         return sign * tok[1]
 
     def atom(self) -> Expr:
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             self.lex.peek()[2])
+        self.depth += 1
+        e = self._atom()
+        self.depth -= 1
+        return e
+
+    def _atom(self) -> Expr:
         tok = self.lex.peek()
         kind, value, pos = tok
         if kind == "int":
@@ -200,18 +219,19 @@ def eval_expr(e: Expr) -> Scalar:
             raise EvalError("zero cannot be raised to a negative power")
         return base ** e[2]
     if kind == "bin":
-        _, op, l, r = e
-        a = eval_expr(l)
-        b = eval_expr(r)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if b.is_zero():
-            raise EvalError("division by zero")
-        return a / b
+        # a chain a op b op c ... nests to the left; walk it in a loop so
+        # that its length costs no recursion depth
+        chain = []
+        while e[0] == "bin":
+            chain.append(e)
+            e = e[2]
+        acc = eval_expr(e)
+        for _, op, _, r in reversed(chain):
+            b = eval_expr(r)
+            if op == "/" and b.is_zero():
+                raise EvalError("division by zero")
+            acc = _BINARY[op](acc, b)
+        return acc
     if kind == "call":
         _, name, args = e
         vals = [eval_expr(a) for a in args]

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .scalar import Scalar, ZERO, ONE, Q, S, eval_q0
+# bi_compose has no caller here; perfbench's tracer test checks this by-name copy
 from .series import Series, BiSeries, compose, reverse, log1, exp0, bi_compose
 from .mobius import q_mobius, q_mobius_inv, mob_apply, mob_det
 from .report import Check, VerificationReport
@@ -123,12 +125,31 @@ def f_chi_closed(order: int) -> FormalGroupLaw:
 
 
 def f_chi_from_log(order: int) -> FormalGroupLaw:
-    """Transport addition through the logarithm: exp(log X + log Y)."""
-    lg = log_chi(order)
-    ex = exp_chi(order)
-    lx = BiSeries.from_series(lg, _XY, order, which=0)
-    ly = BiSeries.from_series(lg, _XY, order, which=1)
-    return FormalGroupLaw(series=bi_compose(ex, lx + ly))
+    """Transport addition through the logarithm: exp(log X + log Y).
+
+    With L = ``log_chi(order)`` and e = ``exp_chi(order)``, the binomial
+    theorem expands e(L(X) + L(Y)) = sum_k e_k (L(X) + L(Y))^k as
+
+        F_ij = sum_{a <= i, b <= j} [T^i]L^a * C(a+b, a) e_{a+b} * [T^j]L^b,
+
+    evaluated through H[i][b] = sum_a [T^i]L^a * C(a+b, a) e_{a+b} in
+    O(order^3) scalar operations and ``order`` univariate multiplies.
+    The route reads only the logarithm and the exponential, never a
+    closed form or a reversion, so comparing it with the closed forms
+    (``proposition_check``) compares two independent computations.
+    """
+    lg, ex = log_chi(order), exp_chi(order)
+    P = [Series.constant("T", order, ONE)]
+    for _ in range(order):
+        P.append(P[-1] * lg)
+    P = [p.coeffs for p in P]               # P[a][i] = [T^i] L^a, zero for a > i
+    w = [[Scalar.from_int(comb(k, a)) * ex[k] for a in range(k + 1)]
+         for k in range(order + 1)]         # w[a+b][a] = C(a+b, a) e_{a+b}
+    H = [[sum((P[a][i] * w[a + b][a] for a in range(i + 1)), ZERO)
+          for b in range(order + 1 - i)] for i in range(order + 1)]
+    terms = {(i, j): sum((H[i][b] * P[b][j] for b in range(j + 1)), ZERO)
+             for i in range(order + 1) for j in range(order + 1 - i)}
+    return FormalGroupLaw(series=BiSeries(_XY, order, terms))
 
 
 def f_chi_derived_closed(order: int) -> FormalGroupLaw:
@@ -273,27 +294,6 @@ def _tri_substitute_bi(terms: dict, a: dict, b: dict, order) -> dict:
     return acc
 
 
-def _tri_div(num: dict, den: dict, order: int) -> dict:
-    d0 = den.get((0, 0, 0), ZERO)
-    if d0.is_zero():
-        raise ZeroDivisionError("trivariate division needs a unit constant term")
-    out: dict = {}
-    for d in range(order + 1):
-        for i in range(d + 1):
-            for j in range(d - i + 1):
-                k = d - i - j
-                acc = num.get((i, j, k), ZERO)
-                for (p, r, t), c in den.items():
-                    if (p, r, t) == (0, 0, 0) or p > i or r > j or t > k:
-                        continue
-                    prev = out.get((i - p, j - r, k - t))
-                    if prev is not None:
-                        acc = acc - c * prev
-                if not acc.is_zero():
-                    out[(i, j, k)] = acc / d0
-    return out
-
-
 def _first_tri_difference(a: dict, b: dict):
     keys = sorted(set(a) | set(b), key=lambda k: (sum(k), k))
     for k in keys:
@@ -426,26 +426,52 @@ def verify_fgl(F: FormalGroupLaw, order: int, assoc: str = "auto") -> Verificati
 # the formal inverse
 
 def fgl_inverse(F: FormalGroupLaw, order: int) -> Series:
-    """The series i(T) with F(T, i(T)) = 0, solved degree by degree."""
-    Fs = F.series.truncate(order) if F.series.order > order else F.series
+    """The series i(T) with F(T, i(T)) = 0, by Newton iteration on Y.
+
+    Starting from i = -(c10/c01) T, each step i <- i - F(T, i)/dF/dY(T, i)
+    doubles the number of correct coefficients (Brent-Kung 1978).  F and
+    dF/dY are evaluated together by Horner's rule in Y over the Y-slices
+    of the law.  Raises ValueError when c01, the coefficient of Y, is
+    zero, or when the law is expanded to less than ``order``.
+    """
+    Fs = F.series
     if Fs.order < order:
         raise ValueError("law not expanded far enough for the requested order")
-    gen = Series.generator("T", order)
-    iota = [ZERO] * (order + 1)
-    for n in range(1, order + 1):
-        partial = Series("T", order, iota)
-        h = _bi_eval(Fs, gen, partial, order)
-        iota[n] = -h[n]
-    return Series("T", order, iota)
+    c01 = Fs.terms.get((0, 1), ZERO)
+    if c01.is_zero():
+        raise ValueError("the formal inverse needs an invertible Y coefficient")
+    rows = [[ZERO] * (order + 1) for _ in range(order + 1)]   # rows[j][i] = c_ij
+    for (i, j), c in Fs.terms.items():
+        if i + j <= order:
+            rows[j][i] = c
+    top = max((j for (i, j) in Fs.terms if i + j <= order), default=0)
+    iota = Series("T", order, (ZERO, -Fs.terms.get((1, 0), ZERO) / c01))
+    prec = 1                                # iota is exact through T^prec
+    while prec < order:
+        prec = min(2 * prec + 1, order)
+        y = Series("T", prec, iota.coeffs)
+        J = min(top, prec)                  # y^j = O(T^j): higher slices vanish
+        f, df = Series("T", prec, rows[J]), Series.zero("T", prec)
+        for j in range(J - 1, -1, -1):
+            df = df * y + f
+            f = f * y + Series("T", prec, rows[j])
+        iota = y - f / df
+    return iota
 
 
-def _bi_eval(F: BiSeries, f: Series, g: Series, order: int) -> Series:
-    """Evaluate F at univariate series arguments (both with zero constant)."""
+def fgl_eval(F: FormalGroupLaw, f: Series, g: Series, order: int) -> Series:
+    """The law applied to two series arguments, both with zero constant term.
+
+    Sums c_ij f^i g^j over tables of powers, sharing no code with the
+    Horner evaluation inside ``fgl_inverse``, so F(T, i(T)) = 0 checks
+    the inverse by an independent route.
+    """
     if not (f.constant_term().is_zero() and g.constant_term().is_zero()):
         raise ValueError("substitution needs arguments with zero constant term")
     one = Series.constant(f.var, order, ONE)
-    max_i = max((i for (i, _) in F.terms), default=0)
-    max_j = max((j for (_, j) in F.terms), default=0)
+    terms = F.series.terms
+    max_i = max((i for (i, _) in terms), default=0)
+    max_j = max((j for (_, j) in terms), default=0)
     fpow = [one]
     for _ in range(min(max_i, order)):
         fpow.append(fpow[-1] * f)
@@ -453,16 +479,11 @@ def _bi_eval(F: BiSeries, f: Series, g: Series, order: int) -> Series:
     for _ in range(min(max_j, order)):
         gpow.append(gpow[-1] * g)
     acc = Series.zero(f.var, order)
-    for (i, j), c in F.terms.items():
+    for (i, j), c in terms.items():
         if i > order or j > order or i + j > order:
             continue
         acc = acc + (fpow[i] * gpow[j]).scale(c)
     return acc
-
-
-def fgl_eval(F: FormalGroupLaw, f: Series, g: Series, order: int) -> Series:
-    """Public wrapper: the law applied to two series arguments."""
-    return _bi_eval(F.series, f, g, order)
 
 
 # ---------------------------------------------------------------------------

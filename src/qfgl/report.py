@@ -39,10 +39,3 @@ class VerificationReport:
     def __str__(self):
         return "\n".join(str(c) for c in self.checks)
 
-
-def check_equal(name: str, order, left, right, detail_on_fail: str | None = None) -> Check:
-    ok = left == right
-    detail = None
-    if not ok:
-        detail = detail_on_fail or f"{left!r} != {right!r}"
-    return Check(name=name, order=order, passed=ok, detail=detail)

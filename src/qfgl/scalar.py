@@ -129,13 +129,6 @@ def _lp_mul_int_poly(a, p):
     return _lp_mul(a, (0, 1, p))
 
 
-def _lp_scale(a, num: int, den: int):
-    if num == 0:
-        return _LP_ZERO
-    av, ad, ac = a
-    return _lp_make(av, ad * den, [c * num for c in ac])
-
-
 def _lp_stretch(a, k: int):
     """Substitute s -> s**k (used for Adams operations via q -> q**k)."""
     av, ad, ac = a
@@ -230,28 +223,6 @@ def _ip_gcd(a, b):
     return (1,)
 
 
-def _ip_divexact(a, b):
-    """Exact quotient of integer polynomials; remainder must vanish."""
-    if b == (1,):
-        return tuple(a)
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    q = [0] * (len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + db]
-        if c % lb:
-            raise ArithmeticError("inexact polynomial division")
-        c //= lb
-        q[k] = c
-        if c:
-            for i, bc in enumerate(b):
-                r[k + i] -= c * bc
-    if any(r):
-        raise ArithmeticError("inexact polynomial division")
-    return tuple(q)
-
-
 def _ip_divides(a, b):
     """Return a//b if b divides a exactly, else None."""
     if len(a) < len(b):
@@ -272,6 +243,16 @@ def _ip_divides(a, b):
     if any(r):
         return None
     return tuple(q)
+
+
+def _ip_divexact(a, b):
+    """Exact quotient of integer polynomials; remainder must vanish."""
+    if b == (1,):
+        return tuple(a)
+    q = _ip_divides(a, b)
+    if q is None:
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +429,6 @@ class Scalar:
         if d == 0:
             raise ZeroDivisionError(f"pole at s = {x}")
         return _lp_eval(self.num, x) / d
-
-    def q_valuation(self) -> int:
-        """Order of vanishing at q = 0 (negative for a pole)."""
-        if self.is_zero():
-            raise ValueError("zero scalar has no valuation")
-        if not self.lives_in_q():
-            raise ValueError("element does not live in q")
-        return self.num[0] // 2
 
     def q_expansion(self, order: int):
         """Power-series coefficients in q at q = 0, degrees 0..order.

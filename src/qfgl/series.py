@@ -175,12 +175,6 @@ class Series:
                       [Scalar.from_int(k) * self.coeffs[k]
                        for k in range(1, self.order + 1)])
 
-    def map_coeffs(self, fn) -> "Series":
-        return Series(self.var, self.order, [fn(c) for c in self.coeffs])
-
-    def rename(self, var: str) -> "Series":
-        return Series(var, self.order, self.coeffs)
-
 
 # ---------------------------------------------------------------------------
 # composition and reversion
@@ -427,15 +421,6 @@ class BiSeries:
             base = base * base if k > 1 else base
             k >>= 1
         return acc
-
-    def map_coeffs(self, fn) -> "BiSeries":
-        return BiSeries(self.vars, self.order,
-                        {k: fn(c) for k, c in self.terms.items()})
-
-    def swap(self) -> "BiSeries":
-        """Exchange the two variables."""
-        return BiSeries((self.vars[1], self.vars[0]), self.order,
-                        {(j, i): c for (i, j), c in self.terms.items()})
 
 
 def bi_compose(f: Series, g: BiSeries) -> BiSeries:

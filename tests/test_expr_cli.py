@@ -161,6 +161,17 @@ def test_cli_verify_json(capsys):
     assert all(c["pass"] for c in payload["checks"])
 
 
+def test_cli_eval_deep_nesting_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "eval", "(" * 3000 + "q" + ")" * 3000)
+    assert code == 2
+    assert err.startswith("error: expression nested deeper than")
+    with pytest.raises(ParseError):
+        parse_expr("(-" * 3000 + "q" + ")" * 3000)
+    # below the limit the nesting parses; a long flat chain costs no depth
+    assert evaluate("(" * 90 + "-q" + ")" * 90) == -Q
+    assert evaluate("q" + "+q" * 3000) == Scalar.from_int(3001) * Q
+
+
 def test_cli_usage_error_exit_code(capsys):
     assert main(["verify", "no-such-suite"]) == 2
     capsys.readouterr()

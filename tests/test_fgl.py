@@ -115,8 +115,9 @@ def test_closed_law_q0_is_multiplicative():
 # -- the transported law and the sign adjudication -----------------------------------
 
 def test_transport_equals_minus_closed_form():
-    n = 12
-    assert f_chi_from_log(n).series == f_chi_derived_closed(n).series
+    # the small orders reach the edges of the binomial expansion's indexing
+    for n in (1, 2, 3, 12, 20):
+        assert f_chi_from_log(n).series == f_chi_derived_closed(n).series
 
 
 def test_transport_differs_from_plus_closed_form():
@@ -206,19 +207,30 @@ def test_inverse_of_multiplicative_law():
 
 
 def test_inverse_of_q_law_closed_form():
-    n = 10
-    iota = fgl_inverse(f_chi_closed(n), n)
-    # -T/(1 + (1+q)T), solved from the closed numerator
-    expected = (-T(n)) / Series("T", n, (ONE, ONE + Q))
-    assert iota == expected
+    # -T/(1 +- (1+q)T), solved from the closed numerators; the small orders
+    # end the Newton doubling early, and a law expanded past the requested
+    # order gives the same inverse
+    for n, law_order in ((1, 1), (2, 2), (3, 3), (5, 5), (10, 10), (20, 20), (20, 24)):
+        for make, sign in ((f_chi_closed, ONE), (f_chi_derived_closed, -ONE)):
+            expected = (-T(n)) / Series("T", n, (ONE, sign * (ONE + Q)))
+            assert fgl_inverse(make(law_order), n) == expected
 
 
 def test_inverse_composes_to_zero():
-    n = 10
-    for make in (f_chi_closed, multiplicative_law, f_chi_derived_closed):
-        F = make(n)
-        iota = fgl_inverse(F, n)
-        assert fgl_eval(F, T(n), iota, n).is_zero()
+    for n in (10, 20):
+        for make in (f_chi_closed, multiplicative_law, f_chi_derived_closed,
+                     drinfeld_form, f_chi_from_log):
+            F = make(n)
+            iota = fgl_inverse(F, n)
+            assert fgl_eval(F, T(n), iota, n).is_zero()
+
+
+def test_inverse_input_errors():
+    with pytest.raises(ValueError, match="not expanded far enough"):
+        fgl_inverse(f_chi_closed(8), 10)
+    no_y = FormalGroupLaw(series=BiSeries(("X", "Y"), 6, {(1, 0): ONE, (1, 1): ONE}))
+    with pytest.raises(ValueError, match="invertible Y coefficient"):
+        fgl_inverse(no_y, 6)
 
 
 # -- the exponential-character identity ---------------------------------------------------
