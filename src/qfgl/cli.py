@@ -21,13 +21,12 @@ import itertools
 import json
 import sys
 
-from .scalar import Scalar, ONE, Q, cyclotomic, canonical_str
+from .scalar import ONE, Q, cyclotomic, canonical_str
 from .series import Series
-from .mobius import q_mobius, q_mobius_inv, mob_mul, mob_det, scalar_matrix, Mobius
+from .mobius import q_mobius, q_mobius_inv, mob_mul, mob_det, scalar_matrix
 from .fgl import (
-    log_chi, exp_chi, f_chi_closed, f_chi_from_log, f_chi_derived_closed,
-    drinfeld_form, fgl_inverse, cp_image, cartier_check, proposition_check,
-    verify_fgl,
+    log_chi, exp_chi, f_chi_closed, drinfeld_form, fgl_inverse, cp_image,
+    cartier_check, proposition_check, verify_fgl,
 )
 from .qcomb import (
     QSeries, q_int, q_fact, euler_phi, discriminant, poch_inf_product,
@@ -37,7 +36,7 @@ from .lambda_ring import (
     adams, lambda_t, negate_t, newton_adams_from_lambda, lambda_k_closed,
     thom_class, discriminant_limit,
 )
-from .varieties import Variety, diagram_check, load_catalog, hodge, yz_to_q, euler_specialize
+from .varieties import Variety, diagram_check, load_catalog
 from .report import Check, VerificationReport
 from .expr import parse_expr, eval_expr, ParseError, EvalError
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 
-from .scalar import Scalar, ONE, Q, S, cyclotomic
+from .scalar import Scalar, Q, S, cyclotomic
 from .qcomb import q_int, q_fact, q_binom
 from .lambda_ring import adams
 

@@ -14,9 +14,10 @@ but its logarithm is not the q-integer series; ``proposition_check``
 adjudicates between the two forms.
 
 Associativity of a law given only as a truncated bivariate series is
-checked through a dedicated three-variable substitution; a law that also
-carries its closed rational form is checked exactly by cross-multiplying
-the two association orders.
+checked by substituting it into itself as a BiSeries in three variables;
+a law that also carries its closed rational form is checked exactly by
+cross-multiplying the two association orders, in the same BiSeries
+arithmetic at a total degree no product can exceed.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .scalar import Scalar, ZERO, ONE, Q, S, eval_q0
+from .scalar import Scalar, ZERO, ONE, Q, S
 # bi_compose has no caller here; perfbench's tracer test checks this by-name copy
-from .series import Series, BiSeries, compose, reverse, log1, exp0, bi_compose
+from .series import Series, BiSeries, log1, exp0, bi_compose
 from .mobius import q_mobius, q_mobius_inv, mob_apply, mob_det
 from .report import Check, VerificationReport
 
@@ -191,12 +192,7 @@ def proposition_check(order: int) -> VerificationReport:
                        f_chi_closed(order)),
                       ("transport = minus form (X+Y-(1+q)XY)/(1-qXY)",
                        f_chi_derived_closed(order))):
-        diff_key = None
-        keys = set(transported.terms) | set(law.series.terms)
-        for key in sorted(keys, key=lambda k: (sum(k), k)):
-            if transported.terms.get(key, ZERO) != law.series.terms.get(key, ZERO):
-                diff_key = key
-                break
+        diff_key = _first_difference(transported, law.series)
         checks.append(Check(name, order, diff_key is None,
                             None if diff_key is None else
                             f"first failing coefficient {diff_key}"))
@@ -225,145 +221,87 @@ def drinfeld_form(order: int) -> FormalGroupLaw:
 
 
 # ---------------------------------------------------------------------------
-# trivariate helpers for the associativity check
-#
-# A trivariate polynomial/series is a dict (i, j, k) -> Scalar; ``order``
-# is the total-degree truncation, or None for exact polynomial work.
+# associativity: both association orders as series in X, Y, Z
 
-def _tri_mul(a: dict, b: dict, order) -> dict:
-    out: dict = {}
-    for (i1, j1, k1), c1 in a.items():
-        for (i2, j2, k2), c2 in b.items():
-            i, j, k = i1 + i2, j1 + j2, k1 + k2
-            if order is not None and i + j + k > order:
-                continue
-            key = (i, j, k)
-            prev = out.get(key)
-            v = c1 * c2 if prev is None else prev + c1 * c2
-            out[key] = v
-    return {k: v for k, v in out.items() if not v.is_zero()}
+_XYZ = ("X", "Y", "Z")
 
 
-def _tri_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, ZERO) - c
-        if v.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = v
-    return out
-
-
-def _tri_scale_add(acc: dict, term: dict, c: Scalar, order) -> None:
-    for key, v in term.items():
-        if order is not None and sum(key) > order:
-            continue
-        w = acc.get(key, ZERO) + c * v
-        if w.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = w
-
-
-def _bi_terms_to_tri(terms: dict, slots: tuple) -> dict:
-    """Lift bivariate terms into three variables; slots maps onto (0,1,2)."""
-    out = {}
-    for (i, j), c in terms.items():
+def _lift(terms: dict, slots: tuple, order: int) -> BiSeries:
+    """Bivariate terms as a series in X, Y, Z, their variables at ``slots``."""
+    lifted = {}
+    for e, c in terms.items():
         key = [0, 0, 0]
-        key[slots[0]] = i
-        key[slots[1]] = j
-        out[tuple(key)] = c
+        for slot, k in zip(slots, e):
+            key[slot] = k
+        lifted[tuple(key)] = c
+    return BiSeries(_XYZ, order, lifted)
+
+
+def _powers(x: BiSeries, k: int) -> list:
+    """[1, x, x^2, ..., x^k]."""
+    out = [BiSeries.constant(x.vars, x.order, ONE)]
+    for _ in range(k):
+        out.append(out[-1] * x)
     return out
 
 
-def _tri_substitute_bi(terms: dict, a: dict, b: dict, order) -> dict:
-    """Evaluate a bivariate term dict at trivariate arguments a and b."""
-    max_i = max((i for (i, _) in terms), default=0)
-    max_j = max((j for (_, j) in terms), default=0)
-    one = {(0, 0, 0): ONE}
-    apow = [one]
-    for _ in range(max_i):
-        apow.append(_tri_mul(apow[-1], a, order))
-    bpow = [one]
-    for _ in range(max_j):
-        bpow.append(_tri_mul(bpow[-1], b, order))
+def _combine(terms: dict, xs: list, ys: list) -> BiSeries:
+    """The sum of c * xs[i] * ys[j] over the bivariate terms c X^i Y^j."""
     acc: dict = {}
     for (i, j), c in terms.items():
-        _tri_scale_add(acc, _tri_mul(apow[i], bpow[j], order), c, order)
-    return acc
+        for key, v in (xs[i] * ys[j]).terms.items():
+            acc[key] = acc.get(key, ZERO) + c * v
+    return BiSeries(xs[0].vars, xs[0].order, acc)
 
 
-def _first_tri_difference(a: dict, b: dict):
-    keys = sorted(set(a) | set(b), key=lambda k: (sum(k), k))
-    for k in keys:
-        if a.get(k, ZERO) != b.get(k, ZERO):
-            return k
-    return None
+def _first_difference(a: BiSeries, b: BiSeries):
+    """The first monomial, by total degree and then exponents, where a and
+    b differ; None when they agree."""
+    diff = (a - b).terms
+    return min(diff, key=lambda k: (sum(k), k)) if diff else None
 
 
 def _assoc_generic(F: BiSeries, order: int):
     """Compare F(F(X,Y),Z) with F(X,F(Y,Z)) by truncated substitution."""
-    inner_left = _bi_terms_to_tri(F.truncate(order).terms, (0, 1))
-    inner_right = _bi_terms_to_tri(F.truncate(order).terms, (1, 2))
-    zgen = {(0, 0, 1): ONE}
-    xgen = {(1, 0, 0): ONE}
     terms = F.truncate(order).terms
-    left = _tri_substitute_bi(terms, inner_left, zgen, order)
-    right = _tri_substitute_bi(terms, xgen, inner_right, order)
-    return _first_tri_difference(left, right)
+    du = max((i for (i, _) in terms), default=0)
+    dv = max((j for (_, j) in terms), default=0)
+    X = BiSeries.generator(_XYZ, order, 0)
+    Z = BiSeries.generator(_XYZ, order, 2)
+    left = _combine(terms, _powers(_lift(terms, (0, 1), order), du), _powers(Z, dv))
+    right = _combine(terms, _powers(X, du), _powers(_lift(terms, (1, 2), order), dv))
+    return _first_difference(left, right)
 
 
-def _assoc_closed(closed, order=None):
+def _assoc_closed(closed):
     """Exact associativity of a closed rational law by cross-multiplying.
 
-    F = P/R; both association orders are rational with polynomial
-    numerator and denominator, so equality is a polynomial identity and
-    is decided exactly (no truncation).
+    F = P/R.  Clearing denominators writes each association order as
+    N/D with polynomials N and D, so associativity is the polynomial
+    identity N1*D2 = N2*D1.  With d the largest total degree of a term
+    of P or R, every N and D has total degree at most d(d+1), so a
+    truncation at 2d(d+1) drops no term and the check is exact.
     """
     P, R = closed
-    du = max(max(i for (i, _) in P), max(i for (i, _) in R))
-    dv = max(max(j for (_, j) in P), max(j for (_, j) in R))
+    keys = [*P, *R]
+    du = max(i for (i, _) in keys)
+    dv = max(j for (_, j) in keys)
+    d = max(map(sum, keys))
+    order = 2 * d * (d + 1)
 
-    def outer(num_arg, den_arg, arg_slot_is_first, gen):
-        # P(A/B, Z) and R(A/B, Z) cleared by B**du (first slot) or B**dv
-        deg = du if arg_slot_is_first else dv
-        bpow = [{(0, 0, 0): ONE}]
-        for _ in range(deg):
-            bpow.append(_tri_mul(bpow[-1], den_arg, None))
-        apow = [{(0, 0, 0): ONE}]
-        for _ in range(deg):
-            apow.append(_tri_mul(apow[-1], num_arg, None))
-        gpow = [{(0, 0, 0): ONE}]
-        maxg = dv if arg_slot_is_first else du
-        for _ in range(maxg):
-            gpow.append(_tri_mul(gpow[-1], gen, None))
+    def cleared(slots, deg):
+        # A^e B^(deg-e), e = 0..deg: (A/B)^e cleared by B^deg, F = A/B
+        apow = _powers(_lift(P, slots, order), deg)
+        bpow = _powers(_lift(R, slots, order), deg)
+        return [apow[e] * bpow[deg - e] for e in range(deg + 1)]
 
-        def clear(terms):
-            acc: dict = {}
-            for (i, j), c in terms.items():
-                e = i if arg_slot_is_first else j
-                g = j if arg_slot_is_first else i
-                t = _tri_mul(apow[e], bpow[deg - e], None)
-                t = _tri_mul(t, gpow[g], None)
-                _tri_scale_add(acc, t, c, None)
-            return acc
-
-        return clear(P), clear(R)
-
-    # left: F(F(X,Y), Z)
-    A = _bi_terms_to_tri(P, (0, 1))
-    B = _bi_terms_to_tri(R, (0, 1))
-    n1, d1 = outer(A, B, True, {(0, 0, 1): ONE})
-    # right: F(X, F(Y,Z))
-    A2 = _bi_terms_to_tri(P, (1, 2))
-    B2 = _bi_terms_to_tri(R, (1, 2))
-    n2, d2 = outer(A2, B2, False, {(1, 0, 0): ONE})
-
-    diff = _tri_sub(_tri_mul(n1, d2, None), _tri_mul(n2, d1, None))
-    if not diff:
-        return None
-    return min(diff, key=lambda k: (sum(k), k))
+    # left: P and R at (F(X,Y), Z), cleared by B^du
+    xs, ys = cleared((0, 1), du), _powers(BiSeries.generator(_XYZ, order, 2), dv)
+    n1, d1 = _combine(P, xs, ys), _combine(R, xs, ys)
+    # right: P and R at (X, F(Y,Z)), cleared by B^dv
+    xs, ys = _powers(BiSeries.generator(_XYZ, order, 0), du), cleared((1, 2), dv)
+    n2, d2 = _combine(P, xs, ys), _combine(R, xs, ys)
+    return _first_difference(n1 * d2, n2 * d1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """q-combinatorics: q-integers, Gaussian binomials, Pochhammer products,
 the Euler function and the modular discriminant.
 
-Besides Scalar, one data shape is used: ``QSeries``, a truncated power
-series in q over exact rationals, which holds ``int`` coefficients where
-they are integral.  A rectangular (t-order, q-order) truncation, such as
-the infinite Pochhammer product, is a tuple of QSeries indexed by
-t-degree.  It is computed on integer rows, one list of q-coefficients per
-t-degree, that each factor (1 + c*t*q^n)^m updates in place.
+Besides Scalar, one data shape is used: ``QSeries``, the ``Series`` of
+``series.py`` in the variable q with exact rational coefficients instead
+of Scalars.  It holds ``int`` coefficients where they are integral and
+inherits every kernel (multiply, unit division, powering) from
+``Series``.  A rectangular (t-order, q-order) truncation, such as the
+infinite Pochhammer product, is a tuple of QSeries indexed by t-degree.
+It is computed on integer rows, one list of q-coefficients per t-degree,
+that each factor (1 + c*t*q^n)^m updates in place.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
-from .scalar import Scalar, ZERO, ONE, Q
+from .scalar import Scalar, ONE, Q
+from .series import Series
 
 __all__ = [
     "QSeries",
@@ -74,21 +77,27 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-class QSeries:
+class QSeries(Series):
     """Dense truncated series in q with exact rational coefficients.
 
-    A coefficient is stored as an ``int`` when it is integral and as a
-    ``Fraction`` only when it is not, so integral series run on machine
-    integers and print exactly as their Fraction forms would.
+    A ``Series`` in the variable q over Q instead of Q(s); all arithmetic
+    is inherited.  A coefficient is stored as an ``int`` when it is
+    integral and as a ``Fraction`` only when it is not, so integral
+    series run on machine integers and print exactly as their Fraction
+    forms would.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ()
+    _coerce = staticmethod(_exact)
+    _ZERO = 0
+    _ONE = Fraction(1)          # in Q, so that 1 / c is exact, never a float
+    _TERM = "{c}*{v}^{k}"
 
     def __init__(self, order: int, coeffs=()):
-        cs = [_exact(c) for c in coeffs][: order + 1]
-        cs += [0] * (order + 1 - len(cs))
-        self.order = order
-        self.coeffs = tuple(cs)
+        super().__init__("q", order, coeffs)
+
+    def _new(self, order: int, coeffs) -> "QSeries":
+        return QSeries(order, coeffs)
 
     @staticmethod
     def one(order: int) -> "QSeries":
@@ -102,56 +111,8 @@ class QSeries:
     def from_scalar(a: Scalar, order: int) -> "QSeries":
         return QSeries(order, a.q_expansion(order))
 
-    def __getitem__(self, k: int):
-        if 0 <= k <= self.order:
-            return self.coeffs[k]
-        raise IndexError(f"degree {k} beyond computed order {self.order}")
-
-    def truncate(self, order: int) -> "QSeries":
-        if order >= self.order:
-            return self
-        return QSeries(order, self.coeffs)
-
     def is_integral(self) -> bool:
         return all(type(c) is int for c in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def _common(self, other: "QSeries") -> int:
-        return min(self.order, other.order)
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        n = self._common(other)
-        return QSeries(n, list(map(add, self.coeffs[: n + 1], other.coeffs)))
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        n = self._common(other)
-        return QSeries(n, list(map(sub, self.coeffs[: n + 1], other.coeffs)))
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.order, [-c for c in self.coeffs])
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        n = self._common(other)
-        out = [0] * (n + 1)
-        ys = other.coeffs
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                out[i:] = map(add, out[i:], [a * b for b in ys[: n + 1 - i]])
-        return QSeries(n, out)
-
-    def scale(self, c) -> "QSeries":
-        c = _exact(c)
-        return QSeries(self.order, [c * a for a in self.coeffs])
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q**k (k >= 0), truncating at the same order."""
@@ -160,43 +121,11 @@ class QSeries:
         return QSeries(self.order, (0,) * k + self.coeffs)
 
     def reciprocal(self) -> "QSeries":
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("reciprocal needs an invertible constant term")
-        inv0 = _exact(1 / Fraction(c0))
-        out = [0] * (self.order + 1)
-        out[0] = inv0
-        for k in range(1, self.order + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc -= self.coeffs[i] * out[k - i]
-            out[k] = _exact(acc * inv0)
-        return QSeries(self.order, out)
-
-    def __pow__(self, k: int) -> "QSeries":
-        if k < 0:
-            return self.reciprocal() ** (-k)
-        acc = QSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+        return QSeries.one(self.order) / self
 
     def to_scalar(self) -> Scalar:
         """The truncation read back as a polynomial in q."""
         return Scalar.from_q_coeffs(self.coeffs)
-
-    def __repr__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}*q^{k}")
-        body = " + ".join(terms) if terms else "0"
-        return f"<{body} + O(q^{self.order + 1})>"
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +265,7 @@ class EtaElement:
         k = self.exponent.numerator
         if k < 0:
             raise ValueError("cannot fold a negative exponent into a series")
-        out = (0,) * k + self.body.coeffs
-        return QSeries(self.body.order, out)
+        return self.body.shift(k)
 
 
 def eta_from_phi(q_order: int) -> EtaElement:

@@ -374,20 +374,8 @@ class Scalar:
         den = _lp_mul(other.num, (0, 1, self.den) if self.den != (1,) else _LP_ONE)
         return _make_scalar(num, den)
 
-    def inverse(self) -> "Scalar":
-        return ONE / self
-
     def __pow__(self, k: int) -> "Scalar":
-        if k < 0:
-            return self.inverse() ** (-k)
-        acc = ONE
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return _power(self, k, ONE)
 
     # -- structure -----------------------------------------------------------
 
@@ -459,6 +447,26 @@ class Scalar:
                 acc -= c * out[k - i]
             out[k] = acc / d0
         return out
+
+
+def _power(x, k: int, one):
+    """x**k by square-and-multiply from the multiplicative identity ``one``.
+
+    The one powering loop of the package: Scalar, Series, QSeries and
+    BiSeries all call it.  A negative k raises one / x to -k.  The base
+    is squared only while a higher bit of k remains, so no square is
+    computed that the result never uses.
+    """
+    if k < 0:
+        x, k = one / x, -k
+    acc = one
+    while k:
+        if k & 1:
+            acc = acc * x
+        if k > 1:
+            x = x * x
+        k >>= 1
+    return acc
 
 
 def _reduce(num, den) -> Scalar:

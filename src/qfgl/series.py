@@ -1,9 +1,14 @@
-"""Truncated formal power series over the exact scalar field.
+"""Truncated formal power series: one core for every series type.
 
-Two flavours are provided: ``Series`` in one variable, stored densely up
-to an explicit order, and ``BiSeries`` in two variables truncated by
-*total* degree.  Every arithmetic result carries order = min of the input
-orders; no operation ever claims coefficients it has not computed.
+``Series`` is a dense series in one variable, stored up to an explicit
+order.  Its coefficient ring is a class choice: ``Series`` itself holds
+Scalars of Q(s), and its subclass ``qcomb.QSeries`` holds exact
+rationals; multiply, unit division and powering are written once, here,
+for both.  ``BiSeries`` is a sparse series in any number of variables,
+keyed by exponent tuples and truncated by *total* degree: the group law
+lives in two variables, its associativity check in three.  Every
+arithmetic result carries order = min of the input orders; no operation
+ever claims coefficients it has not computed.
 
 All values are immutable and the operations are pure.
 """
@@ -11,8 +16,9 @@ All values are immutable and the operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, neg, sub
 
-from .scalar import Scalar, ZERO, ONE
+from .scalar import Scalar, ZERO, ONE, _power
 
 __all__ = [
     "Series",
@@ -37,18 +43,34 @@ def _as_scalar(c) -> Scalar:
 
 
 class Series:
-    """Dense truncated power series in one variable."""
+    """Dense truncated power series in one variable.
+
+    The coefficient ring is given by three class attributes: ``_coerce``
+    maps an input coefficient into the ring, and ``_ZERO`` and ``_ONE``
+    are its identities.  ``_ONE`` lies in a field, so that 1 / c stays
+    exact.  A subclass overrides these and ``_new``, and inherits all
+    arithmetic.
+    """
 
     __slots__ = ("var", "order", "coeffs")
+    _coerce = staticmethod(_as_scalar)
+    _ZERO = ZERO
+    _ONE = ONE
+    _TERM = "({c})*{v}^{k}"
 
     def __init__(self, var: str, order: int, coeffs=()):
         if order < 0:
             raise ValueError("series order must be >= 0")
-        cs = [_as_scalar(c) for c in coeffs][: order + 1]
-        cs += [ZERO] * (order + 1 - len(cs))
+        coerce = self._coerce
+        cs = [coerce(c) for c in coeffs][: order + 1]
+        cs += [self._ZERO] * (order + 1 - len(cs))
         self.var = var
         self.order = order
         self.coeffs = tuple(cs)
+
+    def _new(self, order: int, coeffs) -> "Series":
+        """A series of this type and variable."""
+        return Series(self.var, order, coeffs)
 
     # -- constructors --------------------------------------------------------
 
@@ -66,21 +88,21 @@ class Series:
 
     # -- access ---------------------------------------------------------------
 
-    def __getitem__(self, k: int) -> Scalar:
+    def __getitem__(self, k: int):
         if 0 <= k <= self.order:
             return self.coeffs[k]
         raise IndexError(f"degree {k} beyond computed order {self.order}")
 
-    def constant_term(self) -> Scalar:
+    def constant_term(self):
         return self.coeffs[0]
 
     def truncate(self, order: int) -> "Series":
         if order >= self.order:
             return self
-        return Series(self.var, order, self.coeffs)
+        return self._new(order, self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -92,10 +114,8 @@ class Series:
         return hash((self.var, self.order, self.coeffs))
 
     def __repr__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                terms.append(f"({c})*{self.var}^{k}")
+        terms = [self._TERM.format(c=c, v=self.var, k=k)
+                 for k, c in enumerate(self.coeffs) if c]
         body = " + ".join(terms) if terms else "0"
         return f"<{body} + O({self.var}^{self.order + 1})>"
 
@@ -108,72 +128,55 @@ class Series:
 
     def __add__(self, other: "Series") -> "Series":
         n = self._common(other)
-        return Series(self.var, n,
-                      [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
+        return self._new(n, list(map(add, self.coeffs[: n + 1], other.coeffs)))
 
     def __sub__(self, other: "Series") -> "Series":
         n = self._common(other)
-        return Series(self.var, n,
-                      [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
+        return self._new(n, list(map(sub, self.coeffs[: n + 1], other.coeffs)))
 
     def __neg__(self) -> "Series":
-        return Series(self.var, self.order, [-c for c in self.coeffs])
+        return self._new(self.order, list(map(neg, self.coeffs)))
 
     def __mul__(self, other: "Series") -> "Series":
         n = self._common(other)
-        out = [ZERO] * (n + 1)
+        out = [self._ZERO] * (n + 1)
+        ys = other.coeffs
         for i, a in enumerate(self.coeffs[: n + 1]):
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Series(self.var, n, out)
+            if a:
+                out[i:] = map(add, out[i:], [a * b for b in ys[: n + 1 - i]])
+        return self._new(n, out)
 
     def __truediv__(self, other: "Series") -> "Series":
         n = self._common(other)
-        d0 = other.coeffs[0]
-        if d0.is_zero():
+        ds = other.coeffs
+        if not ds[0]:
             raise ZeroDivisionError(
                 "series division needs an invertible constant term")
-        out = [ZERO] * (n + 1)
+        inv0 = self._coerce(self._ONE / ds[0])
+        out = []
         for k in range(n + 1):
             acc = self.coeffs[k]
             for i in range(1, k + 1):
-                di = other.coeffs[i]
-                if not di.is_zero():
-                    acc = acc - di * out[k - i]
-            out[k] = acc / d0
-        return Series(self.var, n, out)
+                if ds[i]:
+                    acc = acc - ds[i] * out[k - i]
+            out.append(acc * inv0)
+        return self._new(n, out)
 
     def scale(self, c) -> "Series":
-        c = _as_scalar(c)
-        return Series(self.var, self.order, [c * a for a in self.coeffs])
+        c = self._coerce(c)
+        return self._new(self.order, [c * a for a in self.coeffs])
 
     def add_scalar(self, c) -> "Series":
-        c = _as_scalar(c)
-        return Series(self.var, self.order,
-                      (self.coeffs[0] + c,) + self.coeffs[1:])
+        c = self._coerce(c)
+        return self._new(self.order, (self.coeffs[0] + c,) + self.coeffs[1:])
 
     def __pow__(self, k: int) -> "Series":
-        if k < 0:
-            return (Series.constant(self.var, self.order, ONE) / self) ** (-k)
-        acc = Series.constant(self.var, self.order, ONE)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+        return _power(self, k, self._new(self.order, (self._ONE,)))
 
     def deriv(self) -> "Series":
-        if self.order == 0:
-            return Series(self.var, 0, ())
-        return Series(self.var, self.order - 1,
-                      [Scalar.from_int(k) * self.coeffs[k]
-                       for k in range(1, self.order + 1)])
+        return self._new(max(self.order - 1, 0),
+                         [self._coerce(k) * self.coeffs[k]
+                          for k in range(1, self.order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -258,24 +261,42 @@ def pow_formal(f: Series, c) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# bivariate series, truncated by total degree
+# multivariate series, truncated by total degree
+
+def _unit_key(nvars: int, which: int, k: int) -> tuple:
+    """The exponent tuple of the ``which``-th variable to the k-th power."""
+    key = [0] * nvars
+    key[which] = k
+    return tuple(key)
+
+
+def _monomials(nvars: int, d: int) -> list:
+    """Exponent tuples of total degree d in nvars variables, lexicographic."""
+    if nvars == 1:
+        return [(d,)]
+    return [(i,) + rest for i in range(d + 1)
+            for rest in _monomials(nvars - 1, d - i)]
+
 
 class BiSeries:
-    """Sparse bivariate series truncated by total degree."""
+    """Sparse series in several variables, truncated by total degree.
+
+    ``terms`` maps exponent tuples, one entry per variable, to nonzero
+    Scalars.  The group law is a BiSeries in two variables; the
+    associativity check in ``fgl`` works in three.
+    """
 
     __slots__ = ("vars", "order", "terms")
 
     def __init__(self, vars, order: int, terms=None):
         self.vars = tuple(vars)
-        if len(self.vars) != 2:
-            raise ValueError("BiSeries needs exactly two variables")
         self.order = order
         clean = {}
         if terms:
-            for (i, j), c in terms.items():
+            for e, c in terms.items():
                 c = _as_scalar(c)
-                if i + j <= order and not c.is_zero():
-                    clean[(i, j)] = c
+                if sum(e) <= order and not c.is_zero():
+                    clean[e] = c
         self.terms = clean
 
     # -- constructors ---------------------------------------------------------
@@ -286,31 +307,28 @@ class BiSeries:
 
     @staticmethod
     def constant(vars, order: int, c) -> "BiSeries":
-        return BiSeries(vars, order, {(0, 0): c})
+        return BiSeries(vars, order, {(0,) * len(vars): c})
 
     @staticmethod
     def generator(vars, order: int, which: int) -> "BiSeries":
-        key = (1, 0) if which == 0 else (0, 1)
-        return BiSeries(vars, order, {key: ONE})
+        return BiSeries(vars, order, {_unit_key(len(vars), which, 1): ONE})
 
     @staticmethod
     def from_series(f: Series, vars, order: int, which: int) -> "BiSeries":
-        terms = {}
-        for k, c in enumerate(f.coeffs[: order + 1]):
-            if not c.is_zero():
-                terms[(k, 0) if which == 0 else (0, k)] = c
+        terms = {_unit_key(len(vars), which, k): c
+                 for k, c in enumerate(f.coeffs[: order + 1])}
         return BiSeries(vars, min(order, f.order), terms)
 
     # -- access ----------------------------------------------------------------
 
-    def coeff(self, i: int, j: int) -> Scalar:
-        if i + j > self.order:
-            raise IndexError(
-                f"degree ({i},{j}) beyond computed total order {self.order}")
-        return self.terms.get((i, j), ZERO)
+    def coeff(self, *exps) -> Scalar:
+        if sum(exps) > self.order:
+            raise IndexError(f"degree ({','.join(map(str, exps))}) beyond "
+                             f"computed total order {self.order}")
+        return self.terms.get(exps, ZERO)
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((0, 0), ZERO)
+        return self.terms.get((0,) * len(self.vars), ZERO)
 
     def truncate(self, order: int) -> "BiSeries":
         if order >= self.order:
@@ -318,7 +336,8 @@ class BiSeries:
         return BiSeries(self.vars, order, self.terms)
 
     def slice_first(self, k: int) -> Series:
-        """Coefficient of (first variable)**k as a series in the second."""
+        """Coefficient of (first variable)**k of a bivariate series, as a
+        series in the second."""
         n = self.order - k
         out = [ZERO] * (n + 1)
         for (i, j), c in self.terms.items():
@@ -341,9 +360,9 @@ class BiSeries:
                                   key=lambda kv: kv[0]))))
 
     def __repr__(self):
-        x, y = self.vars
         items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        terms = [f"({c})*{x}^{i}*{y}^{j}" for (i, j), c in items]
+        terms = ["*".join([f"({c})"] + [f"{v}^{k}" for v, k in zip(self.vars, e)])
+                 for e, c in items]
         body = " + ".join(terms) if terms else "0"
         return f"<{body} + O(total degree {self.order + 1})>"
 
@@ -370,14 +389,13 @@ class BiSeries:
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         n = self._common(other)
+        rhs = [(e, sum(e), c) for e, c in other.terms.items()]
         out = {}
-        for (i1, j1), c1 in self.terms.items():
-            if i1 + j1 > n:
-                continue
-            for (i2, j2), c2 in other.terms.items():
-                i, j = i1 + i2, j1 + j2
-                if i + j <= n:
-                    key = (i, j)
+        for e1, c1 in self.terms.items():
+            room = n - sum(e1)
+            for e2, d2, c2 in rhs:
+                if d2 <= room:
+                    key = tuple(map(add, e1, e2))
                     prev = out.get(key)
                     out[key] = c1 * c2 if prev is None else prev + c1 * c2
         return BiSeries(self.vars, n, out)
@@ -387,22 +405,20 @@ class BiSeries:
         d0 = other.constant_term()
         if d0.is_zero():
             raise ZeroDivisionError(
-                "bivariate division needs an invertible constant term")
+                "multivariate division needs an invertible constant term")
+        inv0 = ONE / d0
+        rest = [(e, c) for e, c in other.terms.items() if any(e)]
         out: dict = {}
-        num = self.terms
-        # solve by increasing total degree
+        # solve by increasing total degree; out never holds a negative key
         for d in range(n + 1):
-            for i in range(d + 1):
-                j = d - i
-                acc = num.get((i, j), ZERO)
-                for (k, l), c in other.terms.items():
-                    if (k, l) == (0, 0) or k > i or l > j:
-                        continue
-                    r = out.get((i - k, j - l))
+            for m in _monomials(len(self.vars), d):
+                acc = self.terms.get(m, ZERO)
+                for e, c in rest:
+                    r = out.get(tuple(map(sub, m, e)))
                     if r is not None:
                         acc = acc - c * r
                 if not acc.is_zero():
-                    out[(i, j)] = acc / d0
+                    out[m] = acc * inv0
         return BiSeries(self.vars, n, out)
 
     def scale(self, c) -> "BiSeries":
@@ -412,15 +428,8 @@ class BiSeries:
 
     def __pow__(self, k: int) -> "BiSeries":
         if k < 0:
-            raise ValueError("negative bivariate powers are not supported")
-        acc = BiSeries.constant(self.vars, self.order, ONE)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+            raise ValueError("negative multivariate powers are not supported")
+        return _power(self, k, BiSeries.constant(self.vars, self.order, ONE))
 
 
 def bi_compose(f: Series, g: BiSeries) -> BiSeries:

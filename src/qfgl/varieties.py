@@ -12,10 +12,9 @@ factor, decomposed by the Clebsch-Gordan rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .scalar import Scalar, ZERO, ONE, Q, S, eval_q1
-from .fgl import cp_image, log_chi
+from .scalar import Scalar, ZERO, ONE
+from .fgl import cp_image
 from .report import Check, VerificationReport
 
 __all__ = [

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qfgl import Scalar, ZERO, ONE, Q, Series, BiSeries, Mobius, mob_det
+from qfgl import Scalar, ZERO, ONE, Q, Series, BiSeries, QSeries, Mobius, mob_det
 
 SEED = 1729
 
@@ -38,6 +38,14 @@ def random_scalar(rng, deg=3) -> Scalar:
 def random_series(rng, var="T", order=8, coeff_deg=2) -> Series:
     return Series(var, order,
                   [random_q_poly(rng, coeff_deg, 2) for _ in range(order + 1)])
+
+
+def random_qseries(rng, order=8, rational=False) -> QSeries:
+    """Random q-series with small integer or, if asked, rational coefficients."""
+    def coeff():
+        c = rng.randint(-3, 3)
+        return Fraction(c, rng.randint(1, 4)) if rational else c
+    return QSeries(order, [coeff() for _ in range(order + 1)])
 
 
 def random_zero_constant_series(rng, var="T", order=8) -> Series:

@@ -169,6 +169,20 @@ def test_non_law_fails_associativity_at_degree_four():
     assert by_name["commutativity F(X,Y) = F(Y,X)"].passed
 
 
+@pytest.mark.parametrize("assoc, name", [
+    ("generic", "associativity (truncated substitution)"),
+    ("closed", "associativity (exact, closed form)"),
+])
+def test_non_law_closed_form_fails_on_both_routes(assoc, name):
+    # X + Y + X^2 Y^2 over 1: both routes name the same first failure
+    closed = ({(1, 0): ONE, (0, 1): ONE, (2, 2): ONE}, {(0, 0): ONE})
+    bad = FormalGroupLaw(series=BiSeries(("X", "Y"), 6, closed[0]), closed=closed)
+    by_name = {c.name: c for c in verify_fgl(bad, 6, assoc=assoc).checks}
+    assert not by_name[name].passed
+    assert by_name[name].detail == "first failing monomial (1, 1, 2), total degree 4"
+    assert by_name["commutativity F(X,Y) = F(Y,X)"].passed
+
+
 def test_generic_and_closed_assoc_routes_agree():
     for make in (f_chi_closed, f_chi_derived_closed, multiplicative_law):
         F = make(8)

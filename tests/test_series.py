@@ -1,17 +1,20 @@
 """Truncated series arithmetic, composition, reversion, log/exp, powers."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from qfgl import (
     Scalar, ZERO, ONE, Q,
-    Series, BiSeries, compose, reverse, log1, exp0, pow_formal, pow_bivariate,
+    Series, BiSeries, QSeries, compose, reverse, log1, exp0, pow_formal,
+    pow_bivariate,
 )
+from qfgl.scalar import _power
 
 from conftest import (
     random_series, random_zero_constant_series, random_reversible_series,
-    random_q_poly,
+    random_q_poly, random_qseries,
 )
 
 
@@ -48,29 +51,132 @@ def test_bivariate_geometric_inverse():
     assert f * den == one
 
 
-def test_ring_axioms_random(rng):
+# One kernel serves both coefficient rings: Scalars of Q(s) in Series,
+# exact rationals (int where integral) in QSeries.
+RINGS = {
+    "Series": lambda rng: random_series(rng, order=8),
+    "QSeries-int": lambda rng: random_qseries(rng, order=8),
+    "QSeries-rational": lambda rng: random_qseries(rng, order=8, rational=True),
+}
+over_rings = pytest.mark.parametrize("make", list(RINGS.values()), ids=list(RINGS))
+
+
+def no_floats(f):
+    return not any(isinstance(c, float) for c in f.coeffs)
+
+
+@over_rings
+def test_ring_axioms_random(rng, make):
     for _ in range(50):
-        f = random_series(rng, order=8)
-        g = random_series(rng, order=8)
-        h = random_series(rng, order=8)
+        f, g, h = make(rng), make(rng), make(rng)
         assert (f + g) + h == f + (g + h)
         assert f * (g + h) == f * g + f * h
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
+        assert (f - g) + g == f
+        assert f ** 3 == f * f * f
+        for r in (f + g, f - g, -f, f * g, f ** 3):
+            assert type(r) is type(f) and no_floats(r)
 
 
-def test_division_round_trip(rng):
+@over_rings
+def test_division_round_trip(rng, make):
     for _ in range(50):
-        f = random_series(rng, order=8)
-        g = random_series(rng, order=8)
-        if g.constant_term().is_zero():
+        f, g = make(rng), make(rng)
+        if not g.constant_term():
             continue
-        assert (f / g) * g == f
+        h = f / g
+        assert h * g == f
+        assert type(h) is type(f) and no_floats(h)
 
 
-def test_division_requires_unit():
+NON_UNITS = {
+    "Series": (one_series(4), T(4)),
+    "QSeries": (QSeries.one(4), QSeries(4, (0, 1))),
+}
+
+
+@pytest.mark.parametrize("one, non_unit", list(NON_UNITS.values()), ids=list(NON_UNITS))
+def test_division_requires_unit(one, non_unit):
     with pytest.raises(ZeroDivisionError):
-        one_series(4) / T(4)
+        one / non_unit
+    with pytest.raises(ZeroDivisionError):
+        non_unit ** -1
+
+
+def test_integral_qseries_keep_int_storage(rng):
+    for _ in range(20):
+        f, g = random_qseries(rng), random_qseries(rng)
+        unit = QSeries(8, (rng.choice((1, -1)),) + g.coeffs[1:])
+        results = (f + g, f - g, -f, f * g, f ** 3, unit ** -2, unit.reciprocal(),
+                   f / unit, f.scale(-3), f.shift(2), f.truncate(5))
+        for r in results:
+            assert r.is_integral()
+
+
+def test_qseries_storage_is_exact():
+    assert not QSeries(2, (1, Fraction(1, 2))).is_integral()
+    assert QSeries(2, (Fraction(4, 2), 1.5)).coeffs == (2, Fraction(3, 2), 0)
+    assert type(QSeries(2, (Fraction(4, 2),)).coeffs[0]) is int
+    r = QSeries(3, (2, 1)).reciprocal()
+    assert r.coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8),
+                        Fraction(-1, 16))
+    assert all(type(c) is Fraction for c in r.coeffs)
+    assert r * QSeries(3, (2, 1)) == QSeries.one(3)
+
+
+def test_zeroth_power_is_one():
+    assert Q ** 0 == ONE and ZERO ** 0 == ONE
+    assert Series("T", 4, (Q, ONE)) ** 0 == one_series(4)
+    assert QSeries(4, (0, 3)) ** 0 == QSeries.one(4)
+    B = BiSeries(("X", "Y"), 4, {(1, 0): ONE, (0, 1): Q})
+    assert B ** 0 == BiSeries.constant(("X", "Y"), 4, ONE)
+    assert B ** 2 == B * B
+    with pytest.raises(ValueError):
+        B ** -1
+
+
+def test_power_skips_the_unused_square():
+    class Counted(int):
+        products = 0
+
+        def __mul__(self, other):
+            Counted.products += 1
+            return Counted(int(self) * int(other))
+
+    assert _power(Counted(3), 3, Counted(1)) == 27
+    assert Counted.products == 3            # x, x^2, x^3: no x^4
+    assert _power(Counted(2), 10, Counted(1)) == 1024
+    assert Scalar.from_int(2) ** -3 == Scalar.from_fraction(Fraction(1, 8))
+
+
+def test_mismatched_variables_raise():
+    X = Series.generator("X", 4)
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        with pytest.raises(ValueError):
+            getattr(one_series(4), op)(X)
+        with pytest.raises(ValueError):
+            getattr(QSeries.one(4), op)(one_series(4))
+    with pytest.raises(ValueError):
+        BiSeries.constant(("X", "Y"), 4, ONE) * BiSeries.constant(("X", "Z"), 4, ONE)
+
+
+def test_trivariate_geometric_series():
+    # 1/(1 - X - Y - Z): the coefficient of X^i Y^j Z^k is a multinomial
+    xyz = ("X", "Y", "Z")
+    one = BiSeries.constant(xyz, 5, ONE)
+    den = one - sum((BiSeries.generator(xyz, 5, w) for w in range(3)),
+                    BiSeries.zero(xyz, 5))
+    f = one / den
+    for i in range(6):
+        for j in range(6 - i):
+            for k in range(6 - i - j):
+                n = factorial(i + j + k) // (factorial(i) * factorial(j) * factorial(k))
+                assert f.coeff(i, j, k) == Scalar.from_int(n)
+    assert len(f.terms) == 56
+    assert f * den == one
+    with pytest.raises(IndexError):
+        f.coeff(2, 2, 2)
 
 
 # -- composition ---------------------------------------------------------------
