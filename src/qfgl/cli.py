@@ -372,6 +372,8 @@ _TABLES = {
 
 def _run_table(args) -> int:
     name = args.name
+    if args.maximum < 0:
+        raise _UsageError("--max must be >= 0")
     rows = []
     if name == "tau":
         d = discriminant(max(args.maximum, 1))

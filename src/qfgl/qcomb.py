@@ -5,10 +5,12 @@ Besides Scalar, one data shape is used: ``QSeries``, the ``Series`` of
 ``series.py`` in the variable q with exact rational coefficients instead
 of Scalars.  It holds ``int`` coefficients where they are integral and
 inherits every kernel (multiply, unit division, powering) from
-``Series``.  A rectangular (t-order, q-order) truncation, such as the
-infinite Pochhammer product, is a tuple of QSeries indexed by t-degree.
-It is computed on integer rows, one list of q-coefficients per t-degree,
-that each factor (1 + c*t*q^n)^m updates in place.
+``Series``; ``QSeries.from_scalar`` expands a Scalar living in q by that
+unit division, numerator over denominator.  A rectangular (t-order,
+q-order) truncation, such as the infinite Pochhammer product, is a tuple
+of QSeries indexed by t-degree.  It is computed on integer rows, one list
+of q-coefficients per t-degree, that each factor (1 + c*t*q^n)^m updates
+in place.
 """
 
 from __future__ import annotations
@@ -109,7 +111,22 @@ class QSeries(Series):
 
     @staticmethod
     def from_scalar(a: Scalar, order: int) -> "QSeries":
-        return QSeries(order, a.q_expansion(order))
+        """The q-expansion of ``a`` at q = 0, degrees 0..order.
+
+        Requires ``a`` to live in q and to have no pole at q = 0.  The
+        numerator and the denominator are read as QSeries and divided by
+        the one unit division of ``Series``.
+        """
+        if not a.lives_in_q():
+            raise ValueError("element does not live in q")
+        nval, nden, nco = a.num
+        if nval < 0:
+            raise ZeroDivisionError("pole at q = 0")
+        lead = (0,) * min(nval // 2, order + 1)
+        num = QSeries(order, lead + tuple(Fraction(c, nden) for c in nco[::2]))
+        if a.den == (1,):
+            return num
+        return num / QSeries(order, a.den[::2])
 
     def is_integral(self) -> bool:
         return all(type(c) is int for c in self.coeffs)

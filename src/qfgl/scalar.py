@@ -18,6 +18,13 @@ A Scalar is a reduced fraction num/den where
 gcd(num, den) is trivial, so the representation is unique and structural
 equality coincides with mathematical equality.  Scalars are immutable and
 all operations are pure; they can be shared freely between threads.
+
+Each polynomial job has one kernel: ``_ip_mul`` is the one convolution
+and ``_ip_stretch`` the one substitution x -> x**k.  ``Scalar.eval_s`` is
+the one evaluation; ``eval_q0`` and ``eval_q1`` are its values at s = 0
+and s = 1.  The q-expansion of a Scalar is ``qcomb.QSeries.from_scalar``,
+which divides the numerator by the denominator with the unit division
+of ``series.Series``.
 """
 
 from __future__ import annotations
@@ -114,30 +121,18 @@ def _lp_mul(a, b):
         return _LP_ZERO
     av, ad, ac = a
     bv, bd, bc = b
-    out = [0] * (len(ac) + len(bc) - 1)
-    for i, c in enumerate(ac):
-        if c:
-            for j, d in enumerate(bc):
-                out[i + j] += c * d
-    return _lp_make(av + bv, ad * bd, out)
+    return _lp_make(av + bv, ad * bd, _ip_mul(ac, bc))
 
 
 def _lp_mul_int_poly(a, p):
-    """Multiply an LP by an integer polynomial given as a bare tuple."""
-    if p == (1,):
+    """Multiply an LP by a primitive integer polynomial with p(0) != 0.
+
+    By Gauss's lemma the content does not change: no renormalisation.
+    """
+    if p == (1,) or _lp_is_zero(a):
         return a
-    return _lp_mul(a, (0, 1, p))
-
-
-def _lp_stretch(a, k: int):
-    """Substitute s -> s**k (used for Adams operations via q -> q**k)."""
     av, ad, ac = a
-    if not ac or k == 1:
-        return a
-    out = [0] * ((len(ac) - 1) * k + 1)
-    for i, c in enumerate(ac):
-        out[i * k] = c
-    return (av * k, ad, tuple(out))
+    return (av, ad, _ip_mul(ac, p))
 
 
 def _lp_even(a) -> bool:
@@ -151,7 +146,7 @@ def _lp_eval(a, x: Fraction) -> Fraction:
     for c in reversed(ac):
         acc = acc * x + c
     if av:
-        if x == 0:
+        if av < 0 and x == 0:
             raise ZeroDivisionError("evaluation at s = 0 with negative valuation")
         acc *= x ** av
     return acc / ad
@@ -174,13 +169,16 @@ def _ip_mul(a, b):
     return tuple(out)
 
 
+def _ip_stretch(p, k: int):
+    """Substitute x -> x**k in an integer polynomial; k = 2 reads a
+    polynomial in q as one in s."""
+    out = [0] * ((len(p) - 1) * k + 1)
+    out[::k] = p
+    return tuple(out)
+
+
 def _ip_primitive(a):
-    """Strip content and sign so the leading coefficient is positive."""
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    if not a:
-        return ()
+    """Strip content and sign; the leading coefficient must be nonzero."""
     c = _content(a)
     if a[-1] < 0:
         c = -c
@@ -206,13 +204,9 @@ def _ip_prem_reduce(a, b):
 
 
 def _ip_gcd(a, b):
-    """Primitive gcd of two integer polynomials (primitive PRS)."""
+    """Primitive gcd of two nonzero integer polynomials (primitive PRS)."""
     a = _ip_primitive(a)
     b = _ip_primitive(b)
-    if not a:
-        return b
-    if not b:
-        return a
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
@@ -303,10 +297,10 @@ class Scalar:
         lo = min(k for k, _ in items)
         hi = max(k for k, _ in items)
         den = lcm(*(c.denominator for _, c in items))
-        out = [0] * (2 * (hi - lo) + 1)
+        out = [0] * (hi - lo + 1)
         for k, c in items:
-            out[2 * (k - lo)] = c.numerator * (den // c.denominator)
-        return Scalar(_lp_make(2 * lo, den, out), (1,))
+            out[k - lo] = c.numerator * (den // c.denominator)
+        return Scalar(_lp_make(2 * lo, den, _ip_stretch(out, 2)), (1,))
 
     # -- predicates ----------------------------------------------------------
 
@@ -318,9 +312,7 @@ class Scalar:
 
     def lives_in_q(self) -> bool:
         """True when every s-exponent of num and den is even."""
-        if not _lp_even(self.num):
-            return False
-        return all(c == 0 for c in self.den[1::2])
+        return _lp_even(self.num) and _lp_even((0, 1, self.den))
 
     def is_constant(self) -> bool:
         return self.den == (1,) and (self.is_zero() or
@@ -343,10 +335,7 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         if self.den == other.den:
-            num = _lp_add(self.num, other.num)
-            if self.den == (1,):
-                return Scalar(num, (1,)) if num[2] else ZERO
-            return _reduce(num, self.den)
+            return _reduce(_lp_add(self.num, other.num), self.den)
         num = _lp_add(_lp_mul_int_poly(self.num, other.den),
                       _lp_mul_int_poly(other.num, self.den))
         return _reduce(num, _ip_mul(self.den, other.den))
@@ -360,18 +349,11 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        num = _lp_mul(self.num, other.num)
-        if not num[2]:
-            return ZERO
-        if self.den == (1,) and other.den == (1,):
-            return Scalar(num, (1,))
-        return _reduce(num, _ip_mul(self.den, other.den))
+        return _reduce(_lp_mul(self.num, other.num), _ip_mul(self.den, other.den))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        if other.is_zero():
-            raise ZeroDivisionError("scalar division by zero")
-        num = _lp_mul(self.num, (0, 1, other.den) if other.den != (1,) else _LP_ONE)
-        den = _lp_mul(other.num, (0, 1, self.den) if self.den != (1,) else _LP_ONE)
+        num = _lp_mul_int_poly(self.num, other.den)
+        den = _lp_mul_int_poly(other.num, self.den)
         return _make_scalar(num, den)
 
     def __pow__(self, k: int) -> "Scalar":
@@ -404,11 +386,9 @@ class Scalar:
             raise ValueError("Adams substitution requires an element living in q")
         if k < 1:
             raise ValueError("Adams index must be a positive integer")
-        num = _lp_stretch(self.num, k)
-        dco = [0] * ((len(self.den) - 1) * k + 1)
-        for i, c in enumerate(self.den):
-            dco[i * k] = c
-        return _reduce(num, tuple(dco))
+        nval, nden, nco = self.num
+        num = (nval * k, nden, _ip_stretch(nco, k))
+        return _reduce(num, _ip_stretch(self.den, k))
 
     def eval_s(self, x) -> Fraction:
         """Exact evaluation at a rational value of s."""
@@ -417,36 +397,6 @@ class Scalar:
         if d == 0:
             raise ZeroDivisionError(f"pole at s = {x}")
         return _lp_eval(self.num, x) / d
-
-    def q_expansion(self, order: int):
-        """Power-series coefficients in q at q = 0, degrees 0..order.
-
-        Requires the element to live in q and to have no pole at q = 0.
-        Returns a list of Fractions.
-        """
-        if not self.lives_in_q():
-            raise ValueError("element does not live in q")
-        if self.num[0] < 0:
-            raise ZeroDivisionError("pole at q = 0")
-        nval, nden, nco = self.num
-        out = [Fraction(0)] * (order + 1)
-        for i, c in enumerate(nco):
-            e = (nval + i) // 2
-            if c and e <= order:
-                out[e] = Fraction(c, nden)
-        if self.den == (1,):
-            return out
-        # divide by the denominator in place, over its nonzero terms only
-        d = [(i // 2, c) for i, c in enumerate(self.den) if c and 0 < i // 2 <= order]
-        d0 = self.den[0]
-        for k in range(order + 1):
-            acc = out[k]
-            for i, c in d:
-                if i > k:
-                    break
-                acc -= c * out[k - i]
-            out[k] = acc / d0
-        return out
 
 
 def _power(x, k: int, one):
@@ -488,10 +438,8 @@ def _make_scalar(num, den) -> Scalar:
     if _lp_is_zero(num):
         return ZERO
     dval, dden, dco = den
-    c = _content(dco)
-    if dco[-1] < 0:
-        c = -c
-    prim = tuple(x // c for x in dco)
+    prim = _ip_primitive(dco)
+    c = dco[-1] // prim[-1]             # dco = c * prim, c carrying the sign
     nval, nden, nco = num
     if c < 0:
         nco = [-x for x in nco]
@@ -593,11 +541,7 @@ def cyclotomic(d: int) -> Scalar:
     """The d-th cyclotomic polynomial in q, by the product recursion."""
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    vec = _cyclotomic_q_vec(d)
-    out = [0] * (2 * (len(vec) - 1) + 1)
-    for i, c in enumerate(vec):
-        out[2 * i] = c
-    return Scalar(_lp_make(0, 1, out), (1,))
+    return Scalar.from_q_coeffs(_cyclotomic_q_vec(d))
 
 
 def _totients_up_to(n: int):
@@ -641,10 +585,6 @@ def _den_cyclotomic_factors(den_q):
     return found if rem == (1,) else None
 
 
-def _den_as_q_vec(a: Scalar):
-    return tuple(a.den[0::2])
-
-
 def is_cromulent(a: Scalar) -> bool:
     """Membership in the localization of Z[q,q^-1] inverting every [k]_q.
 
@@ -655,11 +595,7 @@ def is_cromulent(a: Scalar) -> bool:
     """
     if not a.lives_in_q():
         raise ValueError("cromulence is only defined for elements living in q")
-    if a.is_zero():
-        return True
-    if a.num[1] != 1:
-        return False
-    return _den_cyclotomic_factors(_den_as_q_vec(a)) is not None
+    return membership(a).in_cromulent
 
 
 @dataclass(frozen=True)
@@ -682,7 +618,7 @@ def membership(a: Scalar) -> RingMembership:
     in_Z_q_laurent = lives and den_one and integral
     in_Z_q = in_Q_q and integral
     in_crom = lives and integral and (
-        den_one or _den_cyclotomic_factors(_den_as_q_vec(a)) is not None)
+        den_one or _den_cyclotomic_factors(a.den[::2]) is not None)
     return RingMembership(in_Z_q=in_Z_q, in_Z_q_laurent=in_Z_q_laurent,
                           in_Q_q=in_Q_q, in_cromulent=in_crom)
 
@@ -694,20 +630,11 @@ def eval_q0(a: Scalar) -> Fraction:
     """Exact evaluation at q = 0; errors on a pole (Laurent numerator)."""
     if not a.lives_in_q():
         raise ValueError("evaluation at q = 0 requires an element living in q")
-    if a.is_zero():
-        return Fraction(0)
-    if a.num[0] < 0:
-        raise ZeroDivisionError("pole at q = 0")
-    nval, nden, nco = a.num
-    n0 = Fraction(nco[0], nden) if nval == 0 else Fraction(0)
-    return n0 / a.den[0]
+    return a.eval_s(0)
 
 
 def eval_q1(a: Scalar) -> Fraction:
     """Exact evaluation at q = 1; errors on a pole (e.g. 1/(1-q))."""
     if not a.lives_in_q():
         raise ValueError("evaluation at q = 1 requires an element living in q")
-    d = sum(a.den)
-    if d == 0:
-        raise ZeroDivisionError("pole at q = 1")
-    return Fraction(sum(a.num[2]), a.num[1]) / d
+    return a.eval_s(1)

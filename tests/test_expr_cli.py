@@ -208,6 +208,21 @@ def test_cli_table(capsys):
     assert out.splitlines()[-1].split("\t") == ["6", "-6048"]
 
 
+def test_cli_table_negative_max_is_a_usage_error(capsys):
+    for name in ("qint", "tau"):
+        code, out, err = run_cli(capsys, "table", name, "--max", "-3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --max must be >= 0")
+    # --max 0 stays valid: qint lists index 0, tau lists nothing
+    code, out, _ = run_cli(capsys, "table", "qint", "--max", "0")
+    assert code == 0
+    assert out.splitlines() == ["# qint up to 0", "0\t0"]
+    code, out, _ = run_cli(capsys, "table", "tau", "--max", "0")
+    assert code == 0
+    assert out.splitlines() == ["# tau up to 0"]
+
+
 def test_cli_expand_plain_table(capsys):
     code, out, _ = run_cli(capsys, "expand", "euler_phi", "--q-order", "7")
     assert code == 0

@@ -183,6 +183,43 @@ def test_non_law_closed_form_fails_on_both_routes(assoc, name):
     assert by_name["commutativity F(X,Y) = F(Y,X)"].passed
 
 
+def test_verify_fgl_refuses_an_order_above_the_expansion():
+    # the closed law is associative; at order 8 a law expanded to 4 would be
+    # checked on coefficients that were never computed
+    with pytest.raises(ValueError, match="not expanded far enough"):
+        verify_fgl(f_chi_closed(4), 8, assoc="generic")
+    assert verify_fgl(f_chi_closed(8), 4, assoc="generic").all_passed
+
+
+@pytest.mark.parametrize("terms, failing, detail", [
+    ({(0, 1): ONE}, "unit F(X,0) = X", "first failing coefficient (1, 0)"),
+    ({(1, 0): ONE}, "unit F(0,Y) = Y", "first failing coefficient (0, 1)"),
+    ({(1, 0): ONE, (0, 1): ONE, (3, 0): Q}, "unit F(X,0) = X",
+     "first failing coefficient (3, 0)"),
+    ({(1, 0): Q, (0, 1): ONE, (2, 0): ONE}, "unit F(X,0) = X",
+     "first failing coefficient (1, 0)"),
+    ({(0, 1): ONE, (2, 0): ONE}, "unit F(X,0) = X",
+     "first failing coefficient (1, 0)"),
+], ids=["F=Y", "F=X", "extra-X^3", "wrong-X", "missing-X"])
+def test_unit_check_names_the_first_failing_coefficient(terms, failing, detail):
+    F = FormalGroupLaw(series=BiSeries(("X", "Y"), 4, terms))
+    by_name = {c.name: c for c in verify_fgl(F, 4, assoc="generic").checks}
+    assert not by_name[failing].passed
+    assert by_name[failing].detail == detail
+
+
+@pytest.mark.parametrize("extra, detail", [
+    ({(2, 1): ONE, (1, 2): Q, (3, 1): ONE}, "first failing coefficient (1, 2)"),
+    # only one of (3, 1) and (1, 3) present: the smaller key is named
+    ({(3, 1): ONE}, "first failing coefficient (1, 3)"),
+], ids=["both-present", "one-present"])
+def test_commutativity_check_names_the_first_failing_coefficient(extra, detail):
+    F = FormalGroupLaw(series=BiSeries(("X", "Y"), 5, {(1, 0): ONE, (0, 1): ONE, **extra}))
+    by_name = {c.name: c for c in verify_fgl(F, 5, assoc="generic").checks}
+    assert by_name["commutativity F(X,Y) = F(Y,X)"].detail == detail
+    assert by_name["unit F(X,0) = X"].passed and by_name["unit F(0,Y) = Y"].passed
+
+
 def test_generic_and_closed_assoc_routes_agree():
     for make in (f_chi_closed, f_chi_derived_closed, multiplicative_law):
         F = make(8)

@@ -125,7 +125,7 @@ def lambda_t_series_oracle(a, t_order, q_order):
     """
     one = Series.constant("t", t_order, ONE)
     acc = one
-    for n, c in enumerate(a.q_expansion(q_order)):
+    for n, c in enumerate(QSeries.from_scalar(a, q_order).coeffs):
         m = int(c)
         if m == 0:
             continue

@@ -85,7 +85,7 @@ def test_q_int_values():
 
 def test_q_int_is_q_adic_unit():
     for k in range(1, 11):
-        exp = q_int(k).q_expansion(5)
+        exp = QSeries.from_scalar(q_int(k), 5).coeffs
         assert exp[0] == 1
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from qfgl import (
     Scalar, ZERO, ONE, Q, S, cyclotomic, membership, is_cromulent,
-    eval_q0, eval_q1, canonical_str,
+    eval_q0, eval_q1, canonical_str, QSeries,
 )
 from qfgl.qcomb import q_int, q_fact
 
@@ -190,6 +190,16 @@ def test_eval_q0_pole():
         eval_q0(Scalar.q_power(-1))
 
 
+def test_eval_s_at_zero_of_positive_valuation_is_zero():
+    for a in (Q, S, Q / (ONE - Q), S ** 3 / (ONE + S), q_int(3) - ONE):
+        assert a.eval_s(0) == 0
+    assert (ONE + S).eval_s(0) == 1
+    assert eval_q0(Q / (ONE - Q)) == 0
+    for a in (ONE / S, Scalar.q_power(-1), ONE / (Q + Q ** 2)):
+        with pytest.raises(ZeroDivisionError):
+            a.eval_s(0)
+
+
 def test_eval_q1_examples():
     for k in range(1, 11):
         assert eval_q1(q_int(k)) == k
@@ -203,7 +213,7 @@ def test_eval_q1_pole():
 
 def test_q_expansion_geometric():
     geo = ONE / (ONE - Q)
-    assert geo.q_expansion(6) == [Fraction(1)] * 7
+    assert QSeries.from_scalar(geo, 6).coeffs == (1,) * 7
 
 
 def test_adams_substitute_preserves_canonical_form():
