@@ -19,7 +19,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from qfgl import Scalar, ZERO, ONE
+from qfgl import Scalar, ZERO
 from qfgl.scalar import _ip_gcd
 
 SEED = 1729
