@@ -19,7 +19,7 @@ print()
 print("The total lambda operation")
 print("--------------------------")
 w = lambda_t(Q ** 2, 4, 12)
-print("a line  q^2 |-> 1 + t q^2:", repr(w.body))
+print("a line  q^2 |-> 1 + t q^2:", repr(w.rows))
 w = lambda_t(geom, 6, 20)
 print("lambda_t(1/(1-q)) t^2 coefficient starts:",
       list(map(int, w.coeff(2).coeffs[:8])))
@@ -29,7 +29,7 @@ print("Witt addition is series multiplication; ghosts are additive")
 wa, wb = lambda_t(Q, 4, 12), lambda_t(Q ** 2, 4, 12)
 ws = witt_add(wa, wb)
 print("  lambda(q) + lambda(q^2) = lambda(q + q^2):",
-      ws.body == lambda_t(Q + Q ** 2, 4, 12).body)
+      ws.rows == lambda_t(Q + Q ** 2, 4, 12).rows)
 print("  ghost_2 of the sum:", repr(witt_ghost(ws, 2)))
 print()
 

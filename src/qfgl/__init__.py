@@ -76,9 +76,7 @@ from .qcomb import (
     eta_pow,
 )
 from .lambda_ring import (
-    QExpandable,
     WittElement,
-    q_expandable,
     adams,
     lambda_t,
     negate_t,
@@ -109,6 +107,6 @@ from .varieties import (
     load_catalog,
 )
 from .report import Check, VerificationReport
-from .expr import parse_expr, eval_expr, evaluate, ParseError, EvalError
+from .expr import Expr, parse_expr, eval_expr, evaluate, ParseError, EvalError
 
 __version__ = "0.1.0"

@@ -7,8 +7,10 @@ by the exponential product formula
     lambda_t(a) = prod_n (1 + t q^n)^(a_n),
 
 the unique multiplicative extension of "a line L goes to 1 + t L".  Its
-values are Witt elements: unit-constant series in t under multiplication,
-with ghost components read off the logarithmic derivative.  The stored
+values are Witt elements: unit-constant series in t under multiplication.
+A Witt element is stored as its (t, q) truncation, the same row tuple of
+``qcomb``: one QSeries per t-degree, cut at one q-order.  Its ghost
+components come from Newton's identities on those rows.  The stored
 object is lambda_t; comparisons against alternating-sign conventions are
 made through ``negate_t``.
 """
@@ -18,15 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalar import Scalar, ZERO, ONE, Q
-from .series import Series
 from .mobius import Mobius, mob_apply_scalar
-from .qcomb import QSeries, q_fact, euler_phi, discriminant, _unit_rows, _times_power
+from .qcomb import QSeries, q_fact, euler_phi, discriminant, _row_product
 from .report import Check, VerificationReport
 
 __all__ = [
-    "QExpandable",
     "WittElement",
-    "q_expandable",
     "adams",
     "lambda_t",
     "negate_t",
@@ -40,23 +39,6 @@ __all__ = [
     "thom_class",
     "discriminant_limit",
 ]
-
-
-# ---------------------------------------------------------------------------
-# q-expandable elements
-
-@dataclass(frozen=True)
-class QExpandable:
-    """A scalar together with its q-expansion at q = 0 to a stated order."""
-
-    exact: Scalar
-    expansion: QSeries
-    integral: bool
-
-
-def q_expandable(a: Scalar, q_order: int) -> QExpandable:
-    exp = QSeries.from_scalar(a, q_order)
-    return QExpandable(exact=a, expansion=exp, integral=exp.is_integral())
 
 
 # ---------------------------------------------------------------------------
@@ -74,84 +56,98 @@ def adams(a: Scalar, k: int) -> Scalar:
 class WittElement:
     """An element of 1 + t R[[t]]: group under series multiplication.
 
-    ``body`` is a series in t with scalar coefficients; ``q_order``
-    records the q-precision the coefficients are trusted to.  The body
-    that ``lambda_t`` builds has its coefficients reduced mod
-    q^(q_order+1): they are polynomials in q of degree at most q_order.
+    ``rows[k]`` is the t^k coefficient, a QSeries; all rows share one
+    q-order, the q-precision the coefficients are trusted to.  Row 0 is
+    the unit 1.
     """
 
-    body: Series
-    q_order: int
+    rows: tuple
 
     @property
     def t_order(self) -> int:
-        return self.body.order
+        return len(self.rows) - 1
+
+    @property
+    def q_order(self) -> int:
+        return self.rows[0].order
 
     def coeff(self, k: int) -> QSeries:
         """t^k coefficient, truncated to the trusted q-order."""
-        return QSeries.from_scalar(self.body[k], self.q_order)
+        if not 0 <= k <= self.t_order:
+            raise IndexError(f"degree {k} beyond computed order {self.t_order}")
+        return self.rows[k]
 
 
-def lambda_t(a, t_order: int, q_order: int) -> WittElement:
+def lambda_t(a: Scalar, t_order: int, q_order: int) -> WittElement:
     """Total lambda operation: prod_n (1 + t q^n)^(a_n) truncated.
 
-    ``a`` may be a Scalar (expanded here) or a prepared QExpandable; the
-    expansion coefficients must be integers.  The product is cut at
-    factor index q_order, which is exact at this q-precision.  It runs
-    on integer rows, one per t-degree, that each factor (1 + t q^n)^(a_n)
-    multiplies in place; a negative a_n divides.
+    The q-expansion coefficients a_n of ``a`` must be integers.  The
+    product is cut at factor index q_order, which is exact at this
+    q-precision.  It runs on integer rows, one per t-degree, that each
+    factor (1 + t q^n)^(a_n) multiplies in place; a negative a_n divides.
     """
-    if isinstance(a, Scalar):
-        a = q_expandable(a, q_order)
-    if not a.integral:
+    expansion = QSeries.from_scalar(a, q_order)
+    if not expansion.is_integral():
         raise ValueError("lambda_t needs integer expansion coefficients")
-    rows = _unit_rows(t_order, a.expansion.order)
-    for n, m in enumerate(a.expansion.coeffs):
-        if m:
-            _times_power(rows, n, 1, m)
-    body = Series("t", t_order, [Scalar.from_q_coeffs(r) for r in rows])
-    return WittElement(body=body, q_order=a.expansion.order)
+    factors = ((n, 1, m) for n, m in enumerate(expansion.coeffs) if m)
+    return WittElement(_row_product(t_order, q_order, factors))
 
 
 def negate_t(w: WittElement) -> WittElement:
     """t -> -t, moving between lambda_t and the alternating convention."""
-    coeffs = [c if k % 2 == 0 else -c for k, c in enumerate(w.body.coeffs)]
-    return WittElement(body=Series("t", w.t_order, coeffs), q_order=w.q_order)
+    return WittElement(tuple(r if k % 2 == 0 else -r
+                             for k, r in enumerate(w.rows)))
 
 
 def witt_add(w1: WittElement, w2: WittElement) -> WittElement:
-    """Witt-vector sum: multiplication of the underlying series."""
-    return WittElement(body=w1.body * w2.body,
-                       q_order=min(w1.q_order, w2.q_order))
+    """Witt-vector sum: the t-convolution of the rows."""
+    a, b = w1.rows, w2.rows
+    rows = []
+    for k in range(min(len(a), len(b))):
+        acc = a[0] * b[k]
+        for i in range(1, k + 1):
+            acc = acc + a[i] * b[k - i]
+        rows.append(acc)
+    return WittElement(tuple(rows))
+
+
+def _divide(num: list, u: tuple) -> list:
+    """x with u * x = num as t-series of rows, for u[0] = 1.
+
+    x_k = num_k - sum_(0<i<=k) u_i x_(k-i); one row per entry of num.
+    """
+    x = []
+    for k, acc in enumerate(num):
+        for i in range(1, k + 1):
+            acc = acc - u[i] * x[k - i]
+        x.append(acc)
+    return x
 
 
 def witt_neg(w: WittElement) -> WittElement:
-    one = Series.constant("t", w.t_order, ONE)
-    return WittElement(body=one / w.body, q_order=w.q_order)
-
-
-def _ghost_series(w: WittElement) -> Series:
-    """-t d/dt log of the body at t -> -t; coefficients are psi^k."""
-    u = negate_t(w).body
-    g = u.deriv() / u.truncate(max(u.order - 1, 0))
-    # -t * g: degree k coefficient is -g_(k-1)
-    coeffs = [ZERO] + [-g[k - 1] for k in range(1, w.t_order + 1)]
-    return Series("t", w.t_order, coeffs)
+    """The inverse series, by the recursion that starts from u_0 = 1."""
+    one = [w.rows[0]] + [QSeries.zero(w.q_order)] * w.t_order
+    return WittElement(tuple(_divide(one, w.rows)))
 
 
 def witt_ghost(w: WittElement, n: int) -> QSeries:
     """n-th ghost component (power-sum coordinate), as a q-series."""
     if not 1 <= n <= w.t_order:
         raise ValueError("ghost index out of the computed range")
-    return QSeries.from_scalar(_ghost_series(w)[n], w.q_order)
+    return newton_adams_from_lambda(w, n)[-1]
 
 
 def newton_adams_from_lambda(w: WittElement, K: int):
-    """psi^1..psi^K extracted from a Witt element by the Newton relation."""
+    """psi^1..psi^K, the ghost components, by Newton's identities.
+
+    With u = lambda_(-t) = prod (1 - t x_j), the power sums p_k = psi^k
+    satisfy -t u'/u = sum_k p_k t^k, that is
+    p_k = -k u_k - sum_(0<i<k) u_i p_(k-i): the division of -u' by u.
+    """
     if K > w.t_order:
         raise ValueError("not enough t-precision for the requested Adams range")
-    g = _ghost_series(w)
-    return [QSeries.from_scalar(g[k], w.q_order) for k in range(1, K + 1)]
+    u = negate_t(w).rows
+    return _divide([u[k].scale(-k) for k in range(1, K + 1)], u)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +218,11 @@ def lambda_k_closed(k: int, q_order: int) -> LambdaKReport:
 # ---------------------------------------------------------------------------
 # the Thom class and the discriminant limit
 
+def _at_t_equals_1(w: WittElement) -> QSeries:
+    """lambda_{-t} at t = 1: the rows summed with alternating signs."""
+    return sum(negate_t(w).rows, QSeries.zero(w.q_order))
+
+
 def thom_class(q_order: int) -> QSeries:
     """lambda_{-t} of the positive-degree part of 1/(1-q), at t = 1.
 
@@ -236,13 +237,7 @@ def thom_class(q_order: int) -> QSeries:
     t_order = 1
     while t_order * (t_order + 1) // 2 <= q_order:
         t_order += 1
-    a = Q / (ONE - Q)
-    w = lambda_t(a, t_order, q_order)
-    acc = QSeries.zero(q_order)
-    for k in range(t_order + 1):
-        c = w.coeff(k)
-        acc = acc + (c if k % 2 == 0 else -c)
-    return acc
+    return _at_t_equals_1(lambda_t(Q / (ONE - Q), t_order, q_order))
 
 
 def discriminant_limit(q_order: int) -> VerificationReport:
@@ -250,16 +245,18 @@ def discriminant_limit(q_order: int) -> VerificationReport:
 
     The Moebius action sends q to 24/(1-q), a virtual element with all
     expansion coefficients 24, so the lambda operation is the 24th power
-    of the Pochhammer product.  Two limit readings are compared against
-    the discriminant: (a) direct substitution t = 1, which vanishes
-    through the (1-t)^24 factor, and (b) dropping that unit factor first,
-    which lands exactly on q times the 24th power of the Euler function.
+    of the Pochhammer product.  It splits as
+    lambda_{-t}(24/(1-q)) = lambda_{-t}(24) * lambda_{-t}(24q/(1-q)),
+    the first factor being (1-t)^24; the split keeps ``lambda_t`` at
+    t-order 24 instead of q_order + 24.  Two limit readings are compared
+    against the discriminant: (a) direct substitution t = 1 in both
+    factors, through ``lambda_t`` of the constant 24, which vanishes, and
+    (b) dropping the first factor, which lands exactly on q times the
+    24th power of the Euler function.
 
     Reading (b) raises the pentagonal product ``euler_phi`` to the 24th
     power, a route genuinely different from ``discriminant()``, which
-    uses Jacobi's identity for phi^3.  Reading (a) is still hard-coded
-    (1 - 1)^24 rather than computed from the lambda ring; routing both
-    readings through ``lambda_t`` of 24/(1-q) is left open.
+    uses Jacobi's identity for phi^3.
     """
     m = Mobius(ZERO, Scalar.from_int(24), -ONE, ONE)
     mapped = mob_apply_scalar(m, Q)
@@ -272,22 +269,22 @@ def discriminant_limit(q_order: int) -> VerificationReport:
     checks.append(Check("expansion coefficients all equal 24", q_order, all_24))
 
     delta = discriminant(q_order)
+    # prod_{n>=1} (1 - q^n)^24: lambda_{-t}(24q/(1-q)) at t = 1
+    dropped = euler_phi(q_order) ** 24
 
-    # (a) t = 1 in the factored finite product: the n = 0 factor is 1 - 1
-    factors_at_1 = [(1 - 1) ** 24] + [1] * q_order
-    candidate_a = QSeries.zero(q_order) if factors_at_1[0] == 0 else None
-    is_zero = candidate_a is not None and candidate_a.is_zero()
+    # (a) t = 1 in both factors; the rows of lambda_{-t}(24) = (1-t)^24
+    # are constants, so q-order 0 holds all of them
+    at_1 = _at_t_equals_1(lambda_t(Scalar.from_int(24), 24, 0))
+    candidate_a = dropped.scale(at_1[0]).shift(1)
     checks.append(Check("reading (a): direct t = 1 vanishes identically",
-                        q_order, is_zero))
+                        q_order, candidate_a.is_zero()))
     checks.append(Check("reading (a) matches the discriminant", q_order,
                         candidate_a == delta,
                         None if candidate_a == delta else
                         "identically zero, cannot equal the discriminant"))
 
-    # (b) drop the n = 0 factor, then t = 1: prod_{n>=1} (1 - q^n)^24
-    candidate_b = (euler_phi(q_order) ** 24).truncate(q_order)
-    q_candidate_b = QSeries(q_order, (0,) + candidate_b.coeffs)
+    # (b) drop the (1 - t)^24 factor, then t = 1
     checks.append(Check("reading (b): q * (dropped-factor product at t = 1) "
                         "equals the discriminant", q_order,
-                        q_candidate_b == delta))
+                        dropped.shift(1) == delta))
     return VerificationReport(tuple(checks))

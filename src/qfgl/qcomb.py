@@ -8,9 +8,10 @@ inherits every kernel (multiply, unit division, powering) from
 ``Series``; ``QSeries.from_scalar`` expands a Scalar living in q by that
 unit division, numerator over denominator.  A rectangular (t-order,
 q-order) truncation, such as the infinite Pochhammer product, is a tuple
-of QSeries indexed by t-degree.  It is computed on integer rows, one list
-of q-coefficients per t-degree, that each factor (1 + c*t*q^n)^m updates
-in place.
+of QSeries indexed by t-degree; a Witt element of ``lambda_ring`` is the
+same tuple.  Such a product is computed on integer rows, one list of
+q-coefficients per t-degree, that each factor (1 + c*t*q^n)^m updates in
+place.
 """
 
 from __future__ import annotations
@@ -148,12 +149,6 @@ class QSeries(Series):
 # ---------------------------------------------------------------------------
 # (t, q) truncations as integer rows, one list of q-coefficients per t-degree
 
-def _unit_rows(t_order: int, q_order: int) -> list:
-    rows = [[0] * (q_order + 1) for _ in range(t_order + 1)]
-    rows[0][0] = 1
-    return rows
-
-
 def _times_power(rows: list, n: int, c: int, m: int) -> None:
     """Multiply the t-series held in ``rows`` by (1 + c*t*q^n)^m, in place.
 
@@ -178,6 +173,19 @@ def _times_power(rows: list, n: int, c: int, m: int) -> None:
             dst[s:] = map(add, dst[s:], [b * x for x in rows[j - i][: width - s]])
 
 
+def _row_product(t_order: int, q_order: int, factors) -> tuple:
+    """The product of (1 + c*t*q^n)^m over (n, c, m) in ``factors``.
+
+    Computed on integer rows by ``_times_power`` and returned as the
+    tuple of its t^0 .. t^t_order coefficients, each a QSeries.
+    """
+    rows = [[0] * (q_order + 1) for _ in range(t_order + 1)]
+    rows[0][0] = 1
+    for n, c, m in factors:
+        _times_power(rows, n, c, m)
+    return tuple(QSeries(q_order, r) for r in rows)
+
+
 def poch_finite(n: int, q_order: int) -> tuple:
     """(t; q)_n, the product of (1 - t*q^k) for 0 <= k < n.
 
@@ -185,10 +193,7 @@ def poch_finite(n: int, q_order: int) -> tuple:
     """
     if n < 0:
         raise ValueError("Pochhammer length must be >= 0")
-    rows = _unit_rows(n, q_order)
-    for k in range(n):
-        _times_power(rows, k, -1, 1)
-    return tuple(QSeries(q_order, r) for r in rows)
+    return _row_product(n, q_order, ((k, -1, 1) for k in range(n)))
 
 
 def poch_inf_product(t_order: int, q_order: int) -> tuple:
@@ -199,10 +204,8 @@ def poch_inf_product(t_order: int, q_order: int) -> tuple:
     the cut is exact at this precision.  Returned as the tuple of the
     t^0 .. t^t_order coefficients.
     """
-    rows = _unit_rows(t_order, q_order)
-    for k in range(q_order + 1):
-        _times_power(rows, k, -1, 1)
-    return tuple(QSeries(q_order, r) for r in rows)
+    factors = ((k, -1, 1) for k in range(q_order + 1))
+    return _row_product(t_order, q_order, factors)
 
 
 def poch_inf_sum(t_order: int, q_order: int) -> tuple:

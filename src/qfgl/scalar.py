@@ -45,6 +45,7 @@ __all__ = [
     "is_cromulent",
     "eval_q0",
     "eval_q1",
+    "canonical_str",
 ]
 
 

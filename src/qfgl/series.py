@@ -446,7 +446,8 @@ def bi_compose(f: Series, g: BiSeries) -> BiSeries:
 
 
 def bi_exp0(u: BiSeries) -> BiSeries:
-    """exp of a bivariate series with zero constant term."""
+    """exp of a bivariate series with zero constant term: the oracle
+    route behind ``pow_bivariate``."""
     if not u.constant_term().is_zero():
         raise ValueError("exp needs constant term 0")
     n = u.order
@@ -466,7 +467,9 @@ def pow_bivariate(f: Series, c) -> BiSeries:
 
     Requires f(0) = 1.  The result is exp(c * t * log f), truncated by
     total degree at f.order, so the caller controls the precision through
-    the order to which f was expanded.
+    the order to which f was expanded.  The labelled oracle of the cartier
+    slices, called from the tests only: ``cartier_check`` reads each t^k
+    slice off a power table of log f instead.
     """
     c = _as_scalar(c)
     lg = log1(f).scale(c)

@@ -9,7 +9,7 @@ from qfgl import (
     q_int, q_fact, q_binom, adams,
     parse_expr, eval_expr, evaluate, ParseError, EvalError,
 )
-from qfgl.cli import main, build_parser
+from qfgl.cli import main, build_parser, _SUITES
 
 from conftest import random_scalar
 
@@ -139,6 +139,11 @@ def test_cli_verify_suites_pass(capsys):
                   "exercise32", "proposition"):
         code, out, _ = run_cli(capsys, "verify", suite)
         assert code == 0, f"{suite}: {out}"
+    # every suite also passes at the smallest orders
+    smallest = ("--order", "1", "--t-order", "1", "--q-order", "1")
+    for suite in sorted(set(_SUITES) - {"selftest-fail"}):
+        code, out, _ = run_cli(capsys, "verify", suite, *smallest)
+        assert code == 0, f"{suite} at the smallest orders: {out}"
 
 
 def test_cli_verify_fgl_axioms(capsys):

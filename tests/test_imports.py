@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the package namespace re-exports exactly the modules' public names."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,26 @@ def test_scan_sees_an_unused_import(tmp_path):
     mod = tmp_path / "m.py"
     mod.write_text("from fractions import Fraction\nimport os\n\nos.sep\n")
     assert unused_imports(mod) == ["Fraction"]
+
+
+def declared_all(path: Path) -> set:
+    """The names in a module's ``__all__``, empty when it has none."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def package_reexports() -> set:
+    """Names that ``__init__.py`` imports from the package's own modules."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def test_namespace_is_the_union_of_the_modules_all():
+    public = set().union(*(declared_all(p) for p in MODULES))
+    assert package_reexports() == public

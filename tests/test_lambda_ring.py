@@ -1,6 +1,7 @@
 """Adams operations, the total lambda operation, Witt elements, and the
 closed forms they pin down."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from qfgl import (
     Scalar, ZERO, ONE, Q, S, Series,
     QSeries, q_int, q_fact, euler_phi, discriminant, poch_inf_product,
-    poch_inf_sum, q_expandable, adams, lambda_t, WittElement, negate_t,
+    poch_inf_sum, adams, lambda_t, negate_t,
     witt_add, witt_neg, witt_ghost,
     newton_adams_from_lambda, lambda_k_closed, elementary_symmetric_oracle,
     thom_class, discriminant_limit,
@@ -98,7 +99,7 @@ def test_lambda_additive_on_two_lines():
     wa = lambda_t(Q, 4, nq)
     wb = lambda_t(Q ** 2, 4, nq)
     ws = lambda_t(Q + Q ** 2, 4, nq)
-    assert witt_add(wa, wb).body == ws.body
+    assert witt_add(wa, wb).rows == ws.rows
     # ghosts add as well
     for n in (1, 2, 3):
         assert witt_ghost(witt_add(wa, wb), n) \
@@ -121,7 +122,7 @@ def lambda_t_series_oracle(a, t_order, q_order):
 
     Shares no code with the integer row kernel of ``lambda_t``: each
     factor is an exact t-series, and a negative a_n takes the series
-    inverse 1/(1 + t q^n).  The body is exact, not reduced mod q.
+    inverse 1/(1 + t q^n).  The result is exact, not reduced mod q.
     """
     one = Series.constant("t", t_order, ONE)
     acc = one
@@ -133,15 +134,29 @@ def lambda_t_series_oracle(a, t_order, q_order):
         if m < 0:
             base, m = one / base, -m
         acc = acc * base ** m
-    return WittElement(body=acc, q_order=q_order)
+    return acc
+
+
+def ghost_log_derivative_oracle(body, q_order):
+    """psi^1..psi^N of an exact t-series body of order N, as -t u'/u.
+
+    The oracle of the Newton loop behind ``newton_adams_from_lambda``:
+    u = body(-t), and u'/u is one ``Series`` division over Scalar, exact
+    and not reduced mod q; only the results are expanded to q_order.
+    """
+    u = Series("t", body.order, [c if k % 2 == 0 else -c
+                                 for k, c in enumerate(body.coeffs)])
+    g = u.deriv() / u.truncate(max(u.order - 1, 0))
+    return [QSeries.from_scalar(-g[k - 1], q_order)
+            for k in range(1, body.order + 1)]
 
 
 def assert_matches_series_oracle(a, nt, nq):
     w = lambda_t(a, nt, nq)
-    oracle = lambda_t_series_oracle(a, nt, nq)
+    body = lambda_t_series_oracle(a, nt, nq)
     for k in range(nt + 1):
-        assert w.coeff(k) == oracle.coeff(k), (str(a), nt, nq, k)
-    assert newton_adams_from_lambda(w, nt) == newton_adams_from_lambda(oracle, nt)
+        assert w.coeff(k) == QSeries.from_scalar(body[k], nq), (str(a), nt, nq, k)
+    assert newton_adams_from_lambda(w, nt) == ghost_log_derivative_oracle(body, nq)
 
 
 def test_lambda_row_kernel_matches_series_oracle_random(rng):
@@ -171,8 +186,24 @@ def test_lambda_row_kernel_matches_series_oracle_large_multiplicity():
 def test_witt_unit_and_negation():
     w = lambda_t(Q + Q ** 3, 5, 15)
     unit = lambda_t(ZERO, 5, 15)
-    assert witt_add(w, unit).body == w.body
-    assert witt_add(w, witt_neg(w)).body == unit.body
+    assert witt_add(w, unit).rows == w.rows
+    assert witt_add(w, witt_neg(w)).rows == unit.rows
+
+
+def test_witt_element_is_its_rows():
+    w = lambda_t(ONE + Q, 3, 8)
+    assert [f.name for f in fields(w)] == ["rows"]
+    assert w.rows == tuple(w.coeff(k) for k in range(4))
+    assert (w.t_order, w.q_order) == (3, 8)
+    for k in (-1, 4):
+        with pytest.raises(IndexError):
+            w.coeff(k)
+
+
+def test_witt_neg_is_lambda_of_the_negative(rng):
+    for _ in range(20):
+        a = Scalar.from_q_coeffs(random_virtual_rep(rng))
+        assert witt_neg(lambda_t(a, 6, 20)).rows == lambda_t(-a, 6, 20).rows
 
 
 # -- Newton extraction of Adams operations ---------------------------------------------
