@@ -10,8 +10,9 @@ Verbs:
 * ``table <name>``: tabulate a named family of exact quantities.
 
 Output is plain text or JSON (``--format``); diagnostics go to stderr.
-Exit codes: 0 success / all checks pass, 1 any failing check, 2 usage or
-evaluation error.
+Exit codes: 0 success / all checks pass, 1 any failing check, 2 usage,
+evaluation or internal error.  Orders, --max and the sizes an expression
+asks for are held to ``expr.MAX_SIZE``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .lambda_ring import (
 )
 from .varieties import Variety, diagram_check, load_catalog
 from .report import Check, VerificationReport
-from .expr import parse_expr, eval_expr, ParseError, EvalError
+from .expr import MAX_SIZE, evaluate
 
 DEFAULT_ORDER = 10
 DEFAULT_T_ORDER = 6
@@ -49,92 +50,75 @@ DEFAULT_Q_ORDER = 30
 # expand targets
 
 def _table_univariate(f: Series):
-    return [{"degree": k, "value": canonical_str(f[k])}
-            for k in range(f.order + 1)]
+    return [(k, canonical_str(f[k])) for k in range(f.order + 1)]
 
 
-def _table_bivariate(F):
+def _table_bivariate(law):
+    F = law.series
     rows = []
     for d in range(F.order + 1):
         for i in range(d + 1):
             j = d - i
-            rows.append({"degree": [i, j], "value": canonical_str(F.coeff(i, j))})
+            rows.append(([i, j], canonical_str(F.coeff(i, j))))
     return rows
 
 
 def _table_qseries(f: QSeries):
-    return [{"degree": k, "value": str(f[k])} for k in range(f.order + 1)]
+    return [(k, str(f[k])) for k in range(f.order + 1)]
 
 
 def _table_tq(rows_by_t):
-    out = []
-    for k, row in enumerate(rows_by_t):
-        out.append({"degree": k, "value": canonical_str(row.to_scalar())})
-    return out
+    return [(k, canonical_str(row.to_scalar())) for k, row in enumerate(rows_by_t)]
 
 
 def _expand_lambda_element(args):
-    text = args.element
     try:
-        value = eval_expr(parse_expr(text))
-    except (ParseError, EvalError) as exc:
-        raise _UsageError(f"bad --element expression: {exc}")
+        value = evaluate(args.element)
+    except ValueError as exc:
+        raise ValueError(f"bad --element expression: {exc}")
     try:
         w = lambda_t(value, args.t_order, args.q_order)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"lambda_t: {exc}")
+        raise ValueError(f"lambda_t: {exc}")
     return w.rows
 
 
-def _run_expand(args) -> int:
-    name = args.target
-    orders = {}
-    if name == "log_chi":
-        orders["order"] = args.order
-        coeffs = _table_univariate(log_chi(args.order))
-    elif name == "exp_chi":
-        orders["order"] = args.order
-        coeffs = _table_univariate(exp_chi(args.order))
-    elif name == "f_chi":
-        orders["order"] = args.order
-        coeffs = _table_bivariate(f_chi_closed(args.order).series)
-    elif name == "drinfeld":
-        orders["order"] = args.order
-        coeffs = _table_bivariate(drinfeld_form(args.order).series)
-    elif name == "fgl_inverse":
-        orders["order"] = args.order
-        coeffs = _table_univariate(fgl_inverse(f_chi_closed(args.order), args.order))
-    elif name == "euler_phi":
-        orders["q_order"] = args.q_order
-        coeffs = _table_qseries(euler_phi(args.q_order))
-    elif name == "discriminant":
-        orders["q_order"] = args.q_order
-        coeffs = _table_qseries(discriminant(args.q_order))
-    elif name == "thom_class":
-        orders["q_order"] = args.q_order
-        coeffs = _table_qseries(thom_class(args.q_order))
-    elif name == "pochhammer":
-        orders["t_order"] = args.t_order
-        orders["q_order"] = args.q_order
-        P = poch_inf_product(args.t_order, args.q_order)
-        coeffs = _table_tq(P)
-    elif name == "lambda_t":
-        orders["t_order"] = args.t_order
-        orders["q_order"] = args.q_order
-        coeffs = _table_tq(_expand_lambda_element(args))
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown expand target {name!r}")
+# target -> (the orders it reads, its (degree, value) rows)
+_EXPANDS = {
+    "log_chi": (("order",), lambda a: _table_univariate(log_chi(a.order))),
+    "exp_chi": (("order",), lambda a: _table_univariate(exp_chi(a.order))),
+    "f_chi": (("order",), lambda a: _table_bivariate(f_chi_closed(a.order))),
+    "drinfeld": (("order",), lambda a: _table_bivariate(drinfeld_form(a.order))),
+    "fgl_inverse": (("order",), lambda a: _table_univariate(
+        fgl_inverse(f_chi_closed(a.order), a.order))),
+    "euler_phi": (("q_order",), lambda a: _table_qseries(euler_phi(a.q_order))),
+    "discriminant": (("q_order",), lambda a: _table_qseries(discriminant(a.q_order))),
+    "pochhammer": (("t_order", "q_order"),
+                   lambda a: _table_tq(poch_inf_product(a.t_order, a.q_order))),
+    "lambda_t": (("t_order", "q_order"), lambda a: _table_tq(_expand_lambda_element(a))),
+    "thom_class": (("q_order",), lambda a: _table_qseries(thom_class(a.q_order))),
+}
 
-    payload = {"target": name, "orders": orders, "coefficients": coeffs}
+
+def _emit_coefficients(args, name, orders, header, rows) -> int:
+    """Print (degree, value) rows: the README's JSON schema, or plain text."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        coeffs = [{"degree": deg, "value": value} for deg, value in rows]
+        print(json.dumps({"target": name, "orders": orders,
+                          "coefficients": coeffs}, indent=2))
     else:
-        print(f"# {name}  " + "  ".join(f"{k}={v}" for k, v in orders.items()))
-        for row in coeffs:
-            deg = row["degree"]
+        print(f"# {header}")
+        for deg, value in rows:
             deg_s = ",".join(map(str, deg)) if isinstance(deg, list) else str(deg)
-            print(f"{deg_s}\t{row['value']}")
+            print(f"{deg_s}\t{value}")
     return 0
+
+
+def _run_expand(args) -> int:
+    names, rows = _EXPANDS[args.target]
+    orders = {k: getattr(args, k) for k in names}
+    header = f"{args.target}  " + "  ".join(f"{k}={v}" for k, v in orders.items())
+    return _emit_coefficients(args, args.target, orders, header, rows(args))
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +319,7 @@ def _run_verify(args) -> int:
 # eval / diagram / table
 
 def _run_eval(args) -> int:
-    try:
-        value = eval_expr(parse_expr(args.expression))
-    except (ParseError, EvalError) as exc:
-        raise _UsageError(str(exc))
+    value = evaluate(args.expression)
     if args.format == "json":
         print(json.dumps({"expression": args.expression,
                           "value": canonical_str(value)}))
@@ -351,56 +332,40 @@ def _run_diagram(args) -> int:
     if args.catalog:
         return _emit_report(_suite_diagram(args), "diagram", args)
     if not args.factors:
-        raise _UsageError("diagram needs factor dimensions or --catalog")
+        raise ValueError("diagram needs factor dimensions or --catalog")
     v = Variety(args.factors)
     rep = diagram_check(v)
     return _emit_report(rep, f"diagram {v}", args)
 
 
+def _table_family(fn, first=0):
+    """The rows k, fn(k) for k from ``first`` to --max."""
+    return lambda m: [(k, canonical_str(fn(k))) for k in range(first, m + 1)]
+
+
+# name -> its (index, value) rows up to --max
 _TABLES = {
-    "qint": lambda k: q_int(k),
-    "qfact": lambda k: q_fact(k),
-    "cyclotomic": lambda k: cyclotomic(k) if k >= 1 else None,
-    "cp_image": lambda k: cp_image(k),
+    "qint": _table_family(q_int),
+    "qfact": _table_family(q_fact),
+    "cyclotomic": _table_family(cyclotomic, first=1),
+    "cp_image": _table_family(cp_image),
+    "tau": lambda m: _table_qseries(discriminant(max(m, 1)))[1:m + 1],
 }
 
 
 def _run_table(args) -> int:
-    name = args.name
     if args.maximum < 0:
-        raise _UsageError("--max must be >= 0")
-    rows = []
-    if name == "tau":
-        d = discriminant(max(args.maximum, 1))
-        for k in range(1, args.maximum + 1):
-            rows.append({"index": k, "value": str(d[k])})
-    else:
-        fn = _TABLES[name]
-        for k in range(args.maximum + 1):
-            val = fn(k)
-            if val is None:
-                continue
-            rows.append({"index": k, "value": canonical_str(val)})
-    if args.format == "json":
-        print(json.dumps({"target": name, "orders": {"max": args.maximum},
-                          "coefficients": [{"degree": r["index"],
-                                            "value": r["value"]} for r in rows]},
-                         indent=2))
-    else:
-        print(f"# {name} up to {args.maximum}")
-        for r in rows:
-            print(f"{r['index']}\t{r['value']}")
-    return 0
+        raise ValueError("--max must be >= 0")
+    return _emit_coefficients(args, args.name, {"max": args.maximum},
+                              f"{args.name} up to {args.maximum}",
+                              _TABLES[args.name](args.maximum))
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-class _UsageError(Exception):
-    pass
-
-
-def _add_common(p):
+def _add_common(p, fn):
+    p.set_defaults(fn=fn)
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.add_argument("--order", "-N", type=int, default=DEFAULT_ORDER,
                    help="series / total-degree truncation order")
@@ -417,38 +382,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("expand", help="print a coefficient table")
-    p.add_argument("target", choices=(
-        "log_chi", "exp_chi", "f_chi", "drinfeld", "fgl_inverse",
-        "euler_phi", "discriminant", "pochhammer", "lambda_t", "thom_class"))
+    p.add_argument("target", choices=tuple(_EXPANDS))
     p.add_argument("--element", default="1/(1-q)",
                    help="scalar expression for lambda_t (default 1/(1-q))")
-    _add_common(p)
-    p.set_defaults(fn=_run_expand)
+    _add_common(p, _run_expand)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("--catalog", default=None,
                    help="catalog file for the diagram suite")
-    _add_common(p)
-    p.set_defaults(fn=_run_verify)
+    _add_common(p, _run_verify)
 
     p = sub.add_parser("eval", help="evaluate a scalar expression")
     p.add_argument("expression")
-    _add_common(p)
-    p.set_defaults(fn=_run_eval)
+    _add_common(p, _run_eval)
 
     p = sub.add_parser("diagram", help="check one product of projective spaces")
     p.add_argument("factors", nargs="*", type=int)
     p.add_argument("--catalog", default=None)
-    _add_common(p)
-    p.set_defaults(fn=_run_diagram)
+    _add_common(p, _run_diagram)
 
     p = sub.add_parser("table", help="tabulate a named exact family")
-    p.add_argument("name", choices=("qint", "qfact", "cyclotomic",
-                                    "cp_image", "tau"))
+    p.add_argument("name", choices=tuple(_TABLES))
     p.add_argument("--max", dest="maximum", type=int, default=10)
-    _add_common(p)
-    p.set_defaults(fn=_run_table)
+    _add_common(p, _run_table)
 
     return ap
 
@@ -461,15 +418,18 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
     try:
-        if getattr(args, "order", 1) <= 0 or getattr(args, "t_order", 1) <= 0 \
-                or getattr(args, "q_order", 1) <= 0:
-            raise _UsageError("orders must be positive")
+        orders = (args.order, args.t_order, args.q_order)
+        if min(orders) <= 0:
+            raise ValueError("orders must be positive")
+        if max(orders + (getattr(args, "maximum", 0),)) > MAX_SIZE:
+            raise ValueError(f"orders and --max must be at most {MAX_SIZE}")
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 means a failing check, so an unforeseen fault is an error
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -9,14 +9,18 @@ Grammar (whitespace insensitive):
 
 Builtin calls: qint(k), qfact(k), qbinom(n, k), cyclotomic(d),
 adams(e, k).  Exponents are integer literals, optionally negative.
-Syntax errors carry the byte offset of the offending token.  Atoms nest
-at most ``MAX_NESTING`` deep (parentheses, unary minus, call arguments),
-which keeps parsing and evaluation well inside Python's recursion limit.
+Syntax errors carry the character offset of the offending token.  Atoms
+nest at most ``MAX_NESTING`` deep (parentheses, unary minus, call
+arguments), which keeps parsing and evaluation well inside Python's
+recursion limit.  Before anything is allocated, ``MAX_SIZE`` bounds an
+integer argument of a builtin and the exponent of a power, each times the
+s-degree span of the scalar it grows (so ``q^99999`` stays allowed).
 """
 
 from __future__ import annotations
 
 import operator
+import re
 
 from .scalar import Scalar, Q, S, cyclotomic
 from .qcomb import q_int, q_fact, q_binom
@@ -41,168 +45,161 @@ class EvalError(ValueError):
 Expr = tuple
 
 
-_ARITIES = {"qint": 1, "qfact": 1, "qbinom": 2, "cyclotomic": 1, "adams": 2}
+# name -> (function, argument kinds): "s" a scalar, "i" an integer
+_BUILTINS = {"qint": (q_int, "i"), "qfact": (q_fact, "i"), "qbinom": (q_binom, "ii"),
+             "cyclotomic": (cyclotomic, "i"), "adams": (adams, "si")}
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv}
 
 MAX_NESTING = 100
 
+# the budget on every size the command line reads: orders, --max, integer
+# arguments of builtins and s-degree spans of powers
+MAX_SIZE = 1000
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# one token per match; whitespace matches no group and is skipped
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<op>[-+*/^(),])|(?P<bad>\S)")
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("eof", None, self.pos)
-        ch = self.text[self.pos]
-        start = self.pos
-        if ch.isdigit():
-            end = start
-            while end < len(self.text) and self.text[end].isdigit():
-                end += 1
-            return ("int", int(self.text[start:end]), start)
-        if ch.isalpha() or ch == "_":
-            end = start
-            while end < len(self.text) and (self.text[end].isalnum()
-                                            or self.text[end] == "_"):
-                end += 1
-            return ("ident", self.text[start:end], start)
-        if ch in "+-*/^(),":
-            return (ch, ch, start)
-        raise ParseError(f"unexpected character {ch!r}", start)
-
-    def next(self):
-        tok = self.peek()
-        if tok[0] == "int":
-            self.pos = tok[2] + len(str(tok[1]))
-        elif tok[0] == "ident":
-            self.pos = tok[2] + len(tok[1])
-        elif tok[0] != "eof":
-            self.pos = tok[2] + 1
-        return tok
+def _tokenize(text: str) -> list:
+    """``(kind, value, offset)`` for each token, ending with an eof token."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if kind == "int":
+            if len(value) > 4300:  # Python 3.11+ refuses longer int() strings
+                raise ParseError("integer literal longer than 4300 digits", pos)
+            value = int(value)
+        elif kind == "op":
+            kind = value
+        tokens.append((kind, value, pos))
+    tokens.append(("eof", None, len(text)))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.lex = _Lexer(text)
+        self.tokens = _tokenize(text)
+        self.i = 0
         self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        # a consumed eof token is always followed by a ParseError
+        self.i += 1
+        return self.tokens[self.i - 1]
 
     def parse(self) -> Expr:
         e = self.expr()
-        tok = self.lex.peek()
+        tok = self.peek()
         if tok[0] != "eof":
             raise ParseError(f"trailing input starting with {tok[1]!r}", tok[2])
         return e
 
+    def _chain(self, ops, operand) -> Expr:
+        """operand (op operand)*, nested to the left."""
+        e = operand()
+        while self.peek()[0] in ops:
+            op = self.next()[0]
+            e = ("bin", op, e, operand())
+        return e
+
     def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            tok = self.lex.peek()
-            if tok[0] in ("+", "-"):
-                self.lex.next()
-                rhs = self.term()
-                e = ("bin", tok[0], e, rhs)
-            else:
-                return e
+        return self._chain(("+", "-"), self.term)
 
     def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            tok = self.lex.peek()
-            if tok[0] in ("*", "/"):
-                self.lex.next()
-                rhs = self.factor()
-                e = ("bin", tok[0], e, rhs)
-            else:
-                return e
+        return self._chain(("*", "/"), self.factor)
 
     def factor(self) -> Expr:
         e = self.atom()
-        tok = self.lex.peek()
+        tok = self.peek()
         if tok[0] == "^":
-            self.lex.next()
+            self.next()
             e = ("pow", e, self._integer())
         return e
 
     def _integer(self) -> int:
-        tok = self.lex.peek()
+        tok = self.peek()
         sign = 1
         if tok[0] == "-":
-            self.lex.next()
+            self.next()
             sign = -1
-            tok = self.lex.peek()
+            tok = self.peek()
         if tok[0] != "int":
             raise ParseError("exponent must be an integer literal", tok[2])
-        self.lex.next()
+        self.next()
         return sign * tok[1]
 
     def atom(self) -> Expr:
         if self.depth == MAX_NESTING:
             raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
-                             self.lex.peek()[2])
+                             self.peek()[2])
         self.depth += 1
         e = self._atom()
         self.depth -= 1
         return e
 
     def _atom(self) -> Expr:
-        tok = self.lex.peek()
-        kind, value, pos = tok
+        kind, value, pos = self.next()
         if kind == "int":
-            self.lex.next()
             return ("int", value)
         if kind == "-":
-            self.lex.next()
             return ("neg", self.atom())
         if kind == "(":
-            self.lex.next()
             e = self.expr()
-            closing = self.lex.next()
-            if closing[0] != ")":
-                raise ParseError("expected ')'", closing[2])
+            self._expect(")", "expected ')'")
             return e
         if kind == "ident":
-            self.lex.next()
             if value in ("q", "s"):
                 return ("var", value)
-            if value not in _ARITIES:
+            if value not in _BUILTINS:
                 raise ParseError(f"unknown identifier {value!r}", pos)
-            opening = self.lex.next()
-            if opening[0] != "(":
-                raise ParseError(f"{value} expects arguments", opening[2])
+            self._expect("(", f"{value} expects arguments")
             args = [self.expr()]
-            while True:
-                nxt = self.lex.next()
-                if nxt[0] == ")":
-                    break
-                if nxt[0] != ",":
-                    raise ParseError("expected ',' or ')'", nxt[2])
+            while self.peek()[0] == ",":
+                self.next()
                 args.append(self.expr())
-            if len(args) != _ARITIES[value]:
+            self._expect(")", "expected ',' or ')'")
+            arity = len(_BUILTINS[value][1])
+            if len(args) != arity:
                 raise ParseError(
-                    f"{value} takes {_ARITIES[value]} argument(s), got {len(args)}",
-                    pos)
+                    f"{value} takes {arity} argument(s), got {len(args)}", pos)
             return ("call", value, args)
         raise ParseError("expected a value", pos)
+
+    def _expect(self, kind: str, message: str) -> None:
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(message, tok[2])
 
 
 def parse_expr(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def _int_arg(name: str, value: Scalar) -> int:
+def _s_span(value: Scalar) -> int:
+    """Degree span in s of the numerator plus that of the denominator."""
+    return len(value.num[2]) + len(value.den) - 2
+
+
+def _check_size(what: str, size: int) -> None:
+    if size > MAX_SIZE:
+        raise EvalError(f"{what} has size {size}, above the budget {MAX_SIZE}")
+
+
+def _int_arg(name: str, value: Scalar, span: int) -> int:
     try:
-        return value.as_int()
+        k = value.as_int()
     except ValueError:
         raise EvalError(f"{name} needs an integer argument") from None
+    _check_size(f"{name} argument {k}", abs(k) * max(span, 1))
+    return k
 
 
 def eval_expr(e: Expr) -> Scalar:
@@ -217,6 +214,7 @@ def eval_expr(e: Expr) -> Scalar:
         base = eval_expr(e[1])
         if base.is_zero() and e[2] < 0:
             raise EvalError("zero cannot be raised to a negative power")
+        _check_size(f"power {e[2]}", abs(e[2]) * _s_span(base))
         return base ** e[2]
     if kind == "bin":
         # a chain a op b op c ... nests to the left; walk it in a loop so
@@ -234,18 +232,14 @@ def eval_expr(e: Expr) -> Scalar:
         return acc
     if kind == "call":
         _, name, args = e
+        fn, kinds = _BUILTINS[name]
         vals = [eval_expr(a) for a in args]
+        # an integer argument scales the span of the scalar ones (adams)
+        span = max((_s_span(v) for v, k in zip(vals, kinds) if k == "s"), default=0)
         try:
-            if name == "qint":
-                return q_int(_int_arg(name, vals[0]))
-            if name == "qfact":
-                return q_fact(_int_arg(name, vals[0]))
-            if name == "qbinom":
-                return q_binom(_int_arg(name, vals[0]), _int_arg(name, vals[1]))
-            if name == "cyclotomic":
-                return cyclotomic(_int_arg(name, vals[0]))
-            if name == "adams":
-                return adams(vals[0], _int_arg(name, vals[1]))
+            vals = [v if k == "s" else _int_arg(name, v, span)
+                    for v, k in zip(vals, kinds)]
+            return fn(*vals)
         except (ValueError, ZeroDivisionError) as exc:
             raise EvalError(str(exc)) from None
     raise EvalError(f"malformed expression node {e!r}")

@@ -1,15 +1,21 @@
 """Expression grammar, canonical-string round trips, CLI contracts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qfgl
 
 from qfgl import (
     Scalar, ZERO, ONE, Q, S, canonical_str, cyclotomic,
     q_int, q_fact, q_binom, adams,
     parse_expr, eval_expr, evaluate, ParseError, EvalError,
 )
-from qfgl.cli import main, build_parser, _SUITES
+from qfgl.cli import main, build_parser, _EXPANDS, _SUITES, _TABLES
 
 from conftest import random_scalar
 
@@ -42,6 +48,26 @@ def test_precedence_and_unary_minus():
 def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_expr("1 + $")
+    assert err.value.pos == 4
+
+
+def test_integer_literals_keep_their_source_length():
+    # leading zeros: the parser must skip the literal's text, not str(value)
+    assert evaluate("007") == Scalar.from_int(7)
+    assert evaluate("q^02") == Q ** 2
+    assert evaluate("qint(03)") == q_int(3)
+
+
+def test_non_ascii_digit_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_expr("\u00b2")
+    assert err.value.pos == 0
+
+
+def test_long_integer_literal_is_a_parse_error():
+    assert evaluate("9" * 4300) == Scalar.from_int(10 ** 4300 - 1)
+    with pytest.raises(ParseError) as err:
+        parse_expr("q + " + "9" * 4301)
     assert err.value.pos == 4
 
 
@@ -234,3 +260,83 @@ def test_cli_expand_plain_table(capsys):
     rows = [l.split("\t") for l in out.splitlines() if not l.startswith("#")]
     assert rows[0] == ["0", "1"]
     assert rows[5] == ["5", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", target, "--order", "3", "--t-order", "2", "--q-order", "4")
+    for target in _EXPANDS] + [("table", name, "--max", "4") for name in _TABLES])
+def test_cli_coefficient_output_schema(capsys, argv):
+    verb, name = argv[:2]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"target", "orders", "coefficients"}
+    assert payload["target"] == name
+    if verb == "expand":
+        small = {"order": 3, "t_order": 2, "q_order": 4}
+        assert payload["orders"] == {k: small[k] for k in _EXPANDS[name][0]}
+    else:
+        assert payload["orders"] == {"max": 4}
+    rows = payload["coefficients"]
+    assert rows and all(set(r) == {"degree", "value"} for r in rows)
+    # the plain format carries the same degrees and values
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header.startswith(f"# {name}")
+
+    def degree(d):
+        return ",".join(map(str, d)) if isinstance(d, list) else str(d)
+    assert [line.split("\t") for line in lines] == [
+        [degree(r["degree"]), r["value"]] for r in rows]
+
+
+def test_cli_unexpected_exception_exits_2(capsys, monkeypatch):
+    def broken(args):
+        raise ArithmeticError("not a usage error")
+    monkeypatch.setitem(_SUITES, "lemma21", broken)
+    code, out, err = run_cli(capsys, "verify", "lemma21")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: internal ArithmeticError")
+
+
+# Each of these would allocate gigabytes without the size budget.  The
+# child caps its address space, so a missing budget fails the test
+# instead of exhausting the machine's memory.
+_CHILD = """\
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from qfgl.cli import main
+t0 = time.perf_counter()
+code = main(sys.argv[1:])
+print(code, time.perf_counter() - t0)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "qint(10^9)"),
+    ("eval", "adams(1+q, 10^9)"),
+    ("eval", "(1+q)^(10^6)"),
+    ("eval", "(1+q)^1000000"),
+    ("eval", "adams(adams(adams(1+q, 1000), 1000), 1000)"),
+    ("expand", "log_chi", "--order", "1000000"),
+    ("table", "tau", "--max", "1000000"),
+])
+def test_cli_size_budget_refuses_before_allocating(argv):
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=str(Path(qfgl.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    code, elapsed = proc.stdout.split()
+    assert code == "2", proc.stderr
+    assert float(elapsed) < 1.0
+    assert proc.stderr.startswith("error: ")
+
+
+def test_cli_size_budget_admits_monomials_and_the_benchmark_orders(capsys):
+    code, out, _ = run_cli(capsys, "eval", "q^99999")
+    assert (code, out.strip()) == (0, "q^99999")
+    assert evaluate("(1+q)^500") == (ONE + Q) ** 500
+    code, out, _ = run_cli(capsys, "table", "tau", "--max", "300")
+    assert code == 0
