@@ -14,13 +14,16 @@ nest at most ``MAX_NESTING`` deep (parentheses, unary minus, call
 arguments), which keeps parsing and evaluation well inside Python's
 recursion limit.  Before anything is allocated, ``MAX_SIZE`` bounds an
 integer argument of a builtin and the exponent of a power, each times the
-s-degree span of the scalar it grows (so ``q^99999`` stays allowed).
+s-degree span of the scalar it grows (so ``q^99999`` stays allowed), and
+the s-degrees a sum or difference covers; no power may make an integer
+longer than an integer literal may be.
 """
 
 from __future__ import annotations
 
 import operator
 import re
+from math import log10
 
 from .scalar import Scalar, Q, S, cyclotomic
 from .qcomb import q_int, q_fact, q_binom
@@ -215,6 +218,11 @@ def eval_expr(e: Expr) -> Scalar:
         if base.is_zero() and e[2] < 0:
             raise EvalError("zero cannot be raised to a negative power")
         _check_size(f"power {e[2]}", abs(e[2]) * _s_span(base))
+        # no integer of the result may outgrow the literals _tokenize admits:
+        # each is at most h^|k|, h the largest 1-norm of the base's integers
+        h = max(sum(map(abs, base.num[2])), base.num[1], sum(map(abs, base.den)))
+        if abs(e[2]) * log10(h) >= 4300:
+            raise EvalError(f"power {e[2]} has integers longer than 4300 digits")
         return base ** e[2]
     if kind == "bin":
         # a chain a op b op c ... nests to the left; walk it in a loop so
@@ -228,6 +236,11 @@ def eval_expr(e: Expr) -> Scalar:
             b = eval_expr(r)
             if op == "/" and b.is_zero():
                 raise EvalError("division by zero")
+            if op in "+-" and not (acc.is_zero() or b.is_zero()):
+                # one vector from the lower valuation to the higher top degree
+                lo = min(acc.num[0], b.num[0])
+                hi = max(acc.num[0] + _s_span(acc), b.num[0] + _s_span(b))
+                _check_size(f"{op!r} over s-degrees {lo}..{hi}", hi - lo)
             acc = _BINARY[op](acc, b)
         return acc
     if kind == "call":

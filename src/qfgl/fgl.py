@@ -23,7 +23,6 @@ arithmetic at a total degree no product can exceed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .scalar import Scalar, ZERO, ONE, Q, S
@@ -89,13 +88,6 @@ def cp_image(n: int) -> Scalar:
 # ---------------------------------------------------------------------------
 # the law itself
 
-def _closed_expand(closed, vars, order: int) -> BiSeries:
-    num_terms, den_terms = closed
-    num = BiSeries(vars, order, num_terms)
-    den = BiSeries(vars, order, den_terms)
-    return num / den
-
-
 @dataclass(frozen=True)
 class FormalGroupLaw:
     """A truncated group law, optionally with its closed rational form.
@@ -115,14 +107,21 @@ class FormalGroupLaw:
         return self.series.coeff(i, j)
 
 
+def _closed_law(closed, order: int) -> FormalGroupLaw:
+    """The law of a closed form (numerator, denominator), expanded."""
+    num_terms, den_terms = closed
+    num = BiSeries(_XY, order, num_terms)
+    den = BiSeries(_XY, order, den_terms)
+    return FormalGroupLaw(series=num / den, closed=closed)
+
+
 def f_chi_closed(order: int) -> FormalGroupLaw:
     """Expand (X + Y + (1+q)XY)/(1 + qXY) by total degree."""
     closed = (
         {(1, 0): ONE, (0, 1): ONE, (1, 1): ONE + Q},
         {(0, 0): ONE, (1, 1): Q},
     )
-    return FormalGroupLaw(series=_closed_expand(closed, _XY, order),
-                          closed=closed)
+    return _closed_law(closed, order)
 
 
 def f_chi_from_log(order: int) -> FormalGroupLaw:
@@ -164,14 +163,12 @@ def f_chi_derived_closed(order: int) -> FormalGroupLaw:
         {(1, 0): ONE, (0, 1): ONE, (1, 1): -(ONE + Q)},
         {(0, 0): ONE, (1, 1): -Q},
     )
-    return FormalGroupLaw(series=_closed_expand(closed, _XY, order),
-                          closed=closed)
+    return _closed_law(closed, order)
 
 
 def multiplicative_law(order: int) -> FormalGroupLaw:
     closed = ({(1, 0): ONE, (0, 1): ONE, (1, 1): ONE}, {(0, 0): ONE})
-    return FormalGroupLaw(series=_closed_expand(closed, _XY, order),
-                          closed=closed)
+    return _closed_law(closed, order)
 
 
 def proposition_check(order: int) -> VerificationReport:
@@ -223,17 +220,6 @@ def drinfeld_form(order: int) -> FormalGroupLaw:
 _XYZ = ("X", "Y", "Z")
 
 
-def _lift(terms: dict, slots: tuple, order: int) -> BiSeries:
-    """Bivariate terms as a series in X, Y, Z, their variables at ``slots``."""
-    lifted = {}
-    for e, c in terms.items():
-        key = [0, 0, 0]
-        for slot, k in zip(slots, e):
-            key[slot] = k
-        lifted[tuple(key)] = c
-    return BiSeries(_XYZ, order, lifted)
-
-
 def _powers(x, k: int) -> list:
     """[1, x, x^2, ..., x^k] for a Series or a BiSeries."""
     out = [x ** 0]
@@ -242,13 +228,13 @@ def _powers(x, k: int) -> list:
     return out
 
 
-def _combine(terms: dict, xs: list, ys: list) -> BiSeries:
-    """The sum of c * xs[i] * ys[j] over the bivariate terms c X^i Y^j."""
-    acc: dict = {}
+def _combine(terms: dict, xs: list, ys: list) -> Series | BiSeries:
+    """The sum of c * xs[i] * ys[j] over the bivariate terms c X^i Y^j;
+    xs and ys hold Series or BiSeries."""
+    acc = xs[0].scale(ZERO)  # zero, of the tables' type and order
     for (i, j), c in terms.items():
-        for key, v in (xs[i] * ys[j]).terms.items():
-            acc[key] = acc.get(key, ZERO) + c * v
-    return BiSeries(xs[0].vars, xs[0].order, acc)
+        acc = acc + (xs[i] * ys[j]).scale(c)
+    return acc
 
 
 def _first_difference(a: BiSeries, b: BiSeries):
@@ -258,15 +244,11 @@ def _first_difference(a: BiSeries, b: BiSeries):
     return min(diff, key=lambda k: (sum(k), k)) if diff else None
 
 
-def _assoc_generic(F: BiSeries, order: int):
+def _assoc_generic(F: FormalGroupLaw, order: int):
     """Compare F(F(X,Y),Z) with F(X,F(Y,Z)) by truncated substitution."""
-    terms = F.truncate(order).terms
-    du = max((i for (i, _) in terms), default=0)
-    dv = max((j for (_, j) in terms), default=0)
-    X = BiSeries.generator(_XYZ, order, 0)
-    Z = BiSeries.generator(_XYZ, order, 2)
-    left = _combine(terms, _powers(_lift(terms, (0, 1), order), du), _powers(Z, dv))
-    right = _combine(terms, _powers(X, du), _powers(_lift(terms, (1, 2), order), dv))
+    X, Y, Z = (BiSeries.generator(_XYZ, order, k) for k in range(3))
+    left = fgl_eval(F, fgl_eval(F, X, Y, order), Z, order)
+    right = fgl_eval(F, X, fgl_eval(F, Y, Z, order), order)
     return _first_difference(left, right)
 
 
@@ -285,18 +267,19 @@ def _assoc_closed(closed):
     dv = max(j for (_, j) in keys)
     d = max(map(sum, keys))
     order = 2 * d * (d + 1)
+    X, Y, Z = (_powers(BiSeries.generator(_XYZ, order, k), max(du, dv)) for k in range(3))
 
-    def cleared(slots, deg):
-        # A^e B^(deg-e), e = 0..deg: (A/B)^e cleared by B^deg, F = A/B
-        apow = _powers(_lift(P, slots, order), deg)
-        bpow = _powers(_lift(R, slots, order), deg)
+    def cleared(xs, ys, deg):
+        # A^e B^(deg-e), e = 0..deg: (A/B)^e cleared by B^deg, F = A/B at (xs, ys)
+        apow = _powers(_combine(P, xs, ys), deg)
+        bpow = _powers(_combine(R, xs, ys), deg)
         return [apow[e] * bpow[deg - e] for e in range(deg + 1)]
 
     # left: P and R at (F(X,Y), Z), cleared by B^du
-    xs, ys = cleared((0, 1), du), _powers(BiSeries.generator(_XYZ, order, 2), dv)
+    xs, ys = cleared(X, Y, du), Z
     n1, d1 = _combine(P, xs, ys), _combine(R, xs, ys)
     # right: P and R at (X, F(Y,Z)), cleared by B^dv
-    xs, ys = _powers(BiSeries.generator(_XYZ, order, 0), du), cleared((1, 2), dv)
+    xs, ys = X, cleared(Y, Z, dv)
     n2, d2 = _combine(P, xs, ys), _combine(R, xs, ys)
     return _first_difference(n1 * d2, n2 * d1)
 
@@ -310,8 +293,8 @@ def verify_fgl(F: FormalGroupLaw, order: int, assoc: str = "auto") -> Verificati
     ``assoc`` picks the associativity route: "generic" (truncated
     trivariate substitution), "closed" (exact cross-multiplied rational
     identity, requires the closed form) or "auto" (closed when present).
-    Failures become report entries, not exceptions; a law expanded to
-    less than ``order`` raises ValueError, as ``fgl_inverse`` does.
+    Failures become report entries; a law expanded to less than ``order``
+    (or, on the generic route, with a constant term) raises ValueError.
     """
     if F.series.order < order:
         raise ValueError("law not expanded far enough for the requested order")
@@ -337,7 +320,7 @@ def verify_fgl(F: FormalGroupLaw, order: int, assoc: str = "auto") -> Verificati
         bad = _assoc_closed(F.closed)
         name = "associativity (exact, closed form)"
     else:
-        bad = _assoc_generic(F.series, order)
+        bad = _assoc_generic(F, order)
         name = "associativity (truncated substitution)"
     checks.append(Check(name, order, bad is None,
                         None if bad is None else
@@ -383,8 +366,8 @@ def fgl_inverse(F: FormalGroupLaw, order: int) -> Series:
     return iota
 
 
-def fgl_eval(F: FormalGroupLaw, f: Series, g: Series, order: int) -> Series:
-    """The law applied to two series arguments, both with zero constant term.
+def fgl_eval(F: FormalGroupLaw, f: Series | BiSeries, g: Series | BiSeries, order: int):
+    """The law applied to two Series, or two BiSeries, with zero constant term.
 
     Sums c_ij f^i g^j over tables of powers, sharing no code with the
     Horner evaluation inside ``fgl_inverse``, so F(T, i(T)) = 0 checks
@@ -392,17 +375,11 @@ def fgl_eval(F: FormalGroupLaw, f: Series, g: Series, order: int) -> Series:
     """
     if not (f.constant_term().is_zero() and g.constant_term().is_zero()):
         raise ValueError("substitution needs arguments with zero constant term")
-    terms = F.series.terms
+    terms = F.series.truncate(order).terms
     max_i = max((i for (i, _) in terms), default=0)
     max_j = max((j for (_, j) in terms), default=0)
-    fpow = _powers(f.truncate(order), min(max_i, order))
-    gpow = _powers(g.truncate(order), min(max_j, order))
-    acc = Series.zero(f.var, order)
-    for (i, j), c in terms.items():
-        if i > order or j > order or i + j > order:
-            continue
-        acc = acc + (fpow[i] * gpow[j]).scale(c)
-    return acc
+    return _combine(terms, _powers(f.truncate(order), max_i),
+                    _powers(g.truncate(order), max_j))
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +403,16 @@ def cartier_check(t_order: int, x_order: int) -> VerificationReport:
     checks = []
     for rname, minus_reading in readings:
         for cname, c in candidates:
-            # compare t^k coefficients for k = 1..t_order
-            fact = Fraction(1)
+            # compare t^k coefficients for k = 1..t_order, without the factor
+            # 1/k! of both sides: it moves neither equality nor a first failure
             first_fail = None
             for k in range(1, t_order + 1):
-                fact *= k
-                inv_fact = Scalar.from_fraction(Fraction(1, int(fact)))
                 sign = Scalar.from_int((-1) ** (k + 1))
                 if minus_reading:
-                    lhs_k = lg_pow[k].scale(sign * inv_fact)
+                    lhs_k = lg_pow[k].scale(sign)
                 else:
-                    lhs_k = lg_pow[k].scale(inv_fact)
-                rhs_k = L_pow[k].scale(sign * (c ** k) * inv_fact)
+                    lhs_k = lg_pow[k]
+                rhs_k = L_pow[k].scale(sign * (c ** k))
                 if lhs_k != rhs_k:
                     diff = lhs_k - rhs_k
                     j = next(i for i, v in enumerate(diff.coeffs)

@@ -554,23 +554,19 @@ def _totients_up_to(n: int):
     return phi
 
 
-def _den_cyclotomic_factors(den_q):
-    """Factor an integer q-polynomial as a product of Phi_d with d >= 2.
+def _den_is_cyclotomic(den_q) -> bool:
+    """Whether an integer q-polynomial is a product of Phi_d with d >= 2.
 
-    Returns the multiset of indices d, or None when some factor is not a
-    cyclotomic polynomial of index >= 2.  A candidate index d can only
-    divide when phi(d) <= deg, and phi(d) >= sqrt(d/2) bounds the search.
+    A candidate index d can only divide when phi(d) <= deg, and
+    phi(d) >= sqrt(d/2) bounds the search.
     """
     rem = den_q
-    if rem == (1,):
-        return []
     deg = len(rem) - 1
     if rem[-1] != 1 or rem[0] != 1:
         # products of Phi_d, d >= 2 are monic with constant term 1
-        return None
+        return False
     limit = 2 * deg * deg + 2
     phi = _totients_up_to(limit)
-    found = []
     for d in range(2, limit + 1):
         if phi[d] > len(rem) - 1:
             continue
@@ -580,10 +576,9 @@ def _den_cyclotomic_factors(den_q):
             if quo is None:
                 break
             rem = quo
-            found.append(d)
             if rem == (1,):
-                return found
-    return found if rem == (1,) else None
+                return True
+    return rem == (1,)
 
 
 def is_cromulent(a: Scalar) -> bool:
@@ -619,7 +614,7 @@ def membership(a: Scalar) -> RingMembership:
     in_Z_q_laurent = lives and den_one and integral
     in_Z_q = in_Q_q and integral
     in_crom = lives and integral and (
-        den_one or _den_cyclotomic_factors(a.den[::2]) is not None)
+        den_one or _den_is_cyclotomic(a.den[::2]))
     return RingMembership(in_Z_q=in_Z_q, in_Z_q_laurent=in_Z_q_laurent,
                           in_Q_q=in_Q_q, in_cromulent=in_crom)
 

@@ -288,24 +288,18 @@ def diagram_check(v: Variety) -> VerificationReport:
     character of the Lefschetz representation, (3) product of the
     orientation images of the factors read off the group-law logarithm.
     """
-    via_hodge = yz_to_q(hodge(v))
-    via_rep = qdim_normalized(rep_of_variety(v))
     via_log = ONE
     for n in v.factors:
         via_log = via_log * cp_image(n)
-    checks = (
-        Check(f"{v}: Hodge route equals representation route", None,
-              via_hodge == via_rep,
-              None if via_hodge == via_rep else
-              f"{via_hodge} != {via_rep}"),
-        Check(f"{v}: representation route equals orientation route", None,
-              via_rep == via_log,
-              None if via_rep == via_log else f"{via_rep} != {via_log}"),
-        Check(f"{v}: orientation route equals Hodge route", None,
-              via_log == via_hodge,
-              None if via_log == via_hodge else f"{via_log} != {via_hodge}"),
-    )
-    return VerificationReport(checks)
+    routes = [("Hodge", yz_to_q(hodge(v))),
+              ("representation", qdim_normalized(rep_of_variety(v))),
+              ("orientation", via_log)]
+    checks = []
+    # each route against the next, the last against the first
+    for (a, x), (b, y) in zip(routes, routes[1:] + routes[:1]):
+        checks.append(Check(f"{v}: {a} route equals {b} route", None, x == y,
+                            None if x == y else f"{x} != {y}"))
+    return VerificationReport(tuple(checks))
 
 
 def load_catalog(path) -> list:

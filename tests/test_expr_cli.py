@@ -1,5 +1,6 @@
 """Expression grammar, canonical-string round trips, CLI contracts."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -172,6 +173,23 @@ def test_cli_verify_suites_pass(capsys):
         assert code == 0, f"{suite} at the smallest orders: {out}"
 
 
+def test_cli_lambda_k_compares_at_the_order_it_used(capsys, monkeypatch):
+    # with the printed exponent replaced by the corrected one, every
+    # "disagrees" check must fail: two series of different orders are
+    # unequal whatever their coefficients, so the suite must compare at
+    # the order lambda_k_closed used, which exceeds 10 for k = 6, 7, 8
+    def printed_is_corrected(k, q_order):
+        rep = qfgl.lambda_k_closed(k, q_order)
+        return dataclasses.replace(rep, printed=rep.corrected)
+    monkeypatch.setattr(qfgl.cli, "lambda_k_closed", printed_is_corrected)
+    code, out, _ = run_cli(capsys, "verify", "lambda-k", "--q-order", "10",
+                           "--format", "json")
+    assert code == 1
+    disagree = [c for c in json.loads(out)["checks"] if "disagrees" in c["name"]]
+    assert len(disagree) == 8
+    assert not any(c["pass"] for c in disagree)
+
+
 def test_cli_verify_fgl_axioms(capsys):
     code, out, _ = run_cli(capsys, "verify", "fgl-axioms", "--order", "8")
     assert code == 0
@@ -322,6 +340,9 @@ print(code, time.perf_counter() - t0)
     ("eval", "adams(adams(adams(1+q, 1000), 1000), 1000)"),
     ("expand", "log_chi", "--order", "1000000"),
     ("table", "tau", "--max", "1000000"),
+    ("eval", "q^500000000 + 1"),
+    ("eval", "2^99999999999"),
+    ("diagram", "100000000"),
 ])
 def test_cli_size_budget_refuses_before_allocating(argv):
     pytest.importorskip("resource")
@@ -332,6 +353,8 @@ def test_cli_size_budget_refuses_before_allocating(argv):
     assert code == "2", proc.stderr
     assert float(elapsed) < 1.0
     assert proc.stderr.startswith("error: ")
+    # a MemoryError under the cap is reported as internal, not refused
+    assert "internal" not in proc.stderr
 
 
 def test_cli_size_budget_admits_monomials_and_the_benchmark_orders(capsys):

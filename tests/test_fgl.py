@@ -191,6 +191,15 @@ def test_verify_fgl_refuses_an_order_above_the_expansion():
     assert verify_fgl(f_chi_closed(8), 4, assoc="generic").all_passed
 
 
+def test_generic_associativity_refuses_a_constant_term():
+    # the truncation of a law does not determine its substitution into a
+    # series with a constant term
+    F = FormalGroupLaw(series=BiSeries(("X", "Y"), 4,
+                                       {(0, 0): ONE, (1, 0): ONE, (0, 1): ONE}))
+    with pytest.raises(ValueError, match="zero constant term"):
+        verify_fgl(F, 4, assoc="generic")
+
+
 @pytest.mark.parametrize("terms, failing, detail", [
     ({(0, 1): ONE}, "unit F(X,0) = X", "first failing coefficient (1, 0)"),
     ({(1, 0): ONE}, "unit F(0,Y) = Y", "first failing coefficient (0, 1)"),
@@ -297,11 +306,20 @@ def test_cartier_adjudication_pinned():
     }
 
 
-def test_cartier_printed_variant_fails_immediately():
-    rep = cartier_check(4, 6)
+# The CLI prints no detail for a check that fails as expected, so these
+# first failing coefficients are pinned here only.
+@pytest.mark.parametrize("t_order, x_order", [(2, 2), (4, 6), (6, 8)],
+                         ids=["2-2", "4-6", "6-8"])
+@pytest.mark.parametrize("combination, detail", [
+    ("1-exp(-u), c=1-q", "first failing coefficient t^1 T^1"),
+    ("exp(u)-1, c=1-q", "first failing coefficient t^1 T^1"),
+    ("exp(u)-1, c=(1-q)^-1", "first failing coefficient t^2 T^2"),
+], ids=["minus-det", "plus-det", "plus-inverse"])
+def test_cartier_printed_variant_fails_immediately(combination, detail,
+                                                   t_order, x_order):
+    rep = cartier_check(t_order, x_order)
     failing = {c.name: c.detail for c in rep.checks if not c.passed}
-    assert failing["exponential-character identity [1-exp(-u), c=1-q]"] \
-        == "first failing coefficient t^1 T^1"
+    assert failing[f"exponential-character identity [{combination}]"] == detail
 
 
 def test_t_degree_one_slice():
