@@ -73,14 +73,9 @@ def _table_tq(rows_by_t):
 
 def _expand_lambda_element(args):
     try:
-        value = evaluate(args.element)
-    except ValueError as exc:
-        raise ValueError(f"bad --element expression: {exc}")
-    try:
-        w = lambda_t(value, args.t_order, args.q_order)
+        return lambda_t(evaluate(args.element), args.t_order, args.q_order).rows
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"lambda_t: {exc}")
-    return w.rows
+        raise ValueError(f"--element {args.element!r}: {exc}")
 
 
 # target -> (the orders it reads, its (degree, value) rows)

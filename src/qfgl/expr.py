@@ -12,11 +12,13 @@ adams(e, k).  Exponents are integer literals, optionally negative.
 Syntax errors carry the character offset of the offending token.  Atoms
 nest at most ``MAX_NESTING`` deep (parentheses, unary minus, call
 arguments), which keeps parsing and evaluation well inside Python's
-recursion limit.  Before anything is allocated, ``MAX_SIZE`` bounds an
-integer argument of a builtin and the exponent of a power, each times the
-s-degree span of the scalar it grows (so ``q^99999`` stays allowed), and
-the s-degrees a sum or difference covers; no power may make an integer
-longer than an integer literal may be.
+recursion limit.  Before anything is allocated, ``MAX_SIZE`` bounds the
+s-degree span of a value: that of a builtin, which each ``_BUILTINS``
+entry states from the arguments; that of a power, its exponent times the
+span of its base (so ``q^99999`` stays allowed); that of a product or
+quotient, the sum of its operands' spans; and the s-degrees a sum or
+difference covers.  No power may make an integer longer than an integer
+literal may be.
 """
 
 from __future__ import annotations
@@ -48,17 +50,24 @@ class EvalError(ValueError):
 Expr = tuple
 
 
-# name -> (function, argument kinds): "s" a scalar, "i" an integer
-_BUILTINS = {"qint": (q_int, "i"), "qfact": (q_fact, "i"), "qbinom": (q_binom, "ii"),
-             "cyclotomic": (cyclotomic, "i"), "adams": (adams, "si")}
+# name -> (function, argument kinds, s-degree span of its value): a kind is
+# "s" for a scalar or "i" for an integer; the span, a function of the
+# arguments, bounds the value's size before it is computed
+_BUILTINS = {"qint": (q_int, "i", lambda k: 2 * (k - 1)),
+             "qfact": (q_fact, "i", lambda k: k * (k - 1)),
+             # the span of the q_fact(n) it divides
+             "qbinom": (q_binom, "ii", lambda n, k: n * (n - 1)),
+             # 2*phi(d) at most
+             "cyclotomic": (cyclotomic, "i", lambda d: 2 * (d - 1)),
+             "adams": (adams, "si", lambda e, k: abs(k) * _s_span(e))}
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv}
 
 MAX_NESTING = 100
 
-# the budget on every size the command line reads: orders, --max, integer
-# arguments of builtins and s-degree spans of powers
+# the budget on every size the command line reads: orders, --max and the
+# s-degree spans of builtin values, powers, sums and products
 MAX_SIZE = 1000
 
 # one token per match; whitespace matches no group and is skipped
@@ -196,13 +205,11 @@ def _check_size(what: str, size: int) -> None:
         raise EvalError(f"{what} has size {size}, above the budget {MAX_SIZE}")
 
 
-def _int_arg(name: str, value: Scalar, span: int) -> int:
+def _int_arg(name: str, value: Scalar) -> int:
     try:
-        k = value.as_int()
+        return value.as_int()
     except ValueError:
         raise EvalError(f"{name} needs an integer argument") from None
-    _check_size(f"{name} argument {k}", abs(k) * max(span, 1))
-    return k
 
 
 def eval_expr(e: Expr) -> Scalar:
@@ -241,17 +248,18 @@ def eval_expr(e: Expr) -> Scalar:
                 lo = min(acc.num[0], b.num[0])
                 hi = max(acc.num[0] + _s_span(acc), b.num[0] + _s_span(b))
                 _check_size(f"{op!r} over s-degrees {lo}..{hi}", hi - lo)
+            if op in "*/":
+                _check_size(f"{op!r} of s-spans {_s_span(acc)} and {_s_span(b)}",
+                            _s_span(acc) + _s_span(b))
             acc = _BINARY[op](acc, b)
         return acc
     if kind == "call":
         _, name, args = e
-        fn, kinds = _BUILTINS[name]
+        fn, kinds, span = _BUILTINS[name]
         vals = [eval_expr(a) for a in args]
-        # an integer argument scales the span of the scalar ones (adams)
-        span = max((_s_span(v) for v, k in zip(vals, kinds) if k == "s"), default=0)
         try:
-            vals = [v if k == "s" else _int_arg(name, v, span)
-                    for v, k in zip(vals, kinds)]
+            vals = [v if k == "s" else _int_arg(name, v) for v, k in zip(vals, kinds)]
+            _check_size(f"the value of {name}", span(*vals))
             return fn(*vals)
         except (ValueError, ZeroDivisionError) as exc:
             raise EvalError(str(exc)) from None

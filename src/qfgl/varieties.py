@@ -172,12 +172,6 @@ class SL2Rep:
     def dim(self) -> int:
         return sum(c * (n + 1) for n, c in self.mult.items())
 
-    def __add__(self, other: "SL2Rep") -> "SL2Rep":
-        out = dict(self.mult)
-        for n, c in other.mult.items():
-            out[n] = out.get(n, 0) + c
-        return SL2Rep(out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SL2Rep):
             return NotImplemented

@@ -121,9 +121,10 @@ def test_cli_eval(capsys):
 
 
 def test_cli_eval_bad_expression(capsys):
-    code, _, err = run_cli(capsys, "eval", "qint(")
-    assert code == 2
-    assert "error" in err
+    for text in ("qint(", "qint(q)", "q^q", "0^-1"):
+        code, _, err = run_cli(capsys, "eval", text)
+        assert code == 2, text
+        assert "error" in err
 
 
 def test_cli_expand_json_schema(capsys):
@@ -159,6 +160,16 @@ def test_cli_expand_lambda_element(capsys):
     assert lines[0].split("\t") == ["0", "1"]
     assert lines[1].split("\t") == ["1", "q"]
     assert lines[2].split("\t") == ["2", "0"]
+
+
+def test_cli_expand_lambda_element_refusals(capsys):
+    reasons = {"s": "does not live in q", "q/2": "lambda_t needs integer",
+               "q+": "expected a value"}
+    for element, reason in reasons.items():
+        code, out, err = run_cli(capsys, "expand", "lambda_t", "--element", element)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --element {element!r}: ")
+        assert reason in err and err.count("lambda_t") <= 1
 
 
 def test_cli_verify_suites_pass(capsys):
@@ -343,6 +354,11 @@ print(code, time.perf_counter() - t0)
     ("eval", "q^500000000 + 1"),
     ("eval", "2^99999999999"),
     ("diagram", "100000000"),
+    ("eval", "qfact(1000)"),
+    ("eval", "qbinom(1000, 500)"),
+    ("eval", "qint(1000)"),
+    ("eval", "(1+q)^500*(1+q)^500"),
+    ("eval", "(1+q)^500/(1+2*q)^500"),
 ])
 def test_cli_size_budget_refuses_before_allocating(argv):
     pytest.importorskip("resource")
@@ -361,5 +377,8 @@ def test_cli_size_budget_admits_monomials_and_the_benchmark_orders(capsys):
     code, out, _ = run_cli(capsys, "eval", "q^99999")
     assert (code, out.strip()) == (0, "q^99999")
     assert evaluate("(1+q)^500") == (ONE + Q) ** 500
+    # the largest arguments whose values span at most MAX_SIZE s-degrees
+    assert evaluate("qfact(32)") == q_fact(32)
+    assert evaluate("qbinom(32, 16)") == q_binom(32, 16)
     code, out, _ = run_cli(capsys, "table", "tau", "--max", "300")
     assert code == 0

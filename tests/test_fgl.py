@@ -60,6 +60,8 @@ def test_exp_equals_reversed_log():
 
 def test_cp_image_point():
     assert cp_image(0) == ONE
+    with pytest.raises(ValueError, match="dimension must be >= 0"):
+        cp_image(-1)
 
 
 def test_cp_image_plane():
@@ -198,6 +200,11 @@ def test_generic_associativity_refuses_a_constant_term():
                                        {(0, 0): ONE, (1, 0): ONE, (0, 1): ONE}))
     with pytest.raises(ValueError, match="zero constant term"):
         verify_fgl(F, 4, assoc="generic")
+
+
+def test_closed_associativity_needs_a_closed_form():
+    with pytest.raises(ValueError, match="no closed form"):
+        verify_fgl(f_chi_from_log(4), 4, assoc="closed")
 
 
 @pytest.mark.parametrize("terms, failing, detail", [

@@ -3,8 +3,11 @@ the package namespace re-exports exactly the modules' public names."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import qfgl
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qfgl"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -54,14 +57,7 @@ def declared_all(path: Path) -> set:
     return set()
 
 
-def package_reexports() -> set:
-    """Names that ``__init__.py`` imports from the package's own modules."""
-    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    return {alias.asname or alias.name for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names}
-
-
 def test_namespace_is_the_union_of_the_modules_all():
-    public = set().union(*(declared_all(p) for p in MODULES))
-    assert package_reexports() == public
+    public = {name for name, value in vars(qfgl).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set().union(*(declared_all(p) for p in MODULES))

@@ -140,6 +140,13 @@ def test_character_injective_round_trip(rng):
         assert decompose_character(character(r)) == r
 
 
+def test_decompose_character_rejects_non_characters():
+    with pytest.raises(ValueError, match="not symmetric"):
+        decompose_character(S)
+    with pytest.raises(ValueError, match="integer Laurent"):
+        decompose_character(ONE / (ONE - Q))
+
+
 def test_qdim_normalized_strings():
     for n in range(6):
         assert qdim_normalized(SL2Rep.irrep(n)) \
