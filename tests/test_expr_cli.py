@@ -380,5 +380,8 @@ def test_cli_size_budget_admits_monomials_and_the_benchmark_orders(capsys):
     # the largest arguments whose values span at most MAX_SIZE s-degrees
     assert evaluate("qfact(32)") == q_fact(32)
     assert evaluate("qbinom(32, 16)") == q_binom(32, 16)
+    for text in ("qfact(33)", "qbinom(33, 16)"):
+        with pytest.raises(EvalError, match="above the budget"):
+            evaluate(text)
     code, out, _ = run_cli(capsys, "table", "tau", "--max", "300")
     assert code == 0
