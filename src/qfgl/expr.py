@@ -17,8 +17,8 @@ s-degree span of a value: that of a builtin, which each ``_BUILTINS``
 entry states from the arguments; that of a power, its exponent times the
 span of its base (so ``q^99999`` stays allowed); that of a product or
 quotient, the sum of its operands' spans; and the s-degrees a sum or
-difference covers.  No power may make an integer longer than an integer
-literal may be.
+difference covers.  No value may hold or print an integer longer than an
+integer literal may be (``MAX_DIGITS``); a power is refused before it is computed.
 """
 
 from __future__ import annotations
@@ -70,6 +70,9 @@ MAX_NESTING = 100
 # s-degree spans of builtin values, powers, sums and products
 MAX_SIZE = 1000
 
+MAX_DIGITS = 4300  # Python 3.11+ refuses int() and str() of longer integers
+_DIGIT_LIMIT = 10 ** MAX_DIGITS
+
 # one token per match; whitespace matches no group and is skipped
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                     r"|(?P<op>[-+*/^(),])|(?P<bad>\S)")
@@ -83,8 +86,8 @@ def _tokenize(text: str) -> list:
         if kind == "bad":
             raise ParseError(f"unexpected character {value!r}", pos)
         if kind == "int":
-            if len(value) > 4300:  # Python 3.11+ refuses longer int() strings
-                raise ParseError("integer literal longer than 4300 digits", pos)
+            if len(value) > MAX_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", pos)
             value = int(value)
         elif kind == "op":
             kind = value
@@ -202,7 +205,18 @@ def _s_span(value: Scalar) -> int:
 
 def _check_size(what: str, size: int) -> None:
     if size > MAX_SIZE:
-        raise EvalError(f"{what} has size {size}, above the budget {MAX_SIZE}")
+        shown = size if size < _DIGIT_LIMIT else f"> 10^{MAX_DIGITS}"
+        raise EvalError(f"{what} has size {shown}, above the budget {MAX_SIZE}")
+
+
+def _check_digits(what: str, value: Scalar) -> Scalar:
+    """``value``, unless its s-degrees reach 10^MAX_DIGITS or an integer it
+    holds or prints (``canonical_str`` prints num[1] times den) is longer."""
+    val, den, coeffs = value.num
+    if max(abs(val) + len(coeffs) + len(value.den), max(map(abs, coeffs), default=0),
+           den * max(map(abs, value.den))) >= _DIGIT_LIMIT:
+        raise EvalError(f"{what} has an integer longer than {MAX_DIGITS} digits")
+    return value
 
 
 def _int_arg(name: str, value: Scalar) -> int:
@@ -228,9 +242,9 @@ def eval_expr(e: Expr) -> Scalar:
         # no integer of the result may outgrow the literals _tokenize admits:
         # each is at most h^|k|, h the largest 1-norm of the base's integers
         h = max(sum(map(abs, base.num[2])), base.num[1], sum(map(abs, base.den)))
-        if abs(e[2]) * log10(h) >= 4300:
-            raise EvalError(f"power {e[2]} has integers longer than 4300 digits")
-        return base ** e[2]
+        if h > 1 and abs(e[2]) >= MAX_DIGITS / log10(h):  # no float of a long exponent
+            raise EvalError(f"power {e[2]} has integers longer than {MAX_DIGITS} digits")
+        return _check_digits(f"power {e[2]}", base ** e[2])
     if kind == "bin":
         # a chain a op b op c ... nests to the left; walk it in a loop so
         # that its length costs no recursion depth
@@ -251,7 +265,7 @@ def eval_expr(e: Expr) -> Scalar:
             if op in "*/":
                 _check_size(f"{op!r} of s-spans {_s_span(acc)} and {_s_span(b)}",
                             _s_span(acc) + _s_span(b))
-            acc = _BINARY[op](acc, b)
+            acc = _check_digits(f"the result of {op!r}", _BINARY[op](acc, b))
         return acc
     if kind == "call":
         _, name, args = e
@@ -260,7 +274,7 @@ def eval_expr(e: Expr) -> Scalar:
         try:
             vals = [v if k == "s" else _int_arg(name, v) for v, k in zip(vals, kinds)]
             _check_size(f"the value of {name}", span(*vals))
-            return fn(*vals)
+            return _check_digits(f"the value of {name}", fn(*vals))
         except (ValueError, ZeroDivisionError) as exc:
             raise EvalError(str(exc)) from None
     raise EvalError(f"malformed expression node {e!r}")

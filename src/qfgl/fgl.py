@@ -99,10 +99,6 @@ class FormalGroupLaw:
     series: BiSeries
     closed: tuple | None = None
 
-    @property
-    def order(self) -> int:
-        return self.series.order
-
     def coeff(self, i: int, j: int) -> Scalar:
         return self.series.coeff(i, j)
 
@@ -167,6 +163,9 @@ def f_chi_derived_closed(order: int) -> FormalGroupLaw:
 
 
 def multiplicative_law(order: int) -> FormalGroupLaw:
+    """X + Y + XY with its closed form: the fixture of
+    ``test_multiplicative_law_passes``, ``test_generic_and_closed_assoc_routes_agree``
+    and ``test_inverse_of_multiplicative_law``, called from the tests only."""
     closed = ({(1, 0): ONE, (0, 1): ONE, (1, 1): ONE}, {(0, 0): ONE})
     return _closed_law(closed, order)
 
@@ -293,9 +292,11 @@ def verify_fgl(F: FormalGroupLaw, order: int, assoc: str = "auto") -> Verificati
     ``assoc`` picks the associativity route: "generic" (truncated
     trivariate substitution), "closed" (exact cross-multiplied rational
     identity, requires the closed form) or "auto" (closed when present).
-    Failures become report entries; a law expanded to less than ``order``
-    (or, on the generic route, with a constant term) raises ValueError.
+    Failures become report entries; another ``assoc``, a law expanded to less
+    than ``order`` or, on the generic route, one with a constant term raises ValueError.
     """
+    if assoc not in ("auto", "generic", "closed"):
+        raise ValueError(f"assoc must be 'auto', 'generic' or 'closed', not {assoc!r}")
     if F.series.order < order:
         raise ValueError("law not expanded far enough for the requested order")
     Fs = F.series.truncate(order)

@@ -18,6 +18,7 @@ made through ``negate_t``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .scalar import Scalar, ZERO, ONE, Q
 from .mobius import Mobius, mob_apply_scalar
@@ -30,7 +31,6 @@ __all__ = [
     "lambda_t",
     "negate_t",
     "witt_add",
-    "witt_neg",
     "witt_ghost",
     "newton_adams_from_lambda",
     "lambda_k_closed",
@@ -111,25 +111,6 @@ def witt_add(w1: WittElement, w2: WittElement) -> WittElement:
     return WittElement(tuple(rows))
 
 
-def _divide(num: list, u: tuple) -> list:
-    """x with u * x = num as t-series of rows, for u[0] = 1.
-
-    x_k = num_k - sum_(0<i<=k) u_i x_(k-i); one row per entry of num.
-    """
-    x = []
-    for k, acc in enumerate(num):
-        for i in range(1, k + 1):
-            acc = acc - u[i] * x[k - i]
-        x.append(acc)
-    return x
-
-
-def witt_neg(w: WittElement) -> WittElement:
-    """The inverse series, by the recursion that starts from u_0 = 1."""
-    one = [w.rows[0]] + [QSeries.zero(w.q_order)] * w.t_order
-    return WittElement(tuple(_divide(one, w.rows)))
-
-
 def witt_ghost(w: WittElement, n: int) -> QSeries:
     """n-th ghost component (power-sum coordinate), as a q-series."""
     if not 1 <= n <= w.t_order:
@@ -147,7 +128,13 @@ def newton_adams_from_lambda(w: WittElement, K: int):
     if K > w.t_order:
         raise ValueError("not enough t-precision for the requested Adams range")
     u = negate_t(w).rows
-    return _divide([u[k].scale(-k) for k in range(1, K + 1)], u)
+    p = []                              # p[k - 1] = p_k
+    for k in range(1, K + 1):
+        acc = u[k].scale(-k)
+        for i in range(1, k):
+            acc = acc - u[i] * p[k - i - 1]
+        p.append(acc)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +143,17 @@ def newton_adams_from_lambda(w: WittElement, K: int):
 def elementary_symmetric_oracle(k: int, q_order: int) -> QSeries:
     """e_k(1, q, q^2, ..., q^q_order), by the variable-by-variable recursion.
 
-    Independent of the series machinery: only polynomial addition and
-    multiplication by single monomials are used.
+    Independent of the series machinery: it adds integer lists shifted by
+    single monomials, and only the result becomes a QSeries.
     """
     if k < 0:
         raise ValueError("index must be >= 0")
-    # e[j] after absorbing variables q^0 .. q^m
-    e = [QSeries.one(q_order)] + [QSeries.zero(q_order) for _ in range(k)]
+    # e[j] after absorbing variables q^0 .. q^m; j walks down, so e[j - 1] is still old
+    e = [[1] + [0] * q_order] + [[0] * (q_order + 1) for _ in range(k)]
     for m in range(q_order + 1):
         for j in range(min(k, m + 1), 0, -1):
-            e[j] = e[j] + e[j - 1].shift(m) if m else e[j] + e[j - 1]
-    return e[k]
+            e[j][m:] = map(add, e[j][m:], e[j - 1])
+    return QSeries(q_order, e[k])
 
 
 @dataclass(frozen=True)

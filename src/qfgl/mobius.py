@@ -20,7 +20,6 @@ __all__ = [
     "mob_det",
     "mob_apply",
     "mob_apply_scalar",
-    "identity",
     "scalar_matrix",
     "q_mobius",
     "q_mobius_inv",
@@ -50,10 +49,6 @@ def mob_mul(m1: Mobius, m2: Mobius) -> Mobius:
         c=m1.c * m2.a + m1.d * m2.c,
         d=m1.c * m2.b + m1.d * m2.d,
     )
-
-
-def identity() -> Mobius:
-    return Mobius(ONE, ZERO, ZERO, ONE)
 
 
 def scalar_matrix(lam: Scalar) -> Mobius:

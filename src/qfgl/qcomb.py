@@ -35,8 +35,6 @@ __all__ = [
     "discriminant",
     "EtaElement",
     "eta_from_phi",
-    "eta_mul",
-    "eta_inv",
     "eta_pow",
 ]
 
@@ -103,10 +101,6 @@ class QSeries(Series):
         return QSeries(order, coeffs)
 
     @staticmethod
-    def one(order: int) -> "QSeries":
-        return QSeries(order, (1,))
-
-    @staticmethod
     def zero(order: int) -> "QSeries":
         return QSeries(order, ())
 
@@ -137,9 +131,6 @@ class QSeries(Series):
         if k < 0:
             raise ValueError("shift must be by a nonnegative power")
         return QSeries(self.order, (0,) * k + self.coeffs)
-
-    def reciprocal(self) -> "QSeries":
-        return QSeries.one(self.order) / self
 
     def to_scalar(self) -> Scalar:
         """The truncation read back as a polynomial in q."""
@@ -271,8 +262,8 @@ class EtaElement:
     """q**exponent times a power series, with an exact rational exponent.
 
     Keeps fractional powers of q out of the series type: the eta function
-    itself is (exponent 1/24, body the Euler function).  Products add
-    exponents and multiply bodies.
+    itself is (exponent 1/24, body the Euler function).  ``eta_pow``
+    multiplies the exponent and raises the body to the same power.
     """
 
     exponent: Fraction
@@ -291,14 +282,6 @@ class EtaElement:
 def eta_from_phi(q_order: int) -> EtaElement:
     """The eta function as q^(1/24) times the Euler function."""
     return EtaElement(Fraction(1, 24), euler_phi(q_order))
-
-
-def eta_mul(e1: EtaElement, e2: EtaElement) -> EtaElement:
-    return EtaElement(e1.exponent + e2.exponent, e1.body * e2.body)
-
-
-def eta_inv(e: EtaElement) -> EtaElement:
-    return EtaElement(-e.exponent, e.body.reciprocal())
 
 
 def eta_pow(e: EtaElement, k: int) -> EtaElement:

@@ -27,7 +27,6 @@ __all__ = [
     "reverse",
     "log1",
     "exp0",
-    "pow_formal",
     "pow_bivariate",
 ]
 
@@ -254,12 +253,6 @@ def exp0(f: Series) -> Series:
     return Series(f.var, n, out)
 
 
-def pow_formal(f: Series, c) -> Series:
-    """f**c for a series with constant term 1 and an arbitrary scalar c."""
-    c = _as_scalar(c)
-    return exp0(log1(f).scale(c))
-
-
 # ---------------------------------------------------------------------------
 # multivariate series, truncated by total degree
 
@@ -302,10 +295,6 @@ class BiSeries:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def zero(vars, order: int) -> "BiSeries":
-        return BiSeries(vars, order)
-
-    @staticmethod
     def constant(vars, order: int, c) -> "BiSeries":
         return BiSeries(vars, order, {(0,) * len(vars): c})
 
@@ -337,7 +326,8 @@ class BiSeries:
 
     def slice_first(self, k: int) -> Series:
         """Coefficient of (first variable)**k of a bivariate series, as a
-        series in the second."""
+        series in the second.  Part of the cartier oracle of
+        ``pow_bivariate``, read by the same tests."""
         n = self.order - k
         out = [ZERO] * (n + 1)
         for (i, j), c in self.terms.items():
@@ -468,8 +458,9 @@ def pow_bivariate(f: Series, c) -> BiSeries:
     Requires f(0) = 1.  The result is exp(c * t * log f), truncated by
     total degree at f.order, so the caller controls the precision through
     the order to which f was expanded.  The labelled oracle of the cartier
-    slices, called from the tests only: ``cartier_check`` reads each t^k
-    slice off a power table of log f instead.
+    slices, called only from ``test_t_degree_one_slice``, ``test_pow_bivariate_slices``
+    and ``test_pow_bivariate_route_matches_per_degree_route``: ``cartier_check``
+    reads each t^k slice off a power table of log f instead.
     """
     c = _as_scalar(c)
     lg = log1(f).scale(c)

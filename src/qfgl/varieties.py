@@ -76,9 +76,6 @@ class HodgePoly:
     def coeff(self, i: int, j: int) -> int:
         return self.terms.get((i, j), 0)
 
-    def is_symmetric(self) -> bool:
-        return all(self.coeff(j, i) == c for (i, j), c in self.terms.items())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HodgePoly):
             return NotImplemented
@@ -153,10 +150,6 @@ class SL2Rep:
     @staticmethod
     def irrep(n: int) -> "SL2Rep":
         return SL2Rep({n: 1})
-
-    @staticmethod
-    def zero() -> "SL2Rep":
-        return SL2Rep()
 
     def is_effective(self) -> bool:
         return all(c > 0 for c in self.mult.values())

@@ -359,6 +359,13 @@ print(code, time.perf_counter() - t0)
     ("eval", "qint(1000)"),
     ("eval", "(1+q)^500*(1+q)^500"),
     ("eval", "(1+q)^500/(1+2*q)^500"),
+    # integers past the 4300 digits that str() prints
+    ("eval", "10^4000*10^4000"),
+    ("eval", "1/(10^4000+1) + 1/(10^4000+3)"),
+    ("eval", "1/10^4000/(1 + 10^4000*q)"),
+    ("eval", "9" * 4300 + "+1"),
+    ("eval", "qfact(10^4200)"),
+    ("eval", "*".join(["10^4000"] * 1000)),
 ])
 def test_cli_size_budget_refuses_before_allocating(argv):
     pytest.importorskip("resource")
@@ -371,11 +378,15 @@ def test_cli_size_budget_refuses_before_allocating(argv):
     assert proc.stderr.startswith("error: ")
     # a MemoryError under the cap is reported as internal, not refused
     assert "internal" not in proc.stderr
+    # nor is an integer that str() refuses to print
+    assert "integer string conversion" not in proc.stderr
 
 
 def test_cli_size_budget_admits_monomials_and_the_benchmark_orders(capsys):
     code, out, _ = run_cli(capsys, "eval", "q^99999")
     assert (code, out.strip()) == (0, "q^99999")
+    # an exponent too long for a float still prints
+    assert evaluate("s^1" + "0" * 400) == Scalar.s_power(10 ** 400)
     assert evaluate("(1+q)^500") == (ONE + Q) ** 500
     # the largest arguments whose values span at most MAX_SIZE s-degrees
     assert evaluate("qfact(32)") == q_fact(32)

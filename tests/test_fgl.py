@@ -207,6 +207,13 @@ def test_closed_associativity_needs_a_closed_form():
         verify_fgl(f_chi_from_log(4), 4, assoc="closed")
 
 
+def test_verify_fgl_rejects_an_unknown_assoc():
+    # a misspelt route must not fall back to the truncated substitution
+    for assoc in ("Closed", "exact", ""):
+        with pytest.raises(ValueError, match="'auto', 'generic' or 'closed'"):
+            verify_fgl(f_chi_closed(4), 4, assoc=assoc)
+
+
 @pytest.mark.parametrize("terms, failing, detail", [
     ({(0, 1): ONE}, "unit F(X,0) = X", "first failing coefficient (1, 0)"),
     ({(1, 0): ONE}, "unit F(0,Y) = Y", "first failing coefficient (0, 1)"),

@@ -8,9 +8,9 @@ import pytest
 
 from qfgl import (
     Scalar, ZERO, ONE, Q, S, Series,
-    QSeries, q_int, q_fact, euler_phi, discriminant, poch_inf_product,
+    QSeries, q_int, q_fact, q_binom, euler_phi, discriminant, poch_inf_product,
     poch_inf_sum, adams, lambda_t, negate_t,
-    witt_add, witt_neg, witt_ghost,
+    witt_add, witt_ghost,
     newton_adams_from_lambda, lambda_k_closed, elementary_symmetric_oracle,
     thom_class, discriminant_limit,
 )
@@ -64,14 +64,14 @@ def test_adams_compose(rng):
 
 def test_lambda_of_a_line():
     w = lambda_t(Scalar.q_power(3), 4, 12)
-    assert w.coeff(0) == QSeries.one(12)
+    assert w.coeff(0) == QSeries(12, (1,))
     assert w.coeff(1) == QSeries(12, (0, 0, 0, 1))
     assert w.coeff(2).is_zero()
 
 
 def test_lambda_of_zero():
     w = lambda_t(ZERO, 4, 8)
-    assert w.coeff(0) == QSeries.one(8)
+    assert w.coeff(0) == QSeries(8, (1,))
     assert all(w.coeff(k).is_zero() for k in range(1, 5))
 
 
@@ -187,7 +187,7 @@ def test_witt_unit_and_negation():
     w = lambda_t(Q + Q ** 3, 5, 15)
     unit = lambda_t(ZERO, 5, 15)
     assert witt_add(w, unit).rows == w.rows
-    assert witt_add(w, witt_neg(w)).rows == unit.rows
+    assert witt_add(w, lambda_t(-(Q + Q ** 3), 5, 15)).rows == unit.rows
 
 
 def test_witt_element_is_its_rows():
@@ -203,7 +203,8 @@ def test_witt_element_is_its_rows():
 def test_witt_neg_is_lambda_of_the_negative(rng):
     for _ in range(20):
         a = Scalar.from_q_coeffs(random_virtual_rep(rng))
-        assert witt_neg(lambda_t(a, 6, 20)).rows == lambda_t(-a, 6, 20).rows
+        total = witt_add(lambda_t(a, 6, 20), lambda_t(-a, 6, 20))
+        assert total.rows == lambda_t(ZERO, 6, 20).rows
 
 
 # -- Newton extraction of Adams operations ---------------------------------------------
@@ -257,6 +258,14 @@ def test_oracle_is_elementary_symmetric():
     assert e2 == QSeries.from_scalar(expected, 20)
 
 
+def test_oracle_is_a_shifted_gaussian_binomial():
+    # e_k(1, q, ..., q^N) = q^(k(k-1)/2) [N+1 choose k]_q, zero for k > N + 1
+    for N in (0, 1, 5, 20, 40):
+        for k in range(10):
+            expected = Q ** (k * (k - 1) // 2) * q_binom(N + 1, k) if k <= N + 1 else ZERO
+            assert elementary_symmetric_oracle(k, N) == QSeries.from_scalar(expected, N)
+
+
 def test_lambda_k_exponent_variants_differ_at_k_1():
     rep = lambda_k_closed(1, 20)
     assert rep.printed == Q / (ONE - Q)
@@ -289,7 +298,7 @@ def test_thom_class_is_euler_function():
 def test_thom_class_unit():
     t = thom_class(12)
     assert t[0] == 1
-    assert t * t.reciprocal() == QSeries.one(12)
+    assert t * t ** -1 == QSeries(12, (1,))
 
 
 def test_discriminant_limit_adjudication():
