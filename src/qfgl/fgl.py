@@ -27,7 +27,7 @@ from math import comb
 
 from .scalar import Scalar, ZERO, ONE, Q, S
 # bi_compose has no caller here; perfbench's tracer test checks this by-name copy
-from .series import Series, BiSeries, log1, exp0, bi_compose
+from .series import Series, BiSeries, log1, exp0, bi_compose, _powers
 from .mobius import q_mobius, q_mobius_inv, mob_apply, mob_det
 from .report import Check, VerificationReport
 
@@ -217,14 +217,6 @@ def drinfeld_form(order: int) -> FormalGroupLaw:
 # associativity: both association orders as series in X, Y, Z
 
 _XYZ = ("X", "Y", "Z")
-
-
-def _powers(x, k: int) -> list:
-    """[1, x, x^2, ..., x^k] for a Series or a BiSeries."""
-    out = [x ** 0]
-    for _ in range(k):
-        out.append(out[-1] * x)
-    return out
 
 
 def _combine(terms: dict, xs: list, ys: list) -> Series | BiSeries:

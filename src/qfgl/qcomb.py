@@ -60,10 +60,24 @@ def q_fact(k: int) -> Scalar:
 
 
 def q_binom(n: int, k: int) -> Scalar:
-    """Gaussian binomial coefficient; always a polynomial in q."""
+    """Gaussian binomial coefficient; always a polynomial in q.
+
+    Built on integer coefficient rows by the q-Pascal rule
+    [m choose j] = [m-1 choose j-1] + q^j [m-1 choose j], with no
+    division.  With k <= n/2, the degree j(m-j) of each row is at most
+    k(n-k), the degree of the result, so rows of that width hold every
+    coefficient.
+    """
     if not 0 <= k <= n:
         raise ValueError("q_binom needs 0 <= k <= n")
-    return q_fact(n) / (q_fact(k) * q_fact(n - k))
+    k = min(k, n - k)
+    width = k * (n - k) + 1
+    rows = [[1] + [0] * (width - 1)] + [[0] * width for _ in range(k)]  # m = 0
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            lo, hi = rows[j - 1], rows[j]
+            rows[j] = lo[:j] + list(map(add, lo[j:], hi))
+    return Scalar.from_q_coeffs(rows[k])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ All values are immutable and the operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from operator import add, neg, sub
 
 from .scalar import Scalar, ZERO, ONE, _power
@@ -181,6 +182,14 @@ class Series:
 # ---------------------------------------------------------------------------
 # composition and reversion
 
+def _powers(x, k: int) -> list:
+    """[1, x, x^2, ..., x^k] for a Series or a BiSeries."""
+    out = [x ** 0]
+    for _ in range(k):
+        out.append(out[-1] * x)
+    return out
+
+
 def compose(f: Series, g: Series) -> Series:
     """f(g) for g with zero constant term, truncated to the common order."""
     if f.var != g.var:
@@ -199,9 +208,14 @@ def compose(f: Series, g: Series) -> Series:
 def reverse(f: Series) -> Series:
     """Compositional inverse of f with f(0) = 0 and f'(0) invertible.
 
-    Solved coefficient by coefficient through the Lagrange inversion
-    recurrence: n * [T**n] g = [w**(n-1)] (w / f(w))**n, with the powers of
-    w/f built up incrementally.
+    Lagrange inversion gives k * [T**k] g = [w**(k-1)] p**k with
+    p = w / f(w), and each step reads one coefficient of one power.
+    Baby-step giant-step (F. Johansson, "A fast algorithm for reversion
+    of power series", Math. Comp. 84 (2015), arXiv:1108.4772): with
+    m = isqrt(n - 1) + 1 and k = i*m + j, 1 <= j <= m, the coefficient is
+    the dot product of P**i and p**j, P = p**m, so the tables of baby
+    powers p**j and giant powers P**i cost about 2*sqrt(n) multiplies,
+    where powering p up to p**n costs n.
     """
     if not f.coeffs[0].is_zero():
         raise ValueError("reversion needs f(0) = 0")
@@ -209,13 +223,16 @@ def reverse(f: Series) -> Series:
         raise ValueError("reversion needs an invertible linear coefficient")
     n = f.order
     # u = f/w as a unit series of order n-1, then p = 1/u
-    u = Series(f.var, max(n - 1, 0), f.coeffs[1:])
-    p = Series.constant(f.var, u.order, ONE) / u
+    u = Series(f.var, n - 1, f.coeffs[1:])
+    p = Series.constant(f.var, n - 1, ONE) / u
+    m = isqrt(n - 1) + 1
+    baby = _powers(p, m)
+    giant = _powers(baby[m], (n - 1) // m)
     out = [ZERO] * (n + 1)
-    pw = Series.constant(f.var, u.order, ONE)
     for k in range(1, n + 1):
-        pw = pw * p
-        out[k] = pw.coeffs[k - 1] / Scalar.from_int(k)
+        i, j = divmod(k - 1, m)
+        a, b = giant[i].coeffs, baby[j + 1].coeffs
+        out[k] = sum((a[t] * b[k - 1 - t] for t in range(k)), ZERO) / Scalar.from_int(k)
     return Series(f.var, n, out)
 
 
@@ -292,6 +309,17 @@ class BiSeries:
                     clean[e] = c
         self.terms = clean
 
+    @staticmethod
+    def _build(vars: tuple, order: int, terms: dict) -> "BiSeries":
+        """The arithmetic's constructor: ``terms`` holds Scalars, all of
+        total degree at most ``order``, so only the terms that cancelled to
+        zero are dropped; ``__init__`` checks outside input."""
+        out = object.__new__(BiSeries)
+        out.vars = vars
+        out.order = order
+        out.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        return out
+
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
@@ -322,7 +350,8 @@ class BiSeries:
     def truncate(self, order: int) -> "BiSeries":
         if order >= self.order:
             return self
-        return BiSeries(self.vars, order, self.terms)
+        return BiSeries._build(self.vars, order, {e: c for e, c in self.terms.items()
+                                                  if sum(e) <= order})
 
     def slice_first(self, k: int) -> Series:
         """Coefficient of (first variable)**k of a bivariate series, as a
@@ -365,17 +394,18 @@ class BiSeries:
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
         n = self._common(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, ZERO) + c
-        return BiSeries(self.vars, n, out)
+        out = dict(self.truncate(n).terms)
+        for k, c in other.truncate(n).terms.items():
+            prev = out.get(k)
+            out[k] = c if prev is None else prev + c
+        return BiSeries._build(self.vars, n, out)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         return self + (-other)
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries(self.vars, self.order,
-                        {k: -c for k, c in self.terms.items()})
+        return BiSeries._build(self.vars, self.order,
+                               {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         n = self._common(other)
@@ -388,7 +418,7 @@ class BiSeries:
                     key = tuple(map(add, e1, e2))
                     prev = out.get(key)
                     out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return BiSeries(self.vars, n, out)
+        return BiSeries._build(self.vars, n, out)
 
     def __truediv__(self, other: "BiSeries") -> "BiSeries":
         n = self._common(other)
@@ -409,12 +439,12 @@ class BiSeries:
                         acc = acc - c * r
                 if not acc.is_zero():
                     out[m] = acc * inv0
-        return BiSeries(self.vars, n, out)
+        return BiSeries._build(self.vars, n, out)
 
     def scale(self, c) -> "BiSeries":
         c = _as_scalar(c)
-        return BiSeries(self.vars, self.order,
-                        {k: c * v for k, v in self.terms.items()})
+        return BiSeries._build(self.vars, self.order,
+                               {k: c * v for k, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "BiSeries":
         if k < 0:

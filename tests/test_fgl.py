@@ -52,8 +52,10 @@ def test_exp_log_compose_to_identity():
 
 
 def test_exp_equals_reversed_log():
-    for n in (8, 12):
-        assert exp_chi(n) == reverse(log_chi(n))
+    # the baby-step giant-step block size isqrt(n - 1) + 1 steps up at
+    # n = m^2 + 1: orders 1..26 cover m^2 and m^2 + 1 for m = 1..5
+    for n in (*range(1, 27), 32):
+        assert exp_chi(n) == reverse(log_chi(n)), f"order {n}"
 
 
 # -- orientation images ------------------------------------------------------------

@@ -234,6 +234,16 @@ def test_reverse_round_trip_random(rng):
         assert compose(g, f) == T(8)
 
 
+def test_reverse_round_trip_at_every_order(rng):
+    # orders 1..17 cover m^2 and m^2 + 1 for the block sizes m = 1..4 of
+    # the baby-step giant-step reversion; the linear coefficient is not 1
+    for n in range(1, 18):
+        f = random_reversible_series(rng, order=n)
+        a = Scalar.from_int(rng.choice((-3, -2, 2, 3)))
+        f = Series("T", n, (ZERO, a) + f.coeffs[2:])
+        assert compose(f, reverse(f)) == T(n), f"order {n}"
+
+
 def test_reverse_requires_invertible_linear_term():
     with pytest.raises(ValueError):
         reverse(Series("T", 4, (ZERO, ZERO, ONE)))
