@@ -45,6 +45,9 @@ DEFAULT_ORDER = 10
 DEFAULT_T_ORDER = 6
 DEFAULT_Q_ORDER = 30
 
+# cp_image(n) expands log_chi(n + 1) in time about n^3: CP^200 takes 2 s
+MAX_DIAGRAM_CUBES = 200 ** 3
+
 
 # ---------------------------------------------------------------------------
 # expand targets
@@ -225,15 +228,27 @@ def _suite_exercise32(args) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def _suite_diagram(args) -> VerificationReport:
+def _diagram_entries(args) -> list:
+    """(label prefix, Variety) per product to check, from --catalog, the factors
+    of ``diagram`` or the 125 of ``verify diagram``, each held to the budgets."""
     if args.catalog:
         entries = [(f"{name}: ", v) for name, v in load_catalog(args.catalog)]
+    elif args.verb == "diagram":
+        if not args.factors:
+            raise ValueError("diagram needs factor dimensions or --catalog")
+        entries = [("", Variety(args.factors))]
     else:
         entries = [("", Variety(dims)) for dims in itertools.product(range(5), repeat=3)]
     for _, v in entries:
         _check_size(f"diagram {v}", v.dimension)
+        _check_size(f"the sum of the cubes of the factors of diagram {v}",
+                    sum(n ** 3 for n in v.factors), MAX_DIAGRAM_CUBES)
+    return entries
+
+
+def _suite_diagram(args) -> VerificationReport:
     checks = [Check(f"{prefix}diagram commutes on {v}", None, diagram_check(v).all_passed)
-              for prefix, v in entries]
+              for prefix, v in _diagram_entries(args)]
     return VerificationReport(tuple(checks))
 
 
@@ -315,12 +330,8 @@ def _run_eval(args) -> int:
 def _run_diagram(args) -> int:
     if args.catalog:
         return _emit_report(_suite_diagram(args), "diagram", args)
-    if not args.factors:
-        raise ValueError("diagram needs factor dimensions or --catalog")
-    v = Variety(args.factors)
-    _check_size(f"diagram {v}", v.dimension)
-    rep = diagram_check(v)
-    return _emit_report(rep, f"diagram {v}", args)
+    [(_, v)] = _diagram_entries(args)
+    return _emit_report(diagram_check(v), f"diagram {v}", args)
 
 
 def _table_family(fn, first=0):

@@ -19,6 +19,8 @@ span of its base (so ``q^99999`` stays allowed); that of a product or
 quotient, the sum of its operands' spans; and the s-degrees a sum or
 difference covers.  No value may hold or print an integer longer than an
 integer literal may be (``MAX_DIGITS``); a power is refused before it is computed.
+``MAX_GCD_WORK`` bounds the s-span squared times the digits of the operands
+of a gcd that reduces a fraction, a measure its time follows.
 """
 
 from __future__ import annotations
@@ -72,6 +74,10 @@ MAX_SIZE = 1000
 
 MAX_DIGITS = 4300  # Python 3.11+ refuses int() and str() of longer integers
 _DIGIT_LIMIT = 10 ** MAX_DIGITS
+
+# bounds s-span^2 * digits of a gcd's operands: 1/A + 1/B with A, B dense, of
+# one-digit coefficients and s-spans summing to 600, measures 7.2e5 and takes 0.5 s
+MAX_GCD_WORK = 10 ** 6
 
 # one token per match; whitespace matches no group and is skipped
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
@@ -203,10 +209,10 @@ def _s_span(value: Scalar) -> int:
     return len(value.num[2]) + len(value.den) - 2
 
 
-def _check_size(what: str, size: int) -> None:
-    if size > MAX_SIZE:
+def _check_size(what: str, size: int, budget: int = MAX_SIZE) -> None:
+    if size > budget:
         shown = size if size < _DIGIT_LIMIT else f"> 10^{MAX_DIGITS}"
-        raise EvalError(f"{what} has size {shown}, above the budget {MAX_SIZE}")
+        raise EvalError(f"{what} has size {shown}, above the budget {budget}")
 
 
 def _check_digits(what: str, value: Scalar) -> Scalar:
@@ -217,6 +223,12 @@ def _check_digits(what: str, value: Scalar) -> Scalar:
            den * max(map(abs, value.den))) >= _DIGIT_LIMIT:
         raise EvalError(f"{what} has an integer longer than {MAX_DIGITS} digits")
     return value
+
+
+def _digits(value: Scalar) -> int:
+    """Decimal digits of the longest integer a value holds."""
+    _, den, coeffs = value.num
+    return len(str(max(den, *map(abs, coeffs), *map(abs, value.den))))
 
 
 def _int_arg(name: str, value: Scalar) -> int:
@@ -265,6 +277,14 @@ def eval_expr(e: Expr) -> Scalar:
             if op in "*/":
                 _check_size(f"{op!r} of s-spans {_s_span(acc)} and {_s_span(b)}",
                             _s_span(acc) + _s_span(b))
+            # the gcd that reduces the result is trivial unless its numerator
+            # and denominator, before reduction, both have two terms or more
+            n, d = (b.den, b.num[2]) if op == "/" else (b.num[2], b.den)
+            if max(len(acc.den), len(d)) > 1 and (op in "+-"
+                                                  or max(len(acc.num[2]), len(n)) > 1):
+                span, digits = _s_span(acc) + _s_span(b), _digits(acc) + _digits(b)
+                _check_size(f"the gcd behind {op!r} (s-span {span} squared times {digits} "
+                            "digits)", span * span * digits, MAX_GCD_WORK)
             acc = _check_digits(f"the result of {op!r}", _BINARY[op](acc, b))
         return acc
     if kind == "call":

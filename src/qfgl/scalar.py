@@ -358,7 +358,12 @@ class Scalar:
         return _make_scalar(num, den)
 
     def __pow__(self, k: int) -> "Scalar":
-        return _power(self, k, ONE)
+        # num and den are coprime, and so are their powers: no gcd to run
+        if k < 0:
+            return (ONE / self) ** -k
+        num = _power(Scalar(self.num, (1,)), k, ONE).num
+        den = _power(Scalar((0, 1, self.den), (1,)), k, ONE).num[2]
+        return Scalar(num, den)
 
     # -- structure -----------------------------------------------------------
 

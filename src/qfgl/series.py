@@ -28,7 +28,6 @@ __all__ = [
     "reverse",
     "log1",
     "exp0",
-    "pow_bivariate",
 ]
 
 
@@ -237,7 +236,7 @@ def reverse(f: Series) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# formal logarithm / exponential / powers
+# formal logarithm / exponential
 
 def log1(f: Series) -> Series:
     """Formal log of a series with constant term 1."""
@@ -330,12 +329,6 @@ class BiSeries:
     def generator(vars, order: int, which: int) -> "BiSeries":
         return BiSeries(vars, order, {_unit_key(len(vars), which, 1): ONE})
 
-    @staticmethod
-    def from_series(f: Series, vars, order: int, which: int) -> "BiSeries":
-        terms = {_unit_key(len(vars), which, k): c
-                 for k, c in enumerate(f.coeffs[: order + 1])}
-        return BiSeries(vars, min(order, f.order), terms)
-
     # -- access ----------------------------------------------------------------
 
     def coeff(self, *exps) -> Scalar:
@@ -352,17 +345,6 @@ class BiSeries:
             return self
         return BiSeries._build(self.vars, order, {e: c for e, c in self.terms.items()
                                                   if sum(e) <= order})
-
-    def slice_first(self, k: int) -> Series:
-        """Coefficient of (first variable)**k of a bivariate series, as a
-        series in the second.  Part of the cartier oracle of
-        ``pow_bivariate``, read by the same tests."""
-        n = self.order - k
-        out = [ZERO] * (n + 1)
-        for (i, j), c in self.terms.items():
-            if i == k:
-                out[j] = c
-        return Series(self.vars[1], n, out)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -463,38 +445,3 @@ def bi_compose(f: Series, g: BiSeries) -> BiSeries:
         acc = acc * g
         acc = acc + BiSeries.constant(g.vars, n, f.coeffs[k])
     return acc
-
-
-def bi_exp0(u: BiSeries) -> BiSeries:
-    """exp of a bivariate series with zero constant term: the oracle
-    route behind ``pow_bivariate``."""
-    if not u.constant_term().is_zero():
-        raise ValueError("exp needs constant term 0")
-    n = u.order
-    acc = BiSeries.constant(u.vars, n, ONE)
-    term = BiSeries.constant(u.vars, n, ONE)
-    for k in range(1, n + 1):
-        term = term * u
-        if term.is_zero():
-            break
-        term = term.scale(Scalar.from_fraction(Fraction(1, k)))
-        acc = acc + term
-    return acc
-
-
-def pow_bivariate(f: Series, c) -> BiSeries:
-    """f(T) raised to the formal power c*t, as a BiSeries in (t, T).
-
-    Requires f(0) = 1.  The result is exp(c * t * log f), truncated by
-    total degree at f.order, so the caller controls the precision through
-    the order to which f was expanded.  The labelled oracle of the cartier
-    slices, called only from ``test_t_degree_one_slice``, ``test_pow_bivariate_slices``
-    and ``test_pow_bivariate_route_matches_per_degree_route``: ``cartier_check``
-    reads each t^k slice off a power table of log f instead.
-    """
-    c = _as_scalar(c)
-    lg = log1(f).scale(c)
-    n = f.order
-    u = BiSeries.from_series(lg, ("t", f.var), n, which=1)
-    t = BiSeries.generator(("t", f.var), n, which=0)
-    return bi_exp0(t * u)

@@ -188,13 +188,11 @@ def cg_tensor(r1: SL2Rep, r2: SL2Rep) -> SL2Rep:
 
 
 def character(r: SL2Rep) -> Scalar:
-    """Sum of weight monomials: V_n contributes s^n + s^(n-2) + ... + s^-n."""
+    """Sum of weight monomials: V_n contributes s^n + s^(n-2) + ... + s^-n,
+    that is s^-n (1 + q + ... + q^n)."""
     acc = ZERO
     for n, c in r.mult.items():
-        string = ZERO
-        for j in range(n + 1):
-            string = string + Scalar.s_power(n - 2 * j)
-        acc = acc + Scalar.from_int(c) * string
+        acc = acc + Scalar.s_power(-n) * Scalar.from_q_coeffs([c] * (n + 1))
     return acc
 
 

@@ -366,6 +366,12 @@ print(code, time.perf_counter() - t0)
     ("eval", "9" * 4300 + "+1"),
     ("eval", "qfact(10^4200)"),
     ("eval", "*".join(["10^4000"] * 1000)),
+    # the gcd behind a sum: seconds, and minutes with 2001-digit integers
+    ("eval", "1/(10^20*q^100 + 7*q^3 + 10^20) + 1/(q^150 + 10^20*q + 3)"),
+    ("eval", "1/(10^2000*q^100 + 7*q^3 + 10^2000) + 1/(q^150 + 10^2000*q + 3)"),
+    # the logarithm of each factor: CP^400 takes about 10 s
+    ("diagram", "400"),
+    ("diagram", "200", "200"),
 ])
 def test_cli_size_budget_refuses_before_allocating(argv):
     pytest.importorskip("resource")
@@ -388,6 +394,9 @@ def test_cli_size_budget_admits_monomials_and_the_benchmark_orders(capsys):
     # an exponent too long for a float still prints
     assert evaluate("s^1" + "0" * 400) == Scalar.s_power(10 ** 400)
     assert evaluate("(1+q)^500") == (ONE + Q) ** 500
+    # the gcd that reduces a reciprocal is trivial, so it is not budgeted
+    den = Scalar.from_q_coeffs({150: 1, 1: 10 ** 20, 0: 3})
+    assert evaluate("1/(q^150 + 10^20*q + 3)") == ONE / den
     # the largest arguments whose values span at most MAX_SIZE s-degrees
     assert evaluate("qfact(32)") == q_fact(32)
     assert evaluate("qbinom(32, 16)") == q_binom(32, 16)

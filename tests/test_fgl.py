@@ -1,7 +1,5 @@
 """The q-deformed group law: log/exp, closed forms, axioms, adjudications."""
 
-from fractions import Fraction
-
 import pytest
 
 from qfgl import (
@@ -11,8 +9,11 @@ from qfgl import (
     f_chi_closed, f_chi_from_log, f_chi_derived_closed, proposition_check,
     multiplicative_law, verify_fgl, drinfeld_form, cp_image,
     fgl_inverse, fgl_eval, cartier_check,
-    q_int, pow_bivariate, log1, mob_det, q_mobius,
+    q_int, log1,
 )
+import qfgl.fgl
+from qfgl.fgl import _log_u_powers
+from qfgl.series import _powers
 
 
 def T(order):
@@ -338,32 +339,15 @@ def test_cartier_printed_variant_fails_immediately(combination, detail,
     assert failing[f"exponential-character identity [{combination}]"] == detail
 
 
-def test_t_degree_one_slice():
-    # d/dt at t=0 of 1 - U^(-c t) is c * log U
-    x_order = 8
-    for c in (ONE - Q, ONE / (ONE - Q)):
-        U = qmob_series(x_order)
-        P = pow_bivariate(U, -c)
-        slice1 = P.slice_first(1)
-        expected = log1(U).scale(-c)
-        n = slice1.order
-        assert slice1 == expected.truncate(n)
+def test_cartier_sides_share_no_computation(monkeypatch):
+    # a wrong logarithm moves only the left side, so no candidate survives
+    true_log1 = qfgl.fgl.log1
+    monkeypatch.setattr(qfgl.fgl, "log1", lambda f: true_log1(f).scale(2))
+    rep = cartier_check(4, 6)
+    assert not any(c.passed for c in rep.checks)
 
 
-def test_pow_bivariate_route_matches_per_degree_route():
-    # 1 - pow_bivariate(U, -c) against the slice formula used by the check
-    x_order, t_order = 6, 3
-    c = ONE / mob_det(q_mobius())
-    U = qmob_series(x_order + t_order)
-    P = pow_bivariate(U, -c)
-    L = log1(qmob_series(x_order))
-    acc = Series.constant("T", x_order, ONE)
-    fact = 1
-    for k in range(1, t_order + 1):
-        acc = acc * L
-        fact *= k
-        expected = acc.scale(
-            Scalar.from_int((-1) ** (k + 1)) * c ** k
-            * Scalar.from_fraction(Fraction(1, fact)))
-        got = (-P.slice_first(k)).truncate(x_order)
-        assert got == expected.truncate(got.order)
+def test_log_u_powers_match_the_logarithm():
+    for t_order, x_order in ((1, 1), (3, 5), (6, 8), (8, 12)):
+        assert _log_u_powers(t_order, x_order) == _powers(log1(qmob_series(x_order)),
+                                                          t_order)

@@ -68,8 +68,6 @@ def test_namespace_is_the_union_of_the_modules_all():
 # the public names that only tests call, each the oracle or fixture of the
 # test named here
 ORACLES = {
-    "pow_bivariate": "tests/test_fgl.py::test_pow_bivariate_route_matches_per_degree_route",
-    "BiSeries.slice_first": "tests/test_series.py::test_pow_bivariate_slices",
     "multiplicative_law": "tests/test_fgl.py::test_multiplicative_law_passes",
 }
 

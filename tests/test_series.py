@@ -7,7 +7,7 @@ import pytest
 
 from qfgl import (
     Scalar, ZERO, ONE, Q,
-    Series, BiSeries, QSeries, compose, reverse, log1, exp0, pow_bivariate,
+    Series, BiSeries, QSeries, compose, reverse, log1, exp0,
 )
 from qfgl.scalar import _power
 
@@ -314,18 +314,6 @@ def test_pow_additivity_random(rng):
         lhs = pow_formal(f, a + b)
         rhs = pow_formal(f, a) * pow_formal(f, b)
         assert lhs == rhs
-
-
-def test_pow_bivariate_slices():
-    # f^(c t): the t^k slice is c^k log(f)^k / k!
-    f = Series("T", 6, (ONE, -Q)) / Series("T", 6, (ONE, -ONE))
-    c = ONE / (ONE - Q)
-    P = pow_bivariate(f, c)
-    lg = log1(f).scale(c)
-    assert P.slice_first(0).truncate(4) == one_series(6).truncate(4)
-    assert P.slice_first(1).truncate(4) == lg.truncate(4)
-    half = Scalar.from_fraction(Fraction(1, 2))
-    assert P.slice_first(2).truncate(4) == (lg * lg).scale(half).truncate(4)
 
 
 def test_order_bookkeeping_takes_minimum():
