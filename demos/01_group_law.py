@@ -45,11 +45,11 @@ print("Two closed forms, one transport")
 print("-------------------------------")
 print("expanding (X + Y + (1+q)XY)/(1 + qXY):")
 F = f_chi_closed(6)
-print("  coefficient of XY:", F.coeff(1, 1))
+print("  coefficient of XY:", F.series.coeff(1, 1))
 print("  axioms:", verify_fgl(F, 6).all_passed)
 print("expanding exp(log X + log Y):")
 G = f_chi_from_log(6)
-print("  coefficient of XY:", G.coeff(1, 1))
+print("  coefficient of XY:", G.series.coeff(1, 1))
 print("adjudication of which closed form the transport matches:")
 print(proposition_check(8))
 print("the minus form is itself a law:",
@@ -58,7 +58,7 @@ print()
 
 print("Rescaling by half-integer powers of q symmetrizes the law")
 D = drinfeld_form(6)
-print("  coefficient of XY becomes:", D.coeff(1, 1))
+print("  coefficient of XY becomes:", D.series.coeff(1, 1))
 print("  still a law:", verify_fgl(D, 6).all_passed)
 print()
 

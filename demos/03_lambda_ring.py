@@ -3,7 +3,7 @@ into Witt elements, and the identities they pin down."""
 
 from qfgl import (
     Scalar, ONE, Q,
-    adams, lambda_t, negate_t, witt_add, witt_ghost,
+    adams, lambda_t, witt_add,
     newton_adams_from_lambda, lambda_k_closed,
     thom_class, discriminant_limit, euler_phi, QSeries,
 )
@@ -19,18 +19,18 @@ print()
 print("The total lambda operation")
 print("--------------------------")
 w = lambda_t(Q ** 2, 4, 12)
-print("a line  q^2 |-> 1 + t q^2:", repr(w.rows))
+print("a line  q^2 |-> 1 + t q^2:", repr(w))
 w = lambda_t(geom, 6, 20)
 print("lambda_t(1/(1-q)) t^2 coefficient starts:",
-      list(map(int, w.coeff(2).coeffs[:8])))
+      list(map(int, w[2].coeffs[:8])))
 print()
 
 print("Witt addition is series multiplication; ghosts are additive")
 wa, wb = lambda_t(Q, 4, 12), lambda_t(Q ** 2, 4, 12)
 ws = witt_add(wa, wb)
 print("  lambda(q) + lambda(q^2) = lambda(q + q^2):",
-      ws.rows == lambda_t(Q + Q ** 2, 4, 12).rows)
-print("  ghost_2 of the sum:", repr(witt_ghost(ws, 2)))
+      ws == lambda_t(Q + Q ** 2, 4, 12))
+print("  ghost_2 of the sum:", repr(newton_adams_from_lambda(ws, 2)[-1]))
 print()
 
 print("Newton extraction recovers the Adams operations")

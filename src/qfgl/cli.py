@@ -22,7 +22,7 @@ import itertools
 import json
 import sys
 
-from .scalar import ONE, Q, cyclotomic, canonical_str
+from .scalar import ONE, Q, cyclotomic, adams, canonical_str
 from .series import Series
 from .mobius import q_mobius, q_mobius_inv, mob_mul, mob_det, scalar_matrix
 from .fgl import (
@@ -34,7 +34,7 @@ from .qcomb import (
     poch_inf_sum,
 )
 from .lambda_ring import (
-    adams, lambda_t, negate_t, newton_adams_from_lambda, lambda_k_closed,
+    lambda_t, negate_t, newton_adams_from_lambda, lambda_k_closed,
     thom_class, discriminant_limit,
 )
 from .varieties import Variety, diagram_check, load_catalog
@@ -76,7 +76,7 @@ def _table_tq(rows_by_t):
 
 def _expand_lambda_element(args):
     try:
-        return lambda_t(evaluate(args.element), args.t_order, args.q_order).rows
+        return lambda_t(evaluate(args.element), args.t_order, args.q_order)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"--element {args.element!r}: {exc}")
 
@@ -184,7 +184,7 @@ def _suite_pochhammer(args) -> VerificationReport:
                     (args.t_order, args.q_order), P == Ssum)]
     w = lambda_t(ONE / (ONE - Q), args.t_order, args.q_order)
     checks.append(Check("lambda route matches the product route",
-                        (args.t_order, args.q_order), negate_t(w).rows == P))
+                        (args.t_order, args.q_order), negate_t(w) == P))
     return VerificationReport(tuple(checks))
 
 
@@ -229,16 +229,17 @@ def _suite_exercise32(args) -> VerificationReport:
 
 
 def _diagram_entries(args) -> list:
-    """(label prefix, Variety) per product to check, from --catalog, the factors
-    of ``diagram`` or the 125 of ``verify diagram``, each held to the budgets."""
-    if args.catalog:
+    """(label prefix, Variety) per product to check: the 125 of ``verify
+    diagram``, or the --catalog or factors of ``diagram``, each held to the
+    budgets."""
+    if args.verb == "verify":
+        entries = [("", Variety(dims)) for dims in itertools.product(range(5), repeat=3)]
+    elif args.catalog:
         entries = [(f"{name}: ", v) for name, v in load_catalog(args.catalog)]
-    elif args.verb == "diagram":
-        if not args.factors:
-            raise ValueError("diagram needs factor dimensions or --catalog")
+    elif args.factors:
         entries = [("", Variety(args.factors))]
     else:
-        entries = [("", Variety(dims)) for dims in itertools.product(range(5), repeat=3)]
+        raise ValueError("diagram needs factor dimensions or --catalog")
     for _, v in entries:
         _check_size(f"diagram {v}", v.dimension)
         _check_size(f"the sum of the cubes of the factors of diagram {v}",
@@ -385,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(_SUITES))
-    p.add_argument("--catalog", default=None,
-                   help="catalog file for the diagram suite")
     _add_common(p, _run_verify)
 
     p = sub.add_parser("eval", help="evaluate a scalar expression")

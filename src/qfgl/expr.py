@@ -29,9 +29,8 @@ import operator
 import re
 from math import log10
 
-from .scalar import Scalar, Q, S, cyclotomic
+from .scalar import Scalar, Q, S, cyclotomic, adams
 from .qcomb import q_int, q_fact, q_binom
-from .lambda_ring import adams
 
 __all__ = ["Expr", "ParseError", "EvalError", "parse_expr", "eval_expr", "evaluate"]
 

@@ -100,9 +100,6 @@ class FormalGroupLaw:
     series: BiSeries
     closed: tuple | None = None
 
-    def coeff(self, i: int, j: int) -> Scalar:
-        return self.series.coeff(i, j)
-
 
 def _closed_law(closed, order: int) -> FormalGroupLaw:
     """The law of a closed form (numerator, denominator), expanded."""
@@ -352,7 +349,7 @@ def fgl_inverse(F: FormalGroupLaw, order: int) -> Series:
         prec = min(2 * prec + 1, order)
         y = Series("T", prec, iota.coeffs)
         J = min(top, prec)                  # y^j = O(T^j): higher slices vanish
-        f, df = Series("T", prec, rows[J]), Series.zero("T", prec)
+        f, df = Series("T", prec, rows[J]), Series("T", prec)
         for j in range(J - 1, -1, -1):
             df = df * y + f
             f = f * y + Series("T", prec, rows[j])

@@ -1,18 +1,19 @@
 """Lambda-ring operations on the circle character ring and its localizations.
 
-Adams operations act on scalars by q -> q^k.  The total lambda operation
-is defined on q-expandable virtual elements a = sum a_n q^n (integer a_n)
-by the exponential product formula
+Adams operations act on scalars by q -> q^k (``scalar.adams``).  The
+total lambda operation is defined on q-expandable virtual elements
+a = sum a_n q^n (integer a_n) by the exponential product formula
 
     lambda_t(a) = prod_n (1 + t q^n)^(a_n),
 
 the unique multiplicative extension of "a line L goes to 1 + t L".  Its
 values are Witt elements: unit-constant series in t under multiplication.
-A Witt element is stored as its (t, q) truncation, the same row tuple of
-``qcomb``: one QSeries per t-degree, cut at one q-order.  Its ghost
-components come from Newton's identities on those rows.  The stored
-object is lambda_t; comparisons against alternating-sign conventions are
-made through ``negate_t``.
+A Witt element is its (t, q) truncation, the row tuple of ``qcomb`` that
+``poch_inf_product`` also returns: ``w[k]`` is the t^k coefficient, a
+QSeries, all rows share one q-order, and the t-order is ``len(w) - 1``.
+Its ghost components come from Newton's identities on those rows.  The
+stored object is lambda_t; comparisons against alternating-sign
+conventions are made through ``negate_t``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,9 @@ from .qcomb import QSeries, q_fact, euler_phi, discriminant, _row_product
 from .report import Check, VerificationReport
 
 __all__ = [
-    "WittElement",
-    "adams",
     "lambda_t",
     "negate_t",
     "witt_add",
-    "witt_ghost",
     "newton_adams_from_lambda",
     "lambda_k_closed",
     "LambdaKReport",
@@ -42,92 +40,50 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Adams operations
-
-def adams(a: Scalar, k: int) -> Scalar:
-    """psi^k: substitute q -> q^k; a ring endomorphism, exact on scalars."""
-    return a.adams_substitute(k)
-
-
-# ---------------------------------------------------------------------------
 # the total lambda operation into Witt elements
 
-@dataclass(frozen=True)
-class WittElement:
-    """An element of 1 + t R[[t]]: group under series multiplication.
-
-    ``rows[k]`` is the t^k coefficient, a QSeries; all rows share one
-    q-order, the q-precision the coefficients are trusted to.  Row 0 is
-    the unit 1.
-    """
-
-    rows: tuple
-
-    @property
-    def t_order(self) -> int:
-        return len(self.rows) - 1
-
-    @property
-    def q_order(self) -> int:
-        return self.rows[0].order
-
-    def coeff(self, k: int) -> QSeries:
-        """t^k coefficient, truncated to the trusted q-order."""
-        if not 0 <= k <= self.t_order:
-            raise IndexError(f"degree {k} beyond computed order {self.t_order}")
-        return self.rows[k]
-
-
-def lambda_t(a: Scalar, t_order: int, q_order: int) -> WittElement:
+def lambda_t(a: Scalar, t_order: int, q_order: int) -> tuple:
     """Total lambda operation: prod_n (1 + t q^n)^(a_n) truncated.
 
     The q-expansion coefficients a_n of ``a`` must be integers.  The
     product is cut at factor index q_order, which is exact at this
     q-precision.  It runs on integer rows, one per t-degree, that each
     factor (1 + t q^n)^(a_n) multiplies in place; a negative a_n divides.
+    Returned as the tuple of the t^0 .. t^t_order coefficients.
     """
     expansion = QSeries.from_scalar(a, q_order)
     if not expansion.is_integral():
         raise ValueError("lambda_t needs integer expansion coefficients")
     factors = ((n, 1, m) for n, m in enumerate(expansion.coeffs) if m)
-    return WittElement(_row_product(t_order, q_order, factors))
+    return _row_product(t_order, q_order, factors)
 
 
-def negate_t(w: WittElement) -> WittElement:
+def negate_t(w: tuple) -> tuple:
     """t -> -t, moving between lambda_t and the alternating convention."""
-    return WittElement(tuple(r if k % 2 == 0 else -r
-                             for k, r in enumerate(w.rows)))
+    return tuple(r if k % 2 == 0 else -r for k, r in enumerate(w))
 
 
-def witt_add(w1: WittElement, w2: WittElement) -> WittElement:
+def witt_add(a: tuple, b: tuple) -> tuple:
     """Witt-vector sum: the t-convolution of the rows."""
-    a, b = w1.rows, w2.rows
     rows = []
     for k in range(min(len(a), len(b))):
         acc = a[0] * b[k]
         for i in range(1, k + 1):
             acc = acc + a[i] * b[k - i]
         rows.append(acc)
-    return WittElement(tuple(rows))
+    return tuple(rows)
 
 
-def witt_ghost(w: WittElement, n: int) -> QSeries:
-    """n-th ghost component (power-sum coordinate), as a q-series."""
-    if not 1 <= n <= w.t_order:
-        raise ValueError("ghost index out of the computed range")
-    return newton_adams_from_lambda(w, n)[-1]
-
-
-def newton_adams_from_lambda(w: WittElement, K: int):
+def newton_adams_from_lambda(w: tuple, K: int) -> list:
     """psi^1..psi^K, the ghost components, by Newton's identities.
 
     With u = lambda_(-t) = prod (1 - t x_j), the power sums p_k = psi^k
     satisfy -t u'/u = sum_k p_k t^k, that is
     p_k = -k u_k - sum_(0<i<k) u_i p_(k-i): the division of -u' by u.
     """
-    if K > w.t_order:
+    if K >= len(w):
         raise ValueError("not enough t-precision for the requested Adams range")
-    u = negate_t(w).rows
+    u = negate_t(w)
     p = []                              # p[k - 1] = p_k
     for k in range(1, K + 1):
         acc = u[k].scale(-k)
@@ -186,8 +142,7 @@ def lambda_k_closed(k: int, q_order: int) -> LambdaKReport:
     base = q_fact(k) * one_minus_q ** k
     printed = Scalar.q_power(k * (k + 1) // 2) / base
     corrected = Scalar.q_power(k * (k - 1) // 2) / base
-    w = lambda_t(ONE / one_minus_q, k, p)
-    witt_route = w.coeff(k)
+    witt_route = lambda_t(ONE / one_minus_q, k, p)[k]
     oracle = elementary_symmetric_oracle(k, p)
     printed_q = QSeries.from_scalar(printed, p)
     corrected_q = QSeries.from_scalar(corrected, p)
@@ -205,9 +160,9 @@ def lambda_k_closed(k: int, q_order: int) -> LambdaKReport:
 # ---------------------------------------------------------------------------
 # the Thom class and the discriminant limit
 
-def _at_t_equals_1(w: WittElement) -> QSeries:
+def _at_t_equals_1(w: tuple) -> QSeries:
     """lambda_{-t} at t = 1: the rows summed with alternating signs."""
-    return sum(negate_t(w).rows, QSeries.zero(w.q_order))
+    return sum(negate_t(w), QSeries(w[0].order))
 
 
 def thom_class(q_order: int) -> QSeries:

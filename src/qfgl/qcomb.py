@@ -7,11 +7,12 @@ of Scalars.  It holds ``int`` coefficients where they are integral and
 inherits every kernel (multiply, unit division, powering) from
 ``Series``; ``QSeries.from_scalar`` expands a Scalar living in q by that
 unit division, numerator over denominator.  A rectangular (t-order,
-q-order) truncation, such as the infinite Pochhammer product, is a tuple
-of QSeries indexed by t-degree; a Witt element of ``lambda_ring`` is the
-same tuple.  Such a product is computed on integer rows, one list of
-q-coefficients per t-degree, that each factor (1 + c*t*q^n)^m updates in
-place.
+q-order) truncation, such as the infinite Pochhammer product, is a plain
+tuple of QSeries indexed by t-degree, all at one q-order.  It is the one
+(t, q) type of the package: ``lambda_ring.lambda_t`` returns its Witt
+elements as this tuple, and ``cli`` prints it.  Such a product is
+computed on integer rows, one list of q-coefficients per t-degree, that
+each factor (1 + c*t*q^n)^m updates in place (``_row_product``).
 """
 
 from __future__ import annotations
@@ -113,10 +114,6 @@ class QSeries(Series):
 
     def _new(self, order: int, coeffs) -> "QSeries":
         return QSeries(order, coeffs)
-
-    @staticmethod
-    def zero(order: int) -> "QSeries":
-        return QSeries(order, ())
 
     @staticmethod
     def from_scalar(a: Scalar, order: int) -> "QSeries":

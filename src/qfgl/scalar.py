@@ -20,11 +20,12 @@ equality coincides with mathematical equality.  Scalars are immutable and
 all operations are pure; they can be shared freely between threads.
 
 Each polynomial job has one kernel: ``_ip_mul`` is the one convolution
-and ``_ip_stretch`` the one substitution x -> x**k.  ``Scalar.eval_s`` is
-the one evaluation; ``eval_q0`` and ``eval_q1`` are its values at s = 0
-and s = 1.  The q-expansion of a Scalar is ``qcomb.QSeries.from_scalar``,
-which divides the numerator by the denominator with the unit division
-of ``series.Series``.
+and ``_ip_stretch`` the one substitution x -> x**k, which the Adams
+operation ``adams`` applies.  ``Scalar.eval_s`` is the one evaluation;
+``eval_q0`` and ``eval_q1`` are its values at s = 0 and s = 1.  The
+q-expansion of a Scalar is ``qcomb.QSeries.from_scalar``, which divides
+the numerator by the denominator with the unit division of
+``series.Series``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "Q",
     "S",
     "cyclotomic",
+    "adams",
     "membership",
     "is_cromulent",
     "eval_q0",
@@ -386,16 +388,6 @@ class Scalar:
 
     # -- specialization ------------------------------------------------------
 
-    def adams_substitute(self, k: int) -> "Scalar":
-        """Substitute q -> q**k (equivalently s -> s**k on even exponents)."""
-        if not self.lives_in_q():
-            raise ValueError("Adams substitution requires an element living in q")
-        if k < 1:
-            raise ValueError("Adams index must be a positive integer")
-        nval, nden, nco = self.num
-        num = (nval * k, nden, _ip_stretch(nco, k))
-        return _reduce(num, _ip_stretch(self.den, k))
-
     def eval_s(self, x) -> Fraction:
         """Exact evaluation at a rational value of s."""
         x = Fraction(x)
@@ -622,6 +614,21 @@ def membership(a: Scalar) -> RingMembership:
         den_one or _den_is_cyclotomic(a.den[::2]))
     return RingMembership(in_Z_q=in_Z_q, in_Z_q_laurent=in_Z_q_laurent,
                           in_Q_q=in_Q_q, in_cromulent=in_crom)
+
+
+# ---------------------------------------------------------------------------
+# Adams operations
+
+def adams(a: Scalar, k: int) -> Scalar:
+    """psi^k: substitute q -> q**k (s -> s**k on even exponents); a ring
+    endomorphism, exact on scalars."""
+    if not a.lives_in_q():
+        raise ValueError("Adams substitution requires an element living in q")
+    if k < 1:
+        raise ValueError("Adams index must be a positive integer")
+    nval, nden, nco = a.num
+    num = (nval * k, nden, _ip_stretch(nco, k))
+    return _reduce(num, _ip_stretch(a.den, k))
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,6 @@ class Series:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(var: str, order: int) -> "Series":
-        return Series(var, order, ())
-
-    @staticmethod
     def constant(var: str, order: int, c) -> "Series":
         return Series(var, order, (c,))
 

@@ -290,7 +290,8 @@ def diagram_check(v: Variety) -> VerificationReport:
 def load_catalog(path) -> list:
     """Parse a line-oriented catalog: ``name n1 n2 ... nr`` per line.
 
-    Blank lines and lines starting with ``#`` are skipped.
+    Blank lines and lines starting with ``#`` are skipped; a catalog with
+    no entries is an error, since it would check nothing and pass.
     """
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -306,4 +307,6 @@ def load_catalog(path) -> list:
                 raise ValueError(
                     f"{path}:{lineno}: factor dimensions must be integers") from exc
             out.append((name, Variety(dims)))
+    if not out:
+        raise ValueError(f"{path}: the catalog has no entries")
     return out

@@ -253,6 +253,24 @@ def test_cli_diagram_catalog(tmp_path, capsys):
     assert "plane" in out and "pair" in out
 
 
+def test_cli_diagram_catalog_without_entries_exits_2(tmp_path, capsys):
+    # a catalog that checks nothing must not pass
+    path = tmp_path / "empty.txt"
+    path.write_text("# only a comment\n\n", encoding="utf-8")
+    for fmt in ("plain", "json"):
+        code, out, err = run_cli(capsys, "diagram", "--catalog", str(path), "--format", fmt)
+        assert code == 2
+        assert out == "" and str(path) in err
+
+
+def test_cli_verify_has_no_catalog_option(tmp_path, capsys):
+    path = tmp_path / "catalog.txt"
+    path.write_text("plane 2\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "verify", "diagram", "--catalog", str(path))
+    assert code == 2
+    assert "--catalog" in err
+
+
 def test_cli_diagram_needs_input(capsys):
     code, _, err = run_cli(capsys, "diagram")
     assert code == 2

@@ -127,3 +127,90 @@ def test_every_public_name_has_a_caller():
         tree = ast.parse((ROOT / file).read_text(encoding="utf-8"))
         body = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == test]
         assert body and key.split(".")[-1] in references(body[0])[0], node
+
+
+def _is_guard(node) -> bool:
+    """``if …: raise …`` with no else branch."""
+    return (isinstance(node, ast.If) and not node.orelse
+            and all(isinstance(s, ast.Raise) for s in node.body))
+
+
+def _receiver(node):
+    """The name a call's receiver reads: ``self`` for an attribute of self."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+        if isinstance(node, ast.Name) and node.id == "self":
+            return "self"
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def only_forwards(f) -> bool:
+    """Whether the body of ``f``, after its docstring and any ``if …: raise``
+    guards, is one ``return`` of a call whose receiver and positional
+    arguments are exactly the parameters of ``f``, in order."""
+    body = f.body
+    if ast.get_docstring(f) is not None:
+        body = body[1:]
+    while body and _is_guard(body[0]):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return) \
+            or not isinstance(body[0].value, ast.Call):
+        return False
+    call = body[0].value
+    operands = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+    if isinstance(call.func, ast.Attribute):
+        operands.insert(0, _receiver(call.func.value))
+    params = [a.arg for a in f.args.posonlyargs + f.args.args]
+    return operands == params and not call.keywords
+
+
+def forwarders(path: Path) -> list:
+    """The public functions and methods of a module that only forward."""
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            found = [(node.name, node)]
+        elif isinstance(node, ast.ClassDef):
+            found = [(f"{node.name}.{f.name}", f) for f in node.body
+                     if isinstance(f, ast.FunctionDef)]
+        else:
+            continue
+        out += [f"{path.stem}.{name}" for name, f in found
+                if not f.name.startswith("_") and only_forwards(f)]
+    return out
+
+
+def test_no_public_name_only_forwards():
+    """One public name per job: no public function or method is a second
+    name for a call on its own arguments."""
+    assert [name for path in MODULES for name in forwarders(path)] == []
+
+
+def test_scan_sees_a_forwarding_name(tmp_path):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "def alias(a, k):\n"
+        "    '''Forwards.'''\n"
+        "    if k < 1:\n"
+        "        raise ValueError(k)\n"
+        "    return a.method(k)\n"
+        "\n"
+        "def plain(a, k):\n"
+        "    return other(a, k)\n"
+        "\n"
+        "def computes(a, k):\n"
+        "    return a.method(k + 1)\n"
+        "\n"
+        "def swapped(a, k):\n"
+        "    return other(k, a)\n"
+        "\n"
+        "def _private(a):\n"
+        "    return other(a)\n"
+        "\n"
+        "class C:\n"
+        "    def coeff(self, i):\n"
+        "        return self.series.coeff(i)\n"
+        "\n"
+        "    def total(self):\n"
+        "        return sum(self.parts)\n")
+    assert forwarders(mod) == ["m.alias", "m.plain", "m.C.coeff"]

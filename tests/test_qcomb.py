@@ -195,7 +195,7 @@ def test_euler_phi_from_pochhammer_shift():
     nq = 30
     nt = 8  # degrees beyond this cannot reach q-order 30 after the shift
     P = poch_inf_product(nt, nq)
-    acc = QSeries.zero(nq)
+    acc = QSeries(nq)
     for k in range(nt + 1):
         acc = acc + P[k].shift(k)
     assert acc == euler_phi(nq)

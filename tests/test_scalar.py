@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qfgl import (
-    Scalar, ZERO, ONE, Q, S, cyclotomic, membership, is_cromulent,
+    Scalar, ZERO, ONE, Q, S, cyclotomic, adams, membership, is_cromulent,
     eval_q0, eval_q1, canonical_str, QSeries,
 )
 from qfgl.qcomb import q_int, q_fact
@@ -219,7 +219,7 @@ def test_q_expansion_geometric():
 def test_adams_substitute_preserves_canonical_form():
     a = (ONE + Q) / (ONE - Q ** 2)
     assert a == ONE / (ONE - Q)
-    assert a.adams_substitute(3) == ONE / (ONE - Q ** 3)
+    assert adams(a, 3) == ONE / (ONE - Q ** 3)
 
 
 # -- printing ----------------------------------------------------------------

@@ -261,7 +261,7 @@ def test_log_geometric():
 
 
 def test_exp_of_zero():
-    assert exp0(Series.zero("T", 6)) == one_series(6)
+    assert exp0(Series("T", 6)) == one_series(6)
 
 
 def test_log_of_q_ratio():

@@ -227,6 +227,14 @@ def test_catalog_file(tmp_path):
         assert diagram_check(v).all_passed
 
 
+def test_catalog_file_rejects_no_entries(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("# comment line\n\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="no entries") as exc:
+        load_catalog(path)
+    assert str(path) in str(exc.value)
+
+
 def test_catalog_file_rejects_bad_dims(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("oops one two\n", encoding="utf-8")
