@@ -22,7 +22,7 @@ print("determinant:", mob_det(m))
 print()
 
 print("Its action on T expands to the unit series")
-u = mob_apply(m, Series.generator("T", 5))
+u = mob_apply(m, Series.generator(5))
 print("  (1 - qT)/(1 - T) =", repr(u))
 print()
 
@@ -32,7 +32,7 @@ lg, ex = log_chi(8), exp_chi(8)
 print("log coefficients are q-integers over k:")
 for k in range(1, 5):
     print(f"  [T^{k}] log = {lg[k]}   (k * coeff = {q_int(k)})")
-print("compose(exp, log) = T:", compose(ex, lg) == Series.generator("T", 8))
+print("compose(exp, log) = T:", compose(ex, lg) == Series.generator(8))
 print("exp equals the reversion of log:", ex == reverse(lg))
 print()
 
@@ -63,7 +63,7 @@ print("  still a law:", verify_fgl(D, 6).all_passed)
 print()
 
 print("The formal inverse of the law")
-iota = fgl_inverse(f_chi_closed(6), 6)
+iota = fgl_inverse(f_chi_closed(6))
 print("  i(T) =", repr(iota))
 print()
 

@@ -53,7 +53,8 @@ MAX_DIAGRAM_CUBES = 200 ** 3
 # expand targets
 
 def _table_univariate(f: Series):
-    return [(k, canonical_str(f[k])) for k in range(f.order + 1)]
+    """(degree, value) rows of a Series or a QSeries; str of a Scalar is canonical."""
+    return [(k, str(c)) for k, c in enumerate(f.coeffs)]
 
 
 def _table_bivariate(law):
@@ -64,10 +65,6 @@ def _table_bivariate(law):
             j = d - i
             rows.append(([i, j], canonical_str(F.coeff(i, j))))
     return rows
-
-
-def _table_qseries(f: QSeries):
-    return [(k, str(f[k])) for k in range(f.order + 1)]
 
 
 def _table_tq(rows_by_t):
@@ -88,13 +85,13 @@ _EXPANDS = {
     "f_chi": (("order",), lambda a: _table_bivariate(f_chi_closed(a.order))),
     "drinfeld": (("order",), lambda a: _table_bivariate(drinfeld_form(a.order))),
     "fgl_inverse": (("order",), lambda a: _table_univariate(
-        fgl_inverse(f_chi_closed(a.order), a.order))),
-    "euler_phi": (("q_order",), lambda a: _table_qseries(euler_phi(a.q_order))),
-    "discriminant": (("q_order",), lambda a: _table_qseries(discriminant(a.q_order))),
+        fgl_inverse(f_chi_closed(a.order)))),
+    "euler_phi": (("q_order",), lambda a: _table_univariate(euler_phi(a.q_order))),
+    "discriminant": (("q_order",), lambda a: _table_univariate(discriminant(a.q_order))),
     "pochhammer": (("t_order", "q_order"),
                    lambda a: _table_tq(poch_inf_product(a.t_order, a.q_order))),
     "lambda_t": (("t_order", "q_order"), lambda a: _table_tq(_expand_lambda_element(a))),
-    "thom_class": (("q_order",), lambda a: _table_qseries(thom_class(a.q_order))),
+    "thom_class": (("q_order",), lambda a: _table_univariate(thom_class(a.q_order))),
 }
 
 
@@ -346,7 +343,7 @@ _TABLES = {
     "qfact": _table_family(q_fact),
     "cyclotomic": _table_family(cyclotomic, first=1),
     "cp_image": _table_family(cp_image),
-    "tau": lambda m: _table_qseries(discriminant(max(m, 1)))[1:m + 1],
+    "tau": lambda m: _table_univariate(discriminant(max(m, 1)))[1:m + 1],
 }
 
 

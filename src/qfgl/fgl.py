@@ -50,15 +50,13 @@ __all__ = [
     "cartier_check",
 ]
 
-_XY = ("X", "Y")
-
 
 # ---------------------------------------------------------------------------
 # the logarithm / exponential pair
 
 def qmob_series(order: int) -> Series:
     """(1 - q*T)/(1 - T) as a series: 1 + (1-q)T + (1-q)T^2 + ..."""
-    return mob_apply(q_mobius(), Series.generator("T", order))
+    return mob_apply(q_mobius(), Series.generator(order))
 
 
 def log_chi(order: int) -> Series:
@@ -70,7 +68,7 @@ def log_chi(order: int) -> Series:
 def exp_chi(order: int) -> Series:
     """Moebius companion applied to exp((1-q) T); inverse of log_chi."""
     det = mob_det(q_mobius())
-    inner = Series.generator("T", order).scale(det)
+    inner = Series.generator(order).scale(det)
     return mob_apply(q_mobius_inv(), exp0(inner))
 
 
@@ -104,8 +102,8 @@ class FormalGroupLaw:
 def _closed_law(closed, order: int) -> FormalGroupLaw:
     """The law of a closed form (numerator, denominator), expanded."""
     num_terms, den_terms = closed
-    num = BiSeries(_XY, order, num_terms)
-    den = BiSeries(_XY, order, den_terms)
+    num = BiSeries(2, order, num_terms)
+    den = BiSeries(2, order, den_terms)
     return FormalGroupLaw(series=num / den, closed=closed)
 
 
@@ -140,7 +138,7 @@ def f_chi_from_log(order: int) -> FormalGroupLaw:
           for b in range(order + 1 - i)] for i in range(order + 1)]
     terms = {(i, j): sum((H[i][b] * P[b][j] for b in range(j + 1)), ZERO)
              for i in range(order + 1) for j in range(order + 1 - i)}
-    return FormalGroupLaw(series=BiSeries(_XY, order, terms))
+    return FormalGroupLaw(series=BiSeries(2, order, terms))
 
 
 def f_chi_derived_closed(order: int) -> FormalGroupLaw:
@@ -203,7 +201,7 @@ def drinfeld_form(order: int) -> FormalGroupLaw:
     terms = {}
     for (i, j), c in base.terms.items():
         terms[(i, j)] = c * S ** (1 - i - j)
-    rescaled = BiSeries(_XY, order, terms)
+    rescaled = BiSeries(2, order, terms)
     closed = (
         {(1, 0): ONE, (0, 1): ONE, (1, 1): s_inv + S},
         {(0, 0): ONE, (1, 1): ONE},
@@ -213,8 +211,6 @@ def drinfeld_form(order: int) -> FormalGroupLaw:
 
 # ---------------------------------------------------------------------------
 # associativity: both association orders as series in X, Y, Z
-
-_XYZ = ("X", "Y", "Z")
 
 
 def _combine(terms: dict, xs: list, ys: list) -> Series | BiSeries:
@@ -235,9 +231,9 @@ def _first_difference(a: BiSeries, b: BiSeries):
 
 def _assoc_generic(F: FormalGroupLaw, order: int):
     """Compare F(F(X,Y),Z) with F(X,F(Y,Z)) by truncated substitution."""
-    X, Y, Z = (BiSeries.generator(_XYZ, order, k) for k in range(3))
-    left = fgl_eval(F, fgl_eval(F, X, Y, order), Z, order)
-    right = fgl_eval(F, X, fgl_eval(F, Y, Z, order), order)
+    X, Y, Z = (BiSeries.generator(3, order, k) for k in range(3))
+    left = fgl_eval(F, fgl_eval(F, X, Y), Z)
+    right = fgl_eval(F, X, fgl_eval(F, Y, Z))
     return _first_difference(left, right)
 
 
@@ -256,7 +252,7 @@ def _assoc_closed(closed):
     dv = max(j for (_, j) in keys)
     d = max(map(sum, keys))
     order = 2 * d * (d + 1)
-    X, Y, Z = (_powers(BiSeries.generator(_XYZ, order, k), max(du, dv)) for k in range(3))
+    X, Y, Z = (_powers(BiSeries.generator(3, order, k), max(du, dv)) for k in range(3))
 
     def cleared(xs, ys, deg):
         # A^e B^(deg-e), e = 0..deg: (A/B)^e cleared by B^deg, F = A/B at (xs, ys)
@@ -292,14 +288,13 @@ def verify_fgl(F: FormalGroupLaw, order: int, assoc: str = "auto") -> Verificati
     Fs = F.series.truncate(order)
     checks = []
 
-    vs = Fs.vars
     on_x = {(i, j): c for (i, j), c in Fs.terms.items() if j == 0}
     on_y = {(i, j): c for (i, j), c in Fs.terms.items() if i == 0}
     swapped = {(j, i): c for (i, j), c in Fs.terms.items()}
     for name, lhs, rhs in (
-            ("unit F(X,0) = X", BiSeries(vs, order, on_x), BiSeries.generator(vs, order, 0)),
-            ("unit F(0,Y) = Y", BiSeries(vs, order, on_y), BiSeries.generator(vs, order, 1)),
-            ("commutativity F(X,Y) = F(Y,X)", Fs, BiSeries(vs, order, swapped))):
+            ("unit F(X,0) = X", BiSeries(2, order, on_x), BiSeries.generator(2, order, 0)),
+            ("unit F(0,Y) = Y", BiSeries(2, order, on_y), BiSeries.generator(2, order, 1)),
+            ("commutativity F(X,Y) = F(Y,X)", Fs, BiSeries(2, order, swapped))):
         bad = _first_difference(lhs, rhs)
         checks.append(Check(name, order, bad is None,
                             None if bad is None else f"first failing coefficient {bad}"))
@@ -323,49 +318,51 @@ def verify_fgl(F: FormalGroupLaw, order: int, assoc: str = "auto") -> Verificati
 # ---------------------------------------------------------------------------
 # the formal inverse
 
-def fgl_inverse(F: FormalGroupLaw, order: int) -> Series:
-    """The series i(T) with F(T, i(T)) = 0, by Newton iteration on Y.
+def fgl_inverse(F: FormalGroupLaw) -> Series:
+    """The series i(T) with F(T, i(T)) = 0, to the order of the law, by
+    Newton iteration on Y.
 
     Starting from i = -(c10/c01) T, each step i <- i - F(T, i)/dF/dY(T, i)
     doubles the number of correct coefficients (Brent-Kung 1978).  F and
     dF/dY are evaluated together by Horner's rule in Y over the Y-slices
     of the law.  Raises ValueError when c01, the coefficient of Y, is
-    zero, or when the law is expanded to less than ``order``.
+    zero.
     """
     Fs = F.series
-    if Fs.order < order:
-        raise ValueError("law not expanded far enough for the requested order")
+    order = Fs.order
     c01 = Fs.terms.get((0, 1), ZERO)
     if c01.is_zero():
         raise ValueError("the formal inverse needs an invertible Y coefficient")
     rows = [[ZERO] * (order + 1) for _ in range(order + 1)]   # rows[j][i] = c_ij
     for (i, j), c in Fs.terms.items():
-        if i + j <= order:
-            rows[j][i] = c
-    top = max((j for (i, j) in Fs.terms if i + j <= order), default=0)
-    iota = Series("T", order, (ZERO, -Fs.terms.get((1, 0), ZERO) / c01))
+        rows[j][i] = c
+    top = max((j for (i, j) in Fs.terms), default=0)
+    iota = Series(order, (ZERO, -Fs.terms.get((1, 0), ZERO) / c01))
     prec = 1                                # iota is exact through T^prec
     while prec < order:
         prec = min(2 * prec + 1, order)
-        y = Series("T", prec, iota.coeffs)
+        y = Series(prec, iota.coeffs)
         J = min(top, prec)                  # y^j = O(T^j): higher slices vanish
-        f, df = Series("T", prec, rows[J]), Series("T", prec)
+        f, df = Series(prec, rows[J]), Series(prec)
         for j in range(J - 1, -1, -1):
             df = df * y + f
-            f = f * y + Series("T", prec, rows[j])
+            f = f * y + Series(prec, rows[j])
         iota = y - f / df
     return iota
 
 
-def fgl_eval(F: FormalGroupLaw, f: Series | BiSeries, g: Series | BiSeries, order: int):
+def fgl_eval(F: FormalGroupLaw, f: Series | BiSeries, g: Series | BiSeries):
     """The law applied to two Series, or two BiSeries, with zero constant term.
 
-    Sums c_ij f^i g^j over tables of powers, sharing no code with the
-    Horner evaluation inside ``fgl_inverse``, so F(T, i(T)) = 0 checks
-    the inverse by an independent route.
+    The result has the least of the orders of the law, f and g: past the
+    law's order, its coefficients are not known.  Sums c_ij f^i g^j over
+    tables of powers, sharing no code with the Horner evaluation inside
+    ``fgl_inverse``, so F(T, i(T)) = 0 checks the inverse by an
+    independent route.
     """
     if not (f.constant_term().is_zero() and g.constant_term().is_zero()):
         raise ValueError("substitution needs arguments with zero constant term")
+    order = min(F.series.order, f.order, g.order)
     terms = F.series.truncate(order).terms
     max_i = max((i for (i, _) in terms), default=0)
     max_j = max((j for (_, j) in terms), default=0)
@@ -387,7 +384,7 @@ def _log_u_powers(t_order: int, x_order: int) -> list:
     stirling = [[1]]                        # stirling[j][k] = s(j, k)
     for j in range(x_order):                # s(j+1, k) = s(j, k-1) - j s(j, k)
         stirling.append([a - j * b for a, b in zip([0] + stirling[-1], stirling[-1] + [0])])
-    out = [Series.constant("T", x_order, ONE)]
+    out = [Series.constant(x_order, ONE)]
     for k in range(1, t_order + 1):
         coeffs = [ZERO] * (x_order + 1)
         for n in range(k, x_order + 1):
@@ -396,7 +393,7 @@ def _log_u_powers(t_order: int, x_order: int) -> list:
                 acc = acc * y + Scalar.from_fraction(Fraction(
                     factorial(k) * stirling[j][k] * comb(n - 1, j - 1), factorial(j)))
             coeffs[n] = acc
-        out.append(Series("T", x_order, coeffs).scale(y ** k))
+        out.append(Series(x_order, coeffs).scale(y ** k))
     return out
 
 

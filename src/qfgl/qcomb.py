@@ -2,9 +2,10 @@
 the Euler function and the modular discriminant.
 
 Besides Scalar, one data shape is used: ``QSeries``, the ``Series`` of
-``series.py`` in the variable q with exact rational coefficients instead
-of Scalars.  It holds ``int`` coefficients where they are integral and
-inherits every kernel (multiply, unit division, powering) from
+``series.py`` with exact rational coefficients instead of Scalars; its
+class fixes the variable to q, as ``Series`` fixes T.  It holds ``int``
+coefficients where they are integral and inherits every kernel
+(multiply, unit division, powering) and its constructor from
 ``Series``; ``QSeries.from_scalar`` expands a Scalar living in q by that
 unit division, numerator over denominator.  A rectangular (t-order,
 q-order) truncation, such as the infinite Pochhammer product, is a plain
@@ -107,13 +108,8 @@ class QSeries(Series):
     _coerce = staticmethod(_exact)
     _ZERO = 0
     _ONE = Fraction(1)          # in Q, so that 1 / c is exact, never a float
+    _VAR = "q"
     _TERM = "{c}*{v}^{k}"
-
-    def __init__(self, order: int, coeffs=()):
-        super().__init__("q", order, coeffs)
-
-    def _new(self, order: int, coeffs) -> "QSeries":
-        return QSeries(order, coeffs)
 
     @staticmethod
     def from_scalar(a: Scalar, order: int) -> "QSeries":

@@ -1,14 +1,17 @@
 """Truncated formal power series: one core for every series type.
 
 ``Series`` is a dense series in one variable, stored up to an explicit
-order.  Its coefficient ring is a class choice: ``Series`` itself holds
-Scalars of Q(s), and its subclass ``qcomb.QSeries`` holds exact
-rationals; multiply, unit division and powering are written once, here,
-for both.  ``BiSeries`` is a sparse series in any number of variables,
-keyed by exponent tuples and truncated by *total* degree: the group law
-lives in two variables, its associativity check in three.  Every
-arithmetic result carries order = min of the input orders; no operation
-ever claims coefficients it has not computed.
+order.  Its coefficient ring and its variable are class choices:
+``Series`` itself holds Scalars of Q(s) in T, and its subclass
+``qcomb.QSeries`` holds exact rationals in q; multiply, unit division and
+powering are written once, here, for both.  ``BiSeries`` is a sparse
+series in any number of variables, keyed by exponent tuples and
+truncated by *total* degree: the group law lives in two variables, X and
+Y, its associativity check in three, X, Y and Z.  A value states its
+variable and its order once: the class names the variable, and each
+routine reads the order off its inputs.  Every arithmetic result carries
+order = min of the input orders; no operation ever claims coefficients
+it has not computed.
 
 All values are immutable and the operations are pure.
 """
@@ -47,39 +50,39 @@ class Series:
     The coefficient ring is given by three class attributes: ``_coerce``
     maps an input coefficient into the ring, and ``_ZERO`` and ``_ONE``
     are its identities.  ``_ONE`` lies in a field, so that 1 / c stays
-    exact.  A subclass overrides these and ``_new``, and inherits all
-    arithmetic.
+    exact.  ``_VAR`` names the variable, for ``repr`` only.  A subclass
+    overrides these and inherits all arithmetic.
     """
 
-    __slots__ = ("var", "order", "coeffs")
+    __slots__ = ("order", "coeffs")
     _coerce = staticmethod(_as_scalar)
     _ZERO = ZERO
     _ONE = ONE
+    _VAR = "T"
     _TERM = "({c})*{v}^{k}"
 
-    def __init__(self, var: str, order: int, coeffs=()):
+    def __init__(self, order: int, coeffs=()):
         if order < 0:
             raise ValueError("series order must be >= 0")
         coerce = self._coerce
         cs = [coerce(c) for c in coeffs][: order + 1]
         cs += [self._ZERO] * (order + 1 - len(cs))
-        self.var = var
         self.order = order
         self.coeffs = tuple(cs)
 
     def _new(self, order: int, coeffs) -> "Series":
-        """A series of this type and variable."""
-        return Series(self.var, order, coeffs)
+        """A series of this type."""
+        return type(self)(order, coeffs)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def constant(var: str, order: int, c) -> "Series":
-        return Series(var, order, (c,))
+    def constant(order: int, c) -> "Series":
+        return Series(order, (c,))
 
     @staticmethod
-    def generator(var: str, order: int) -> "Series":
-        return Series(var, order, (ZERO, ONE))
+    def generator(order: int) -> "Series":
+        return Series(order, (ZERO, ONE))
 
     # -- access ---------------------------------------------------------------
 
@@ -102,23 +105,24 @@ class Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return (self.var == other.var and self.order == other.order
+        return (type(self) is type(other) and self.order == other.order
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.var, self.order, self.coeffs))
+        return hash((self.order, self.coeffs))
 
     def __repr__(self):
-        terms = [self._TERM.format(c=c, v=self.var, k=k)
+        terms = [self._TERM.format(c=c, v=self._VAR, k=k)
                  for k, c in enumerate(self.coeffs) if c]
         body = " + ".join(terms) if terms else "0"
-        return f"<{body} + O({self.var}^{self.order + 1})>"
+        return f"<{body} + O({self._VAR}^{self.order + 1})>"
 
     # -- arithmetic ------------------------------------------------------------
 
     def _common(self, other: "Series") -> int:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
+        if type(self) is not type(other):
+            raise ValueError(f"variable mismatch: {type(self).__name__} "
+                             f"vs {type(other).__name__}")
         return min(self.order, other.order)
 
     def __add__(self, other: "Series") -> "Series":
@@ -187,14 +191,12 @@ def _powers(x, k: int) -> list:
 
 def compose(f: Series, g: Series) -> Series:
     """f(g) for g with zero constant term, truncated to the common order."""
-    if f.var != g.var:
-        raise ValueError(f"variable mismatch: {f.var} vs {g.var}")
+    n = f._common(g)
     if not g.coeffs[0].is_zero():
         raise ValueError("composition needs an inner series with g(0) = 0")
-    n = min(f.order, g.order)
     g = g.truncate(n)
-    acc = Series.constant(f.var, n, f.coeffs[min(n, f.order)])
-    for k in range(min(n, f.order) - 1, -1, -1):
+    acc = Series.constant(n, f.coeffs[n])
+    for k in range(n - 1, -1, -1):
         acc = acc * g
         acc = acc.add_scalar(f.coeffs[k])
     return acc
@@ -218,8 +220,8 @@ def reverse(f: Series) -> Series:
         raise ValueError("reversion needs an invertible linear coefficient")
     n = f.order
     # u = f/w as a unit series of order n-1, then p = 1/u
-    u = Series(f.var, n - 1, f.coeffs[1:])
-    p = Series.constant(f.var, n - 1, ONE) / u
+    u = Series(n - 1, f.coeffs[1:])
+    p = Series.constant(n - 1, ONE) / u
     m = isqrt(n - 1) + 1
     baby = _powers(p, m)
     giant = _powers(baby[m], (n - 1) // m)
@@ -228,7 +230,7 @@ def reverse(f: Series) -> Series:
         i, j = divmod(k - 1, m)
         a, b = giant[i].coeffs, baby[j + 1].coeffs
         out[k] = sum((a[t] * b[k - 1 - t] for t in range(k)), ZERO) / Scalar.from_int(k)
-    return Series(f.var, n, out)
+    return Series(n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +246,7 @@ def log1(f: Series) -> Series:
     out = [ZERO] * (n + 1)
     for k in range(1, n + 1):
         out[k] = g.coeffs[k - 1] / Scalar.from_int(k)
-    return Series(f.var, n, out)
+    return Series(n, out)
 
 
 def exp0(f: Series) -> Series:
@@ -262,18 +264,11 @@ def exp0(f: Series) -> Series:
             if not fi.is_zero():
                 acc = acc + Scalar.from_int(i) * fi * out[k - i]
         out[k] = acc / Scalar.from_int(k)
-    return Series(f.var, n, out)
+    return Series(n, out)
 
 
 # ---------------------------------------------------------------------------
 # multivariate series, truncated by total degree
-
-def _unit_key(nvars: int, which: int, k: int) -> tuple:
-    """The exponent tuple of the ``which``-th variable to the k-th power."""
-    key = [0] * nvars
-    key[which] = k
-    return tuple(key)
-
 
 def _monomials(nvars: int, d: int) -> list:
     """Exponent tuples of total degree d in nvars variables, lexicographic."""
@@ -287,14 +282,15 @@ class BiSeries:
     """Sparse series in several variables, truncated by total degree.
 
     ``terms`` maps exponent tuples, one entry per variable, to nonzero
-    Scalars.  The group law is a BiSeries in two variables; the
-    associativity check in ``fgl`` works in three.
+    Scalars; ``nvars`` is the number of variables, which ``repr`` names
+    X, Y, Z by position.  The group law is a BiSeries in two variables;
+    the associativity check in ``fgl`` works in three.
     """
 
-    __slots__ = ("vars", "order", "terms")
+    __slots__ = ("nvars", "order", "terms")
 
-    def __init__(self, vars, order: int, terms=None):
-        self.vars = tuple(vars)
+    def __init__(self, nvars: int, order: int, terms=None):
+        self.nvars = nvars
         self.order = order
         clean = {}
         if terms:
@@ -305,12 +301,12 @@ class BiSeries:
         self.terms = clean
 
     @staticmethod
-    def _build(vars: tuple, order: int, terms: dict) -> "BiSeries":
+    def _build(nvars: int, order: int, terms: dict) -> "BiSeries":
         """The arithmetic's constructor: ``terms`` holds Scalars, all of
         total degree at most ``order``, so only the terms that cancelled to
         zero are dropped; ``__init__`` checks outside input."""
         out = object.__new__(BiSeries)
-        out.vars = vars
+        out.nvars = nvars
         out.order = order
         out.terms = {e: c for e, c in terms.items() if not c.is_zero()}
         return out
@@ -318,12 +314,13 @@ class BiSeries:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def constant(vars, order: int, c) -> "BiSeries":
-        return BiSeries(vars, order, {(0,) * len(vars): c})
+    def constant(nvars: int, order: int, c) -> "BiSeries":
+        return BiSeries(nvars, order, {(0,) * nvars: c})
 
     @staticmethod
-    def generator(vars, order: int, which: int) -> "BiSeries":
-        return BiSeries(vars, order, {_unit_key(len(vars), which, 1): ONE})
+    def generator(nvars: int, order: int, which: int) -> "BiSeries":
+        key = (0,) * which + (1,) + (0,) * (nvars - which - 1)
+        return BiSeries(nvars, order, {key: ONE})
 
     # -- access ----------------------------------------------------------------
 
@@ -334,13 +331,13 @@ class BiSeries:
         return self.terms.get(exps, ZERO)
 
     def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * len(self.vars), ZERO)
+        return self.terms.get((0,) * self.nvars, ZERO)
 
     def truncate(self, order: int) -> "BiSeries":
         if order >= self.order:
             return self
-        return BiSeries._build(self.vars, order, {e: c for e, c in self.terms.items()
-                                                  if sum(e) <= order})
+        return BiSeries._build(self.nvars, order, {e: c for e, c in self.terms.items()
+                                                   if sum(e) <= order})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -348,17 +345,17 @@ class BiSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiSeries):
             return NotImplemented
-        return (self.vars == other.vars and self.order == other.order
+        return (self.nvars == other.nvars and self.order == other.order
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.vars, self.order,
+        return hash((self.nvars, self.order,
                      tuple(sorted(self.terms.items(),
                                   key=lambda kv: kv[0]))))
 
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        terms = ["*".join([f"({c})"] + [f"{v}^{k}" for v, k in zip(self.vars, e)])
+        terms = ["*".join([f"({c})"] + [f"{v}^{k}" for v, k in zip("XYZ", e)])
                  for e, c in items]
         body = " + ".join(terms) if terms else "0"
         return f"<{body} + O(total degree {self.order + 1})>"
@@ -366,8 +363,8 @@ class BiSeries:
     # -- arithmetic --------------------------------------------------------------
 
     def _common(self, other: "BiSeries") -> int:
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+        if self.nvars != other.nvars:
+            raise ValueError(f"variable mismatch: {self.nvars} vs {other.nvars} variables")
         return min(self.order, other.order)
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
@@ -376,13 +373,13 @@ class BiSeries:
         for k, c in other.truncate(n).terms.items():
             prev = out.get(k)
             out[k] = c if prev is None else prev + c
-        return BiSeries._build(self.vars, n, out)
+        return BiSeries._build(self.nvars, n, out)
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         return self + (-other)
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries._build(self.vars, self.order,
+        return BiSeries._build(self.nvars, self.order,
                                {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
@@ -396,7 +393,7 @@ class BiSeries:
                     key = tuple(map(add, e1, e2))
                     prev = out.get(key)
                     out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return BiSeries._build(self.vars, n, out)
+        return BiSeries._build(self.nvars, n, out)
 
     def __truediv__(self, other: "BiSeries") -> "BiSeries":
         n = self._common(other)
@@ -409,7 +406,7 @@ class BiSeries:
         out: dict = {}
         # solve by increasing total degree; out never holds a negative key
         for d in range(n + 1):
-            for m in _monomials(len(self.vars), d):
+            for m in _monomials(self.nvars, d):
                 acc = self.terms.get(m, ZERO)
                 for e, c in rest:
                     r = out.get(tuple(map(sub, m, e)))
@@ -417,17 +414,17 @@ class BiSeries:
                         acc = acc - c * r
                 if not acc.is_zero():
                     out[m] = acc * inv0
-        return BiSeries._build(self.vars, n, out)
+        return BiSeries._build(self.nvars, n, out)
 
     def scale(self, c) -> "BiSeries":
         c = _as_scalar(c)
-        return BiSeries._build(self.vars, self.order,
+        return BiSeries._build(self.nvars, self.order,
                                {k: c * v for k, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "BiSeries":
         if k < 0:
             raise ValueError("negative multivariate powers are not supported")
-        return _power(self, k, BiSeries.constant(self.vars, self.order, ONE))
+        return _power(self, k, BiSeries.constant(self.nvars, self.order, ONE))
 
 
 def bi_compose(f: Series, g: BiSeries) -> BiSeries:
@@ -436,8 +433,8 @@ def bi_compose(f: Series, g: BiSeries) -> BiSeries:
         raise ValueError("composition needs an inner series with g(0,0) = 0")
     n = min(f.order, g.order)
     g = g.truncate(n)
-    acc = BiSeries.constant(g.vars, n, f.coeffs[min(n, f.order)])
-    for k in range(min(n, f.order) - 1, -1, -1):
+    acc = BiSeries.constant(g.nvars, n, f.coeffs[n])
+    for k in range(n - 1, -1, -1):
         acc = acc * g
-        acc = acc + BiSeries.constant(g.vars, n, f.coeffs[k])
+        acc = acc + BiSeries.constant(g.nvars, n, f.coeffs[k])
     return acc

@@ -162,9 +162,6 @@ class SL2Rep:
             raise ValueError("the zero representation has no top weight")
         return max(self.mult)
 
-    def dim(self) -> int:
-        return sum(c * (n + 1) for n, c in self.mult.items())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SL2Rep):
             return NotImplemented

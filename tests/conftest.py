@@ -35,9 +35,8 @@ def random_scalar(rng, deg=3) -> Scalar:
             return num / den
 
 
-def random_series(rng, var="T", order=8, coeff_deg=2) -> Series:
-    return Series(var, order,
-                  [random_q_poly(rng, coeff_deg, 2) for _ in range(order + 1)])
+def random_series(rng, order=8, coeff_deg=2) -> Series:
+    return Series(order, [random_q_poly(rng, coeff_deg, 2) for _ in range(order + 1)])
 
 
 def random_qseries(rng, order=8, rational=False) -> QSeries:
@@ -48,14 +47,14 @@ def random_qseries(rng, order=8, rational=False) -> QSeries:
     return QSeries(order, [coeff() for _ in range(order + 1)])
 
 
-def random_zero_constant_series(rng, var="T", order=8) -> Series:
-    f = random_series(rng, var, order)
-    return Series(var, order, (ZERO,) + f.coeffs[1:])
+def random_zero_constant_series(rng, order=8) -> Series:
+    f = random_series(rng, order)
+    return Series(order, (ZERO,) + f.coeffs[1:])
 
 
-def random_reversible_series(rng, var="T", order=8) -> Series:
-    f = random_series(rng, var, order)
-    return Series(var, order, (ZERO, ONE) + f.coeffs[2:])
+def random_reversible_series(rng, order=8) -> Series:
+    f = random_series(rng, order)
+    return Series(order, (ZERO, ONE) + f.coeffs[2:])
 
 
 def random_mobius(rng, deg=1) -> Mobius:

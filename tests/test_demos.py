@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/ runs to completion against the package in src/
+and prints exactly its pinned output in tests/demo_output/."""
 
 import os
 import subprocess
@@ -9,10 +10,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = ROOT / "tests" / "demo_output"
 
 
 def test_demos_found():
     assert DEMOS, "no demo scripts found"
+    assert sorted(p.stem for p in PINNED.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -21,3 +24,4 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == (PINNED / f"{demo.stem}.txt").read_text(encoding="utf-8")

@@ -122,13 +122,13 @@ def lambda_t_series_oracle(a, t_order, q_order):
     factor is an exact t-series, and a negative a_n takes the series
     inverse 1/(1 + t q^n).  The result is exact, not reduced mod q.
     """
-    one = Series.constant("t", t_order, ONE)
+    one = Series.constant(t_order, ONE)
     acc = one
     for n, c in enumerate(QSeries.from_scalar(a, q_order).coeffs):
         m = int(c)
         if m == 0:
             continue
-        base = Series("t", t_order, (ONE, Scalar.q_power(n)))
+        base = Series(t_order, (ONE, Scalar.q_power(n)))
         if m < 0:
             base, m = one / base, -m
         acc = acc * base ** m
@@ -142,8 +142,8 @@ def ghost_log_derivative_oracle(body, q_order):
     u = body(-t), and u'/u is one ``Series`` division over Scalar, exact
     and not reduced mod q; only the results are expanded to q_order.
     """
-    u = Series("t", body.order, [c if k % 2 == 0 else -c
-                                 for k, c in enumerate(body.coeffs)])
+    u = Series(body.order, [c if k % 2 == 0 else -c
+                            for k, c in enumerate(body.coeffs)])
     g = u.deriv() / u.truncate(max(u.order - 1, 0))
     return [QSeries.from_scalar(-g[k - 1], q_order)
             for k in range(1, body.order + 1)]

@@ -42,7 +42,7 @@ def test_degenerate_matrix_rejected():
 
 
 def test_apply_to_generator():
-    f = mob_apply(q_mobius(), Series.generator("T", 2))
+    f = mob_apply(q_mobius(), Series.generator(2))
     assert f[0] == ONE
     assert f[1] == ONE - Q
     assert f[2] == ONE - Q
@@ -61,7 +61,7 @@ def test_scalar_matrices_act_trivially(rng):
 
 
 def test_projective_inverse_action():
-    t = Series.generator("T", 8)
+    t = Series.generator(8)
     back = mob_apply(q_mobius_inv(), mob_apply(q_mobius(), t))
     assert back == t
 
