@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .scalar import Scalar, ZERO, ONE, Q, S
+from .scalar import Scalar, ZERO, ONE, Q, S, _dot
 # bi_compose has no caller here; perfbench's tracer test checks this by-name copy
 from .series import Series, BiSeries, log1, exp0, bi_compose, _powers
 from .mobius import q_mobius, q_mobius_inv, mob_apply, mob_det
@@ -124,19 +124,21 @@ def f_chi_from_log(order: int) -> FormalGroupLaw:
 
         F_ij = sum_{a <= i, b <= j} [T^i]L^a * C(a+b, a) e_{a+b} * [T^j]L^b,
 
-    evaluated through H[i][b] = sum_a [T^i]L^a * C(a+b, a) e_{a+b} in
-    O(order^3) scalar operations and ``order`` univariate multiplies.
+    evaluated through H[i][b] = sum_a [T^i]L^a * C(a+b, a) e_{a+b}, each
+    sum one ``scalar._dot``, in O(order^3) coefficient products and
+    ``order`` univariate multiplies.
     The route reads only the logarithm and the exponential, never a
     closed form or a reversion, so comparing it with the closed forms
     (``proposition_check``) compares two independent computations.
     """
     lg, ex = log_chi(order), exp_chi(order)
-    P = [p.coeffs for p in _powers(lg, order)]  # P[a][i] = [T^i] L^a, zero for a > i
+    # P[i][a] = [T^i] L^a, zero for a > i
+    P = list(zip(*(p.coeffs for p in _powers(lg, order))))
     w = [[Scalar.from_int(comb(k, a)) * ex[k] for a in range(k + 1)]
          for k in range(order + 1)]         # w[a+b][a] = C(a+b, a) e_{a+b}
-    H = [[sum((P[a][i] * w[a + b][a] for a in range(i + 1)), ZERO)
+    H = [[_dot(P[i], [w[a + b][a] for a in range(i + 1)])
           for b in range(order + 1 - i)] for i in range(order + 1)]
-    terms = {(i, j): sum((H[i][b] * P[b][j] for b in range(j + 1)), ZERO)
+    terms = {(i, j): _dot(H[i], P[j])
              for i in range(order + 1) for j in range(order + 1 - i)}
     return FormalGroupLaw(series=BiSeries(2, order, terms))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 from .scalar import Scalar, ONE, Q
 from .series import Series
@@ -85,6 +85,11 @@ def q_binom(n: int, k: int) -> Scalar:
 # ---------------------------------------------------------------------------
 # QSeries: truncated power series in q over exact rationals
 
+def _sum_of_products(xs, ys):
+    """The sum of x * y over paired exact rationals, ``QSeries._dot``."""
+    return sum(map(mul, xs, ys))
+
+
 def _exact(c):
     """An exact rational coefficient: an int when integral, else a Fraction."""
     if type(c) is int:
@@ -108,6 +113,7 @@ class QSeries(Series):
     _coerce = staticmethod(_exact)
     _ZERO = 0
     _ONE = Fraction(1)          # in Q, so that 1 / c is exact, never a float
+    _dot = staticmethod(_sum_of_products)
     _VAR = "q"
     _TERM = "{c}*{v}^{k}"
 
@@ -147,11 +153,13 @@ class QSeries(Series):
 # ---------------------------------------------------------------------------
 # (t, q) truncations as integer rows, one list of q-coefficients per t-degree
 
-def _times_power(rows: list, n: int, c: int, m: int) -> None:
+def _times_power(rows: list, tops: list, n: int, c: int, m: int) -> None:
     """Multiply the t-series held in ``rows`` by (1 + c*t*q^n)^m, in place.
 
     rows[j] is the list of q-coefficients of t^j; all rows have one
-    length, the q-truncation.  The t^i coefficient of the factor is
+    length, the q-truncation.  Entries of rows[j] past q-degree tops[j]
+    are zero (tops[j] = -1 for a zero row), so a pass maps only up to
+    that bound and raises it.  The t^i coefficient of the factor is
     binom(m, i) c^i q^(n*i) for every integer m, so a negative m divides.
     Walking j downward, rows[j] reads only rows below it, which still
     hold their old values.  One pass costs O(t * q) per nonzero term of
@@ -168,19 +176,24 @@ def _times_power(rows: list, n: int, c: int, m: int) -> None:
         dst = rows[j]
         for i in range(1, min(j + 1, len(terms))):
             b, s = terms[i], n * i
-            dst[s:] = map(add, dst[s:], [b * x for x in rows[j - i][: width - s]])
+            hi = min(tops[j - i] + s + 1, width)
+            if hi > s:
+                dst[s:hi] = map(add, dst[s:hi], [b * x for x in rows[j - i][: hi - s]])
+                tops[j] = max(tops[j], hi - 1)
 
 
 def _row_product(t_order: int, q_order: int, factors) -> tuple:
     """The product of (1 + c*t*q^n)^m over (n, c, m) in ``factors``.
 
-    Computed on integer rows by ``_times_power`` and returned as the
-    tuple of its t^0 .. t^t_order coefficients, each a QSeries.
+    Computed on integer rows by ``_times_power``, with the bound of each
+    row's nonzero q-degrees, and returned as the tuple of its
+    t^0 .. t^t_order coefficients, each a QSeries.
     """
     rows = [[0] * (q_order + 1) for _ in range(t_order + 1)]
     rows[0][0] = 1
+    tops = [0] + [-1] * t_order
     for n, c, m in factors:
-        _times_power(rows, n, c, m)
+        _times_power(rows, tops, n, c, m)
     return tuple(QSeries(q_order, r) for r in rows)
 
 

@@ -19,13 +19,14 @@ gcd(num, den) is trivial, so the representation is unique and structural
 equality coincides with mathematical equality.  Scalars are immutable and
 all operations are pure; they can be shared freely between threads.
 
-Each polynomial job has one kernel: ``_ip_mul`` is the one convolution
-and ``_ip_stretch`` the one substitution x -> x**k, which the Adams
-operation ``adams`` applies.  ``Scalar.eval_s`` is the one evaluation;
-``eval_q0`` and ``eval_q1`` are its values at s = 0 and s = 1.  The
-q-expansion of a Scalar is ``qcomb.QSeries.from_scalar``, which divides
-the numerator by the denominator with the unit division of
-``series.Series``.
+Each polynomial job has one kernel: ``_ip_mul`` is the one convolution,
+``_ip_stretch`` the one substitution x -> x**k, which the Adams
+operation ``adams`` applies, and ``_dot`` the one sum of products of
+Scalars, which every ``series.Series`` convolution reads.
+``Scalar.eval_s`` is the one evaluation; ``eval_q0`` and ``eval_q1``
+are its values at s = 0 and s = 1.  The q-expansion of a Scalar is
+``qcomb.QSeries.from_scalar``, which divides the numerator by the
+denominator with the unit division of ``series.Series``.
 """
 
 from __future__ import annotations
@@ -310,9 +311,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.num[2]
 
-    def is_one(self) -> bool:
-        return self.num == _LP_ONE and self.den == (1,)
-
     def lives_in_q(self) -> bool:
         """True when every s-exponent of num and den is even."""
         return _lp_even(self.num) and _lp_even((0, 1, self.den))
@@ -415,6 +413,43 @@ def _power(x, k: int, one):
             x = x * x
         k >>= 1
     return acc
+
+
+def _dot(xs, ys) -> Scalar:
+    """sum((x * y for x, y in zip(xs, ys)), ZERO), reduced once.
+
+    Pairs whose denominators are both (1,) accumulate their numerators,
+    skipping zero coefficients, in one integer list over the lcm of their
+    integer denominators, which ``_lp_make`` reduces at the end; any
+    other pair is added through ``Scalar.__add__`` in the same loop.
+    """
+    terms = []
+    rest = ZERO
+    for x, y in zip(xs, ys):
+        a, b = x.num, y.num
+        if not a[2] or not b[2]:
+            continue
+        if x.den != (1,) or y.den != (1,):
+            rest = rest + x * y
+        else:
+            terms.append((a[0] + b[0], a[1] * b[1], a[2], b[2]))
+    if not terms:
+        return rest
+    lo = min(t[0] for t in terms)
+    den = lcm(*[t[1] for t in terms])
+    out = [0] * (max(t[0] + len(t[2]) + len(t[3]) for t in terms) - lo - 1)
+    for v, d, ac, bc in terms:
+        m = den // d
+        bs = [(k, e) for k, e in enumerate(bc, v - lo) if e]
+        for i, c in enumerate(ac):
+            if c:
+                c *= m
+                for k, e in bs:
+                    out[i + k] += c * e
+    num = _lp_make(lo, den, out)
+    if not num[2]:
+        return rest
+    return Scalar(num, (1,)) + rest if rest else Scalar(num, (1,))
 
 
 def _reduce(num, den) -> Scalar:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import add, neg, sub
 
-from .scalar import Scalar, ZERO, ONE, _power
+from .scalar import Scalar, ZERO, ONE, _dot, _power
 
 __all__ = [
     "Series",
@@ -47,9 +47,11 @@ def _as_scalar(c) -> Scalar:
 class Series:
     """Dense truncated power series in one variable.
 
-    The coefficient ring is given by three class attributes: ``_coerce``
-    maps an input coefficient into the ring, and ``_ZERO`` and ``_ONE``
-    are its identities.  ``_ONE`` lies in a field, so that 1 / c stays
+    The coefficient ring is given by four class attributes: ``_coerce``
+    maps an input coefficient into the ring, ``_ZERO`` and ``_ONE`` are
+    its identities, and ``_dot(xs, ys)`` is its sum of products, which
+    computes every coefficient of a product, a quotient, an exponential
+    and a reversion.  ``_ONE`` lies in a field, so that 1 / c stays
     exact.  ``_VAR`` names the variable, for ``repr`` only.  A subclass
     overrides these and inherits all arithmetic.
     """
@@ -58,6 +60,7 @@ class Series:
     _coerce = staticmethod(_as_scalar)
     _ZERO = ZERO
     _ONE = ONE
+    _dot = staticmethod(_dot)
     _VAR = "T"
     _TERM = "({c})*{v}^{k}"
 
@@ -138,12 +141,8 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         n = self._common(other)
-        out = [self._ZERO] * (n + 1)
-        ys = other.coeffs
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                out[i:] = map(add, out[i:], [a * b for b in ys[: n + 1 - i]])
-        return self._new(n, out)
+        xs, ys, dot = self.coeffs, other.coeffs, self._dot
+        return self._new(n, [dot(xs[: k + 1], ys[k::-1]) for k in range(n + 1)])
 
     def __truediv__(self, other: "Series") -> "Series":
         n = self._common(other)
@@ -152,13 +151,10 @@ class Series:
             raise ZeroDivisionError(
                 "series division needs an invertible constant term")
         inv0 = self._coerce(self._ONE / ds[0])
+        dot = self._dot
         out = []
         for k in range(n + 1):
-            acc = self.coeffs[k]
-            for i in range(1, k + 1):
-                if ds[i]:
-                    acc = acc - ds[i] * out[k - i]
-            out.append(acc * inv0)
+            out.append((self.coeffs[k] - dot(ds[1 : k + 1], out[::-1])) * inv0)
         return self._new(n, out)
 
     def scale(self, c) -> "Series":
@@ -192,10 +188,10 @@ def _powers(x, k: int) -> list:
 def compose(f: Series, g: Series) -> Series:
     """f(g) for g with zero constant term, truncated to the common order."""
     n = f._common(g)
-    if not g.coeffs[0].is_zero():
+    if g.coeffs[0]:
         raise ValueError("composition needs an inner series with g(0) = 0")
     g = g.truncate(n)
-    acc = Series.constant(n, f.coeffs[n])
+    acc = f._new(n, (f.coeffs[n],))
     for k in range(n - 1, -1, -1):
         acc = acc * g
         acc = acc.add_scalar(f.coeffs[k])
@@ -214,23 +210,23 @@ def reverse(f: Series) -> Series:
     powers p**j and giant powers P**i cost about 2*sqrt(n) multiplies,
     where powering p up to p**n costs n.
     """
-    if not f.coeffs[0].is_zero():
+    if f.coeffs[0]:
         raise ValueError("reversion needs f(0) = 0")
-    if f.order < 1 or f.coeffs[1].is_zero():
+    if f.order < 1 or not f.coeffs[1]:
         raise ValueError("reversion needs an invertible linear coefficient")
     n = f.order
     # u = f/w as a unit series of order n-1, then p = 1/u
-    u = Series(n - 1, f.coeffs[1:])
-    p = Series.constant(n - 1, ONE) / u
+    u = f._new(n - 1, f.coeffs[1:])
+    p = f._new(n - 1, (f._ONE,)) / u
     m = isqrt(n - 1) + 1
     baby = _powers(p, m)
     giant = _powers(baby[m], (n - 1) // m)
-    out = [ZERO] * (n + 1)
+    out = [f._ZERO] * (n + 1)
     for k in range(1, n + 1):
         i, j = divmod(k - 1, m)
         a, b = giant[i].coeffs, baby[j + 1].coeffs
-        out[k] = sum((a[t] * b[k - 1 - t] for t in range(k)), ZERO) / Scalar.from_int(k)
-    return Series(n, out)
+        out[k] = f._dot(a[:k], b[k - 1 :: -1]) * (f._ONE / f._coerce(k))
+    return f._new(n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -238,33 +234,28 @@ def reverse(f: Series) -> Series:
 
 def log1(f: Series) -> Series:
     """Formal log of a series with constant term 1."""
-    if not f.coeffs[0].is_one():
+    if f.coeffs[0] != f._ONE:
         raise ValueError("log needs constant term 1")
     n = f.order
     # integrate f'/f
     g = f.deriv() / f.truncate(max(n - 1, 0))
-    out = [ZERO] * (n + 1)
+    out = [f._ZERO] * (n + 1)
     for k in range(1, n + 1):
-        out[k] = g.coeffs[k - 1] / Scalar.from_int(k)
-    return Series(n, out)
+        out[k] = g.coeffs[k - 1] * (f._ONE / f._coerce(k))
+    return f._new(n, out)
 
 
 def exp0(f: Series) -> Series:
     """Formal exp of a series with constant term 0."""
-    if not f.coeffs[0].is_zero():
+    if f.coeffs[0]:
         raise ValueError("exp needs constant term 0")
     n = f.order
-    out = [ZERO] * (n + 1)
-    out[0] = ONE
+    df = f.deriv().coeffs           # df[i - 1] = i * f_i
+    out = [f._ONE]
     # e' = f' e, solved degree by degree
     for k in range(1, n + 1):
-        acc = ZERO
-        for i in range(1, k + 1):
-            fi = f.coeffs[i]
-            if not fi.is_zero():
-                acc = acc + Scalar.from_int(i) * fi * out[k - i]
-        out[k] = acc / Scalar.from_int(k)
-    return Series(n, out)
+        out.append(f._dot(df[:k], out[::-1]) * (f._ONE / f._coerce(k)))
+    return f._new(n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,17 @@ def test_lambda_of_zero():
     assert all(w[k].is_zero() for k in range(1, 5))
 
 
+def test_lambda_of_a_constant_is_a_binomial_row_by_row():
+    # lambda_t(m) = (1 + t)^m: every row is the constant binom(m, k); the
+    # rows' nonzero support stays at q-degree 0 however wide the rows are
+    for m in (24, 3, -5):
+        w = lambda_t(Scalar.from_int(m), 24, 100)
+        binom = 1
+        for k in range(25):
+            assert w[k] == QSeries(100, (binom,)), (m, k)
+            binom = binom * (m - k) // (k + 1)
+
+
 def test_lambda_needs_integral_expansion():
     with pytest.raises(ValueError):
         lambda_t(Scalar.from_fraction(Fraction(1, 2)), 3, 6)

@@ -9,6 +9,7 @@ from qfgl import (
     eval_q0, eval_q1, canonical_str, QSeries,
 )
 from qfgl.qcomb import q_int, q_fact
+from qfgl.scalar import _dot
 
 from conftest import SEED, random_scalar, random_q_poly
 
@@ -231,3 +232,78 @@ def test_canonical_strings():
     assert canonical_str(Scalar.q_power(-1)) == "q^-1"
     assert canonical_str(S + ONE / S) == "s^-1 + s"
     assert canonical_str(ONE / (ONE + Q)) == "1/(1 + q)"
+
+
+# -- the sum-of-products kernel -----------------------------------------------------
+
+def _random_dot_entry(rng) -> Scalar:
+    """A Scalar of one of the shapes the kernel must handle: zero, a
+    polynomial in s with a negative valuation or rational content, or a
+    rational function whose denominator is not (1,)."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ZERO
+    if kind == 1:
+        return random_q_poly(rng, 3) * S ** rng.randint(-3, 1)
+    if kind == 2:
+        return random_q_poly(rng, 2) * Scalar.from_fraction(
+            Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+    if kind == 3:
+        return random_scalar(rng, 2) * S ** rng.randint(-2, 2)
+    return Scalar.from_fraction(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
+def _schoolbook_dot(xs, ys):
+    return sum((x * y for x, y in zip(xs, ys)), ZERO)
+
+
+def _same(a: Scalar, b: Scalar) -> bool:
+    return (a.num, a.den) == (b.num, b.den) and str(a) == str(b)
+
+
+def test_dot_equals_the_schoolbook_sum(rng):
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        xs = [_random_dot_entry(rng) for _ in range(n)]
+        ys = [_random_dot_entry(rng) for _ in range(n)]
+        assert _same(_dot(xs, ys), _schoolbook_dot(xs, ys))
+
+
+def test_dot_of_polynomial_pairs_is_reduced_once(rng):
+    # every denominator (1,): negative valuations and rational content only
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        xs = [random_q_poly(rng, 3) * S ** rng.randint(-4, 2)
+              * Scalar.from_fraction(Fraction(1, rng.randint(1, 9))) for _ in range(n)]
+        ys = [random_q_poly(rng, 2) * S ** rng.randint(-2, 3) for _ in range(n)]
+        assert _same(_dot(xs, ys), _schoolbook_dot(xs, ys))
+
+
+def test_dot_mixes_denominators(rng):
+    for _ in range(100):
+        xs = [random_q_poly(rng, 2), random_scalar(rng, 2),
+              Scalar.from_fraction(Fraction(3, 7)) * S ** -1, random_scalar(rng, 1)]
+        ys = [random_scalar(rng, 2), random_q_poly(rng, 3),
+              random_q_poly(rng, 1), random_q_poly(rng, 2) / Scalar.from_int(5)]
+        order = list(range(4))
+        rng.shuffle(order)
+        xs, ys = [xs[i] for i in order], [ys[i] for i in order]
+        assert _same(_dot(xs, ys), _schoolbook_dot(xs, ys))
+
+
+def test_dot_cancels_to_zero(rng):
+    for _ in range(50):
+        xs = [_random_dot_entry(rng) for _ in range(4)]
+        ys = [_random_dot_entry(rng) for _ in range(4)]
+        got = _dot(xs + xs, ys + [-y for y in ys])
+        assert got == ZERO and got.is_zero()
+        # a polynomial part that cancels beside a rational-function part
+        r = random_scalar(rng, 2)
+        assert _same(_dot([Q, -Q, r], [S, S, ONE]), r)
+    assert _dot([Scalar.from_fraction(Fraction(1, 2)), ONE],
+                [Scalar.from_int(2), -ONE]) == ZERO
+
+
+def test_dot_of_nothing_is_zero():
+    assert _dot([], []) is ZERO
+    assert _dot([ZERO, Q], [ONE, ZERO]) is ZERO

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from qfgl import (
-    Scalar, ZERO, ONE, Q,
+    Scalar, ZERO, ONE, Q, S,
     Series, BiSeries, QSeries, compose, reverse, log1, exp0,
 )
 from qfgl.scalar import _power
@@ -322,3 +322,108 @@ def test_order_bookkeeping_takes_minimum():
     g = random_series(__import__("random").Random(8), order=5)
     assert (f + g).order == 5
     assert (f * g).order == 5
+
+
+# -- every convolution against a schoolbook over Scalar operators ----------------
+
+def schoolbook_mul(a, b):
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), ZERO) for k in range(len(a))]
+
+
+def schoolbook_div(a, d):
+    out = []
+    for k in range(len(a)):
+        acc = a[k]
+        for i in range(1, k + 1):
+            acc = acc - d[i] * out[k - i]
+        out.append(acc / d[0])
+    return out
+
+
+def schoolbook_exp(f):
+    out = [ONE]
+    for k in range(1, len(f)):
+        acc = sum((Scalar.from_int(i) * f[i] * out[k - i] for i in range(1, k + 1)), ZERO)
+        out.append(acc / Scalar.from_int(k))
+    return out
+
+
+def schoolbook_reverse(f):
+    """Lagrange inversion k g_k = [w^(k-1)] p^k, p = w / f, powering p one
+    multiply at a time."""
+    n = len(f) - 1
+    p = schoolbook_div([ONE] + [ZERO] * (n - 1), f[1:])
+    out = [ZERO] * (n + 1)
+    power = [ONE] + [ZERO] * (n - 1)
+    for k in range(1, n + 1):
+        power = schoolbook_mul(power, p)
+        out[k] = power[k - 1] / Scalar.from_int(k)
+    return out
+
+
+def mixed_coefficient(rng) -> Scalar:
+    """Polynomials in q and in s, negative valuations, rational content and,
+    now and then, a rational function."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return ZERO
+    if kind == 1:
+        return Scalar.from_q_coeffs([rng.randint(-2, 2) for _ in range(3)]) / (ONE - Q)
+    c = random_q_poly(rng, 2, 2) * S ** rng.randint(-2, 1)
+    return c * Scalar.from_fraction(Fraction(rng.randint(1, 5), rng.randint(1, 4)))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_convolutions_equal_the_schoolbook(rng, n):
+    for _ in range(3):
+        a = [mixed_coefficient(rng) for _ in range(n + 1)]
+        b = [mixed_coefficient(rng) for _ in range(n + 1)]
+        assert (Series(n, a) * Series(n, b)).coeffs == tuple(schoolbook_mul(a, b))
+        d = [Scalar.from_int(rng.choice((-2, 1, 3)))] + b[1:]
+        assert (Series(n, a) / Series(n, d)).coeffs == tuple(schoolbook_div(a, d))
+        f = [ZERO] + a[1:]
+        assert exp0(Series(n, f)).coeffs == tuple(schoolbook_exp(f))
+        if n:
+            f = [ZERO, Scalar.from_fraction(Fraction(rng.choice((-2, 1, 3)), 2))] + a[2:]
+            assert reverse(Series(n, f)).coeffs == tuple(schoolbook_reverse(f))
+
+
+# -- the same routines over the ring of a QSeries -------------------------------------
+
+def q(order):
+    return QSeries(order, (0, 1))
+
+
+def test_exp_log_of_a_qseries_stay_in_its_ring(rng):
+    e = exp0(q(3))
+    assert type(e) is QSeries and e.coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6))
+    lg = log1(QSeries(3, (1, 1)))
+    assert type(lg) is QSeries and lg.coeffs == (0, 1, Fraction(-1, 2), Fraction(1, 3))
+    assert compose(QSeries(3, (1, 1)), q(3)) == QSeries(3, (1, 1))
+    for rational in (False, True):
+        for _ in range(20):
+            f = random_qseries(rng, order=9, rational=rational)
+            f = QSeries(9, (1,) + f.coeffs[1:])
+            assert exp0(log1(f)) == f
+            assert no_floats(log1(f)) and no_floats(exp0(log1(f)))
+
+
+def test_reverse_of_a_qseries_round_trips(rng):
+    for n in range(1, 12):
+        f = random_qseries(rng, order=n, rational=True)
+        f = QSeries(n, (0, rng.choice((-2, Fraction(1, 3), 1))) + f.coeffs[2:])
+        g = reverse(f)
+        assert type(g) is QSeries and no_floats(g)
+        assert compose(f, g) == q(n) and compose(g, f) == q(n)
+    assert reverse(q(6) / QSeries(6, (1, -1))) == q(6) / QSeries(6, (1, 1))
+
+
+def test_qseries_routines_check_their_constant_terms():
+    with pytest.raises(ValueError):
+        exp0(QSeries(3, (1, 1)))
+    with pytest.raises(ValueError):
+        log1(QSeries(3, (2, 1)))
+    with pytest.raises(ValueError):
+        reverse(QSeries(3, (0, 0, 1)))
+    with pytest.raises(ValueError):
+        compose(q(3), QSeries(3, (1, 1)))
