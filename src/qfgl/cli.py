@@ -39,7 +39,7 @@ from .lambda_ring import (
 )
 from .varieties import Variety, diagram_check, load_catalog
 from .report import Check, VerificationReport
-from .expr import MAX_SIZE, evaluate, _check_size
+from .expr import MAX_SIZE, evaluate, _check_size, _BUILTINS
 
 DEFAULT_ORDER = 10
 DEFAULT_T_ORDER = 6
@@ -332,17 +332,20 @@ def _run_diagram(args) -> int:
     return _emit_report(diagram_check(v), f"diagram {v}", args)
 
 
-def _table_family(fn, first=0):
-    """The rows k, fn(k) for k from ``first`` to --max."""
-    return lambda m: [(k, canonical_str(fn(k))) for k in range(first, m + 1)]
+def _table_family(fn, size, budget=MAX_SIZE, first=0):
+    """The rows k, fn(k) for k from ``first`` to --max, if size(--max) is in budget."""
+    def rows(m):
+        _check_size(f"the table up to {m}", size(m), budget)
+        return [(k, canonical_str(fn(k))) for k in range(first, m + 1)]
+    return rows
 
 
-# name -> its (index, value) rows up to --max
+# name -> its (index, value) rows up to --max; cp_image is sized as diagram 0 1 ... max
 _TABLES = {
-    "qint": _table_family(q_int),
-    "qfact": _table_family(q_fact),
-    "cyclotomic": _table_family(cyclotomic, first=1),
-    "cp_image": _table_family(cp_image),
+    "qint": _table_family(q_int, _BUILTINS["qint"][2]),
+    "qfact": _table_family(q_fact, _BUILTINS["qfact"][2]),
+    "cyclotomic": _table_family(cyclotomic, _BUILTINS["cyclotomic"][2], first=1),
+    "cp_image": _table_family(cp_image, lambda m: (m * (m + 1) // 2) ** 2, MAX_DIAGRAM_CUBES),
     "tau": lambda m: _table_univariate(discriminant(max(m, 1)))[1:m + 1],
 }
 

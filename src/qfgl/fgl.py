@@ -380,22 +380,20 @@ def _log_u_powers(t_order: int, x_order: int) -> list:
     binomial series (log U)^k = k! sum_j s(j, k) (U - 1)^j / j!, s the signed
     Stirling numbers of the first kind (Comtet, *Advanced Combinatorics*,
     1974, ch. V).  With y = 1 - q, [T^n](U - 1)^j = y^j C(n-1, j-1), so each
-    coefficient is y^k times a polynomial in y, summed by Horner's rule.
+    coefficient is one ``_dot`` of rationals against powers of y.  They match
+    (det * log_chi)^k; ``cartier_check`` says why det^k moves no verdict.
     """
-    y = ONE - Q
+    ys = _powers(ONE - Q, x_order)
     stirling = [[1]]                        # stirling[j][k] = s(j, k)
     for j in range(x_order):                # s(j+1, k) = s(j, k-1) - j s(j, k)
         stirling.append([a - j * b for a, b in zip([0] + stirling[-1], stirling[-1] + [0])])
     out = [Series.constant(x_order, ONE)]
     for k in range(1, t_order + 1):
-        coeffs = [ZERO] * (x_order + 1)
-        for n in range(k, x_order + 1):
-            acc = ZERO
-            for j in range(n, k - 1, -1):
-                acc = acc * y + Scalar.from_fraction(Fraction(
-                    factorial(k) * stirling[j][k] * comb(n - 1, j - 1), factorial(j)))
-            coeffs[n] = acc
-        out.append(Series(x_order, coeffs).scale(y ** k))
+        out.append(Series(x_order, [
+            _dot([Scalar.from_fraction(Fraction(
+                factorial(k) * stirling[j][k] * comb(n - 1, j - 1), factorial(j)))
+                for j in range(k, n + 1)], ys[k:])
+            for n in range(x_order + 1)]))
     return out
 
 
@@ -409,23 +407,21 @@ def cartier_check(t_order: int, x_order: int) -> VerificationReport:
     exponential (1 - e^{-u} and e^{u} - 1), and reports which combination
     holds coefficientwise.  The sides share no computation: the left reads
     ``log_chi``, the right only binomials, Stirling numbers and powers of
-    1 - q (``_log_u_powers``).
+    1 - q (``_log_u_powers``).  Both sides of the t^k comparison are
+    multiplied by k! det^k, and under the minus reading by (-1)^(k+1): a
+    nonzero factor on both sides moves neither an equality nor a first
+    failure, and leaves polynomials, c * det = det^2 or 1, with no gcd.
     """
-    lg_pow = _powers(log_chi(x_order), t_order)
-    L_pow = _log_u_powers(t_order, x_order)
     det = mob_det(q_mobius())
-    candidates = [("c=1-q", det), ("c=(1-q)^-1", ONE / det)]
-    readings = [("1-exp(-u)", True), ("exp(u)-1", False)]
+    lg_pow = _powers(log_chi(x_order).scale(det), t_order)
+    L_pow = _log_u_powers(t_order, x_order)
     checks = []
-    for rname, minus_reading in readings:
-        for cname, c in candidates:
-            # compare t^k coefficients for k = 1..t_order, without the factor
-            # 1/k! of both sides: it moves neither equality nor a first failure
+    for rname, minus_reading in (("1-exp(-u)", True), ("exp(u)-1", False)):
+        for cname, c_det in (("c=1-q", det * det), ("c=(1-q)^-1", ONE)):
             detail = None
             for k in range(1, t_order + 1):
-                sign = Scalar.from_int((-1) ** (k + 1))
-                lhs_k = lg_pow[k].scale(sign) if minus_reading else lg_pow[k]
-                diff = lhs_k - L_pow[k].scale(sign * c ** k)
+                sign = ONE if minus_reading else Scalar.from_int((-1) ** (k + 1))
+                diff = lg_pow[k] - L_pow[k].scale(sign * c_det ** k)
                 if not diff.is_zero():
                     j = next(i for i, v in enumerate(diff.coeffs) if v)
                     detail = f"first failing coefficient t^{k} T^{j}"

@@ -301,6 +301,16 @@ def test_cli_table_negative_max_is_a_usage_error(capsys):
     assert out.splitlines() == ["# tau up to 0"]
 
 
+@pytest.mark.parametrize("name, largest", [
+    ("qfact", 32), ("qint", 501), ("cyclotomic", 501), ("cp_image", 74)])
+def test_cli_table_budget_admits_its_boundary(capsys, name, largest):
+    # the eval budget of the value at --max, or the diagram budget of
+    # diagram 0 1 ... max for cp_image, admits this --max and refuses one more
+    code, out, _ = run_cli(capsys, "table", name, "--max", str(largest))
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"{largest}\t")
+
+
 def test_cli_expand_plain_table(capsys):
     code, out, _ = run_cli(capsys, "expand", "euler_phi", "--q-order", "7")
     assert code == 0
@@ -390,6 +400,11 @@ print(code, time.perf_counter() - t0)
     # the logarithm of each factor: CP^400 takes about 10 s
     ("diagram", "400"),
     ("diagram", "200", "200"),
+    # one past the largest table test_cli_table_budget_admits_its_boundary runs
+    ("table", "qfact", "--max", "33"),
+    ("table", "qint", "--max", "502"),
+    ("table", "cyclotomic", "--max", "502"),
+    ("table", "cp_image", "--max", "75"),
 ])
 def test_cli_size_budget_refuses_before_allocating(argv):
     pytest.importorskip("resource")

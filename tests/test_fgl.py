@@ -355,6 +355,34 @@ def test_cartier_sides_share_no_computation(monkeypatch):
     assert not any(c.passed for c in rep.checks)
 
 
+def test_cartier_reads_the_right_side(monkeypatch):
+    # a wrong (log U)^3 moves only the right side: the true combination fails there
+    true_log_u_powers = qfgl.fgl._log_u_powers
+
+    def wrong(t_order, x_order):
+        out = true_log_u_powers(t_order, x_order)
+        coeffs = list(out[3].coeffs)
+        coeffs[5] += ONE
+        out[3] = Series(x_order, coeffs)
+        return out
+    monkeypatch.setattr(qfgl.fgl, "_log_u_powers", wrong)
+    rep = cartier_check(4, 6)
+    failing = {c.name: c.detail for c in rep.checks if not c.passed}
+    assert (failing["exponential-character identity [1-exp(-u), c=(1-q)^-1]"]
+            == "first failing coefficient t^3 T^5")
+
+
+def test_cartier_check_runs_no_gcd(monkeypatch):
+    # both sides are polynomials once scaled by det^k; only log_chi divides
+    lg = log_chi(24)
+    monkeypatch.setattr(qfgl.fgl, "log_chi", lambda order: lg)
+    calls = []
+    true_gcd = qfgl.scalar._ip_gcd
+    monkeypatch.setattr(qfgl.scalar, "_ip_gcd", lambda a, b: calls.append(1) or true_gcd(a, b))
+    assert cartier_check(8, 24).checks[1].passed
+    assert len(calls) == 0
+
+
 def test_log_u_powers_match_the_logarithm():
     for t_order, x_order in ((1, 1), (3, 5), (6, 8), (8, 12)):
         assert _log_u_powers(t_order, x_order) == _powers(log1(qmob_series(x_order)),
