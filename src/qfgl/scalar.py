@@ -22,7 +22,8 @@ all operations are pure; they can be shared freely between threads.
 Each polynomial job has one kernel: ``_ip_mul`` is the one convolution,
 ``_ip_stretch`` the one substitution x -> x**k, which the Adams
 operation ``adams`` applies, and ``_dot`` the one sum of products of
-Scalars, which every ``series.Series`` convolution reads.
+Scalars, which every ``series.Series`` convolution reads; it multiplies
+polynomials as packed big integers (``_ip_pack``, ``_ip_unpack``).
 ``Scalar.eval_s`` is the one evaluation; ``eval_q0`` and ``eval_q1``
 are its values at s = 0 and s = 1.  The q-expansion of a Scalar is
 ``qcomb.QSeries.from_scalar``, which divides the numerator by the
@@ -179,6 +180,30 @@ def _ip_stretch(p, k: int):
     out = [0] * ((len(p) - 1) * k + 1)
     out[::k] = p
     return tuple(out)
+
+
+def _ip_pack(p, w: int) -> int:
+    """p(2**w): the coefficients of p as the base-2**w digits of one integer."""
+    out = 0
+    for c in reversed(p):
+        out = (out << w) + c
+    return out
+
+
+def _ip_unpack(n: int, w: int) -> list:
+    """The signed base-2**w digits of n, lowest first; each must be less
+    than 2**(w-1) in absolute value."""
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    out = []
+    while n:
+        c = n & mask
+        n >>= w
+        if c >= half:
+            c -= mask + 1
+            n += 1
+        out.append(c)
+    return out
 
 
 def _ip_primitive(a):
@@ -418,10 +443,20 @@ def _power(x, k: int, one):
 def _dot(xs, ys) -> Scalar:
     """sum((x * y for x, y in zip(xs, ys)), ZERO), reduced once.
 
-    Pairs whose denominators are both (1,) accumulate their numerators,
-    skipping zero coefficients, in one integer list over the lcm of their
-    integer denominators, which ``_lp_make`` reduces at the end; any
-    other pair is added through ``Scalar.__add__`` in the same loop.
+    Pairs whose denominators are both (1,) are summed over the lcm ``den``
+    of their integer denominators d by Kronecker substitution: each
+    numerator becomes one integer A = sum a_i * 2**(w*i), the products
+    A * B * (den // d), shifted to their valuations, add up in one
+    integer, and its signed base-2**w digits are the coefficients of the
+    sum.  The numerators are packed in q, at stride 2, when every
+    valuation has the parity of the least one and no numerator has a
+    coefficient at an odd offset (every coefficient of the law is s**v
+    times a polynomial in q), and in s otherwise.  With |A| the largest
+    absolute coefficient, the width w = bits(max (den // d) * |A| * |B| *
+    min(len A, len B)) + bits(number of pairs) + 1 keeps every digit below
+    2**(w-1) in absolute value: none overflows, and the sum is exact.  A
+    single such pair is one ``_ip_mul``; any other pair is added through
+    ``Scalar.__add__``.
     """
     terms = []
     rest = ZERO
@@ -435,28 +470,41 @@ def _dot(xs, ys) -> Scalar:
             terms.append((a[0] + b[0], a[1] * b[1], a[2], b[2]))
     if not terms:
         return rest
-    lo = min(t[0] for t in terms)
-    den = lcm(*[t[1] for t in terms])
-    out = [0] * (max(t[0] + len(t[2]) + len(t[3]) for t in terms) - lo - 1)
-    for v, d, ac, bc in terms:
-        m = den // d
-        bs = [(k, e) for k, e in enumerate(bc, v - lo) if e]
-        for i, c in enumerate(ac):
-            if c:
-                c *= m
-                for k, e in bs:
-                    out[i + k] += c * e
-    num = _lp_make(lo, den, out)
+    if len(terms) == 1:
+        v, den, ac, bc = terms[0]
+        num = _lp_make(v, den, _ip_mul(ac, bc))
+    else:
+        lo = min(t[0] for t in terms)
+        den = lcm(*[t[1] for t in terms])
+        step = 1 if any((v - lo) & 1 or any(ac[1::2]) or any(bc[1::2])
+                        for v, _, ac, bc in terms) else 2
+        packs = [((v - lo) // step, den // d, ac[::step], bc[::step])
+                 for v, d, ac, bc in terms]
+        bound = max(m * max(map(abs, ac)) * max(map(abs, bc)) * min(len(ac), len(bc))
+                    for _, m, ac, bc in packs)
+        w = bound.bit_length() + len(packs).bit_length() + 1
+        acc = 0
+        for k, m, ac, bc in packs:
+            acc += (_ip_pack(ac, w) * _ip_pack(bc, w) * m) << (w * k)
+        num = _lp_make(lo, den, _ip_stretch(_ip_unpack(acc, w), step))
     if not num[2]:
         return rest
     return Scalar(num, (1,)) + rest if rest else Scalar(num, (1,))
 
 
 def _reduce(num, den) -> Scalar:
-    """Build a Scalar from an LP numerator and a primitive-ish denominator."""
+    """Build a Scalar from an LP numerator and a primitive denominator with
+    positive leading coefficient.
+
+    When den divides the numerator the gcd is den itself (Gauss's lemma),
+    so the exact quotient is taken and no gcd runs.
+    """
     if not num[2]:
         return ZERO
     if den != (1,):
+        quo = _ip_divides(num[2], den)
+        if quo is not None:
+            return Scalar(_lp_make(num[0], num[1], quo), (1,))
         g = _ip_gcd(num[2], den)
         if len(g) > 1:
             num = _lp_make(num[0], num[1], list(_ip_divexact(num[2], g)))

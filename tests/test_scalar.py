@@ -1,6 +1,7 @@
 """Exact scalar arithmetic, canonical forms and membership predicates."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -9,7 +10,8 @@ from qfgl import (
     eval_q0, eval_q1, canonical_str, QSeries,
 )
 from qfgl.qcomb import q_int, q_fact
-from qfgl.scalar import _dot
+from qfgl import scalar
+from qfgl.scalar import _dot, _ip_divexact, _ip_divides, _ip_gcd, _lp_make
 
 from conftest import SEED, random_scalar, random_q_poly
 
@@ -307,3 +309,112 @@ def test_dot_cancels_to_zero(rng):
 def test_dot_of_nothing_is_zero():
     assert _dot([], []) is ZERO
     assert _dot([ZERO, Q], [ONE, ZERO]) is ZERO
+
+
+# -- the packed kernel: every pair with denominator (1,) is one big-integer
+#    product, read back as signed base-2^w digits --------------------------
+
+def _poly(coeffs, val=0) -> Scalar:
+    """s**val * (c0 + c1*s + ...), built by the public operators."""
+    out = ZERO
+    for i, c in enumerate(coeffs):
+        out = out + Scalar.from_int(c) * S ** (val + i)
+    return out
+
+
+def test_dot_digits_fill_the_packing_width():
+    # coefficients ±(2^k - 1) of one sign make every digit reach the width
+    # bound up to the rounding of its bit lengths; a narrower width overflows
+    for k in (1, 2, 5, 31, 64):
+        c = 2 ** k - 1
+        for n in (1, 2, 5, 12, 40):
+            for pairs in (2, 3, 5, 7, 8):
+                for sign in (1, -1):
+                    x = Scalar.from_q_coeffs([sign * c] * n)
+                    y = Scalar.from_q_coeffs([c] * (n + pairs % 3))
+                    xs, ys = [x] * pairs, [y] * pairs
+                    assert _same(_dot(xs, ys), _schoolbook_dot(xs, ys)), (k, n, pairs)
+
+
+def test_dot_packs_over_a_large_lcm_of_denominators():
+    # 1/j! entries: the multipliers den // d run up to 24!
+    for k in (3, 40):
+        c = 2 ** k - 1
+        xs = [Scalar.from_q_coeffs([c] * 30) / Scalar.from_int(factorial(j))
+              for j in range(1, 25)]
+        ys = [Scalar.from_q_coeffs([-c] * (j + 1)) * Q ** (j % 3) for j in range(1, 25)]
+        assert _same(_dot(xs, ys), _schoolbook_dot(xs, ys))
+        xs = [Scalar.from_fraction(Fraction(1, factorial(j))) for j in range(1, 25)]
+        assert _same(_dot(xs, ys), _schoolbook_dot(xs, ys))
+
+
+def test_dot_of_mixed_parity_packs_in_s(rng):
+    # one odd valuation, or one odd-s coefficient, among q-polynomials
+    for _ in range(100):
+        n = rng.randint(2, 7)
+        xs = [random_q_poly(rng, 4, 9) * Q ** rng.randint(-2, 2) for _ in range(n)]
+        ys = [random_q_poly(rng, 3, 9) for _ in range(n)]
+        i = rng.randrange(n)
+        if rng.randrange(2):
+            xs[i] = xs[i] * S ** rng.choice((-3, -1, 1, 3))
+        else:
+            ys[i] = ys[i] + Scalar.from_int(rng.choice((-2, 1, 5))) * S ** rng.choice((1, 3, 5))
+        assert _same(_dot(xs, ys), _schoolbook_dot(xs, ys))
+    # s times s pairs: odd valuations whose sums are even
+    xs = [_poly([1, 0, 2], val=-1), _poly([3], val=1)]
+    ys = [_poly([1, 0, -1], val=1), _poly([0, 0, 4], val=-1)]
+    assert _same(_dot(xs, ys), _schoolbook_dot(xs, ys))
+
+
+def test_dot_in_q_with_negative_valuations(rng):
+    for _ in range(100):
+        n = rng.randint(2, 8)
+        xs = [random_q_poly(rng, 5, 20) * Q ** rng.randint(-6, 1)
+              * Scalar.from_fraction(Fraction(1, rng.randint(1, 12))) for _ in range(n)]
+        ys = [random_q_poly(rng, 4, 20) * Q ** rng.randint(-3, 3) for _ in range(n)]
+        assert _same(_dot(xs, ys), _schoolbook_dot(xs, ys))
+
+
+def test_dot_in_q_cancels_to_zero(rng):
+    for _ in range(50):
+        n = rng.randint(1, 5)
+        xs = [random_q_poly(rng, 4, 50) * Q ** rng.randint(-3, 2) for _ in range(n)]
+        ys = [random_q_poly(rng, 3, 50) / Scalar.from_int(rng.randint(1, 7)) for _ in range(n)]
+        assert _dot(xs + xs, ys + [-y for y in ys]) is ZERO
+        # the leading and trailing digits cancel, the middle one survives
+        a, b = _dot(xs, ys), Q ** 5
+        xs2, ys2 = xs + [ONE] + xs, ys + [b] + [-y for y in ys]
+        assert _same(_dot(xs2, ys2), _schoolbook_dot(xs2, ys2))
+        assert _same(_dot(xs2, ys2), b)
+        assert _dot(xs + [Q], ys + [-a / Q]) is ZERO
+
+
+# -- reduction: the exact quotient when the denominator divides ------------
+
+def _reduce_by_gcd(num, den):
+    if not num[2]:
+        return ZERO
+    if den != (1,):
+        g = _ip_gcd(num[2], den)
+        if len(g) > 1:
+            num = _lp_make(num[0], num[1], list(_ip_divexact(num[2], g)))
+            den = _ip_divexact(den, g)
+    return Scalar(num, den)
+
+
+def test_reduce_equals_the_gcd_route(rng, monkeypatch):
+    cases = []
+    for _ in range(150):
+        cases.append((random_scalar(rng), random_scalar(rng)))
+        p = random_q_poly(rng, 4) * S ** rng.randint(-3, 3)
+        d = random_q_poly(rng, 3) + Q ** 4
+        # d divides the numerator p*d of (p*d) * (1/d) and (p*d) / d
+        cases += [(p * d, ONE / d), (p * d, d), (p, d)]
+    got = [(x * y, x / y if y else None) for x, y in cases]
+    exact = []
+    monkeypatch.setattr(scalar, "_reduce", lambda num, den: exact.append(
+        den != (1,) and _ip_divides(num[2], den) is not None) or _reduce_by_gcd(num, den))
+    want = [(x * y, x / y if y else None) for x, y in cases]
+    for g, w in zip(got, want):
+        assert all(u is v is None or _same(u, v) for u, v in zip(g, w))
+    assert exact.count(True) > 100 and exact.count(False) > 100
