@@ -12,7 +12,9 @@ Verbs:
 Output is plain text or JSON (``--format``); diagnostics go to stderr.
 Exit codes: 0 success / all checks pass, 1 any failing check, 2 usage,
 evaluation or internal error.  Orders, --max, diagram dimensions and the
-sizes an expression asks for are held to ``expr.MAX_SIZE``.
+sizes an expression asks for are held to ``expr.MAX_SIZE``, and each
+``expand`` target and ``verify`` suite to a cost in its --order and
+--t-order (``MAX_ORDER_COST``).
 """
 
 from __future__ import annotations
@@ -48,6 +50,17 @@ DEFAULT_Q_ORDER = 30
 # cp_image(n) expands log_chi(n + 1) in time about n^3: CP^200 takes 2 s
 MAX_DIAGRAM_CUBES = 200 ** 3
 
+# an expand target or verify suite runs in time about n ** e, n the largest
+# --order or --t-order it reads; its exponent e in _EXPANDS or _SUITES is
+# the one measured by doubling n up to its admitted maximum, rounded, and
+# raised while that maximum ran for more than about 3 s
+MAX_ORDER_COST = 10 ** 8
+
+
+def _check_order_cost(what: str, args, orders, exponent: int) -> None:
+    n = max([getattr(args, k) for k in orders if k != "q_order"], default=0)
+    _check_size(f"the cost n^{exponent} of {what} at n = {n}", n ** exponent, MAX_ORDER_COST)
+
 
 # ---------------------------------------------------------------------------
 # expand targets
@@ -78,20 +91,20 @@ def _expand_lambda_element(args):
         raise ValueError(f"--element {args.element!r}: {exc}")
 
 
-# target -> (the orders it reads, its (degree, value) rows)
+# target -> (the orders it reads, its cost exponent, its (degree, value) rows)
 _EXPANDS = {
-    "log_chi": (("order",), lambda a: _table_univariate(log_chi(a.order))),
-    "exp_chi": (("order",), lambda a: _table_univariate(exp_chi(a.order))),
-    "f_chi": (("order",), lambda a: _table_bivariate(f_chi_closed(a.order))),
-    "drinfeld": (("order",), lambda a: _table_bivariate(drinfeld_form(a.order))),
-    "fgl_inverse": (("order",), lambda a: _table_univariate(
+    "log_chi": (("order",), 3, lambda a: _table_univariate(log_chi(a.order))),
+    "exp_chi": (("order",), 4, lambda a: _table_univariate(exp_chi(a.order))),
+    "f_chi": (("order",), 2, lambda a: _table_bivariate(f_chi_closed(a.order))),
+    "drinfeld": (("order",), 2, lambda a: _table_bivariate(drinfeld_form(a.order))),
+    "fgl_inverse": (("order",), 4, lambda a: _table_univariate(
         fgl_inverse(f_chi_closed(a.order)))),
-    "euler_phi": (("q_order",), lambda a: _table_univariate(euler_phi(a.q_order))),
-    "discriminant": (("q_order",), lambda a: _table_univariate(discriminant(a.q_order))),
-    "pochhammer": (("t_order", "q_order"),
+    "euler_phi": (("q_order",), 0, lambda a: _table_univariate(euler_phi(a.q_order))),
+    "discriminant": (("q_order",), 0, lambda a: _table_univariate(discriminant(a.q_order))),
+    "pochhammer": (("t_order", "q_order"), 1,
                    lambda a: _table_tq(poch_inf_product(a.t_order, a.q_order))),
-    "lambda_t": (("t_order", "q_order"), lambda a: _table_tq(_expand_lambda_element(a))),
-    "thom_class": (("q_order",), lambda a: _table_univariate(thom_class(a.q_order))),
+    "lambda_t": (("t_order", "q_order"), 1, lambda a: _table_tq(_expand_lambda_element(a))),
+    "thom_class": (("q_order",), 0, lambda a: _table_univariate(thom_class(a.q_order))),
 }
 
 
@@ -110,7 +123,8 @@ def _emit_coefficients(args, name, orders, header, rows) -> int:
 
 
 def _run_expand(args) -> int:
-    names, rows = _EXPANDS[args.target]
+    names, exponent, rows = _EXPANDS[args.target]
+    _check_order_cost(f"expand {args.target}", args, names, exponent)
     orders = {k: getattr(args, k) for k in names}
     header = f"{args.target}  " + "  ".join(f"{k}={v}" for k, v in orders.items())
     return _emit_coefficients(args, args.target, orders, header, rows(args))
@@ -271,18 +285,19 @@ def _suite_selftest_fail(args) -> VerificationReport:
     ))
 
 
+# suite -> (the orders it reads, its cost exponent, its report)
 _SUITES = {
-    "lemma21": _suite_lemma21,
-    "fgl-axioms": _suite_fgl_axioms,
-    "mishchenko": _suite_mishchenko,
-    "adams": _suite_adams,
-    "pochhammer-identity": _suite_pochhammer,
-    "lambda-k": _suite_lambda_k,
-    "cartier": _suite_cartier,
-    "exercise32": _suite_exercise32,
-    "diagram": _suite_diagram,
-    "proposition": _suite_proposition,
-    "selftest-fail": _suite_selftest_fail,
+    "lemma21": ((), 0, _suite_lemma21),
+    "fgl-axioms": (("order",), 2, _suite_fgl_axioms),
+    "mishchenko": (("order",), 4, _suite_mishchenko),
+    "adams": (("q_order",), 0, _suite_adams),
+    "pochhammer-identity": (("t_order", "q_order"), 5, _suite_pochhammer),
+    "lambda-k": (("q_order",), 0, _suite_lambda_k),
+    "cartier": (("t_order", "order"), 5, _suite_cartier),
+    "exercise32": (("q_order",), 0, _suite_exercise32),
+    "diagram": ((), 0, _suite_diagram),
+    "proposition": (("order",), 5, _suite_proposition),
+    "selftest-fail": ((), 0, _suite_selftest_fail),
 }
 
 
@@ -308,7 +323,8 @@ def _emit_report(rep: VerificationReport, name: str, args) -> int:
 
 
 def _run_verify(args) -> int:
-    suite = _SUITES[args.suite]
+    orders, exponent, suite = _SUITES[args.suite]
+    _check_order_cost(f"verify {args.suite}", args, orders, exponent)
     return _emit_report(suite(args), args.suite, args)
 
 

@@ -17,12 +17,18 @@ A Scalar is a reduced fraction num/den where
 
 gcd(num, den) is trivial, so the representation is unique and structural
 equality coincides with mathematical equality.  Scalars are immutable and
-all operations are pure; they can be shared freely between threads.
+all operations are pure; they can be shared freely between threads.  A
+Scalar has one cache slot, ``_packing``, where ``_dot`` keeps the shape
+of its numerator and its last packed integer.  The slot is one immutable
+tuple, written by one assignment and read once per use, so a thread
+sees a whole old tuple or a whole new one, never one width's integer
+under another width; ``==``, ``hash``, ``num`` and ``den`` never read it.
 
 Each polynomial job has one kernel: ``_ip_mul`` is the one convolution,
 ``_ip_stretch`` the one substitution x -> x**k, which the Adams
 operation ``adams`` applies, and ``_dot`` the one sum of products of
-Scalars, which every ``series.Series`` convolution reads; it multiplies
+Scalars, which every ``series.Series`` convolution and each coefficient
+of a ``series.BiSeries`` product or quotient reads; it multiplies
 polynomials as packed big integers (``_ip_pack``, ``_ip_unpack``).
 ``Scalar.eval_s`` is the one evaluation; ``eval_q0`` and ``eval_q1``
 are its values at s = 0 and s = 1.  The q-expansion of a Scalar is
@@ -285,12 +291,13 @@ def _ip_divexact(a, b):
 class Scalar:
     """An exact rational function in s (q = s**2), kept in canonical form."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_packing")
 
     def __init__(self, num, den):
         # private: callers go through the constructors / arithmetic below
         self.num = num
         self.den = den
+        self._packing = None
 
     # -- constructors -------------------------------------------------------
 
@@ -452,44 +459,66 @@ def _dot(xs, ys) -> Scalar:
     valuation has the parity of the least one and no numerator has a
     coefficient at an odd offset (every coefficient of the law is s**v
     times a polynomial in q), and in s otherwise.  With |A| the largest
-    absolute coefficient, the width w = bits(max (den // d) * |A| * |B| *
-    min(len A, len B)) + bits(number of pairs) + 1 keeps every digit below
-    2**(w-1) in absolute value: none overflows, and the sum is exact.  A
-    single such pair is one ``_ip_mul``; any other pair is added through
-    ``Scalar.__add__``.
+    absolute coefficient and len A the length in s, the width w =
+    bits(max (den // d) * |A| * |B| * min(len A, len B)) + bits(number of
+    pairs) + 1 keeps every digit below 2**(w-1) in absolute value: none
+    overflows, and the sum is exact.  w is rounded up to whole 64-bit
+    words, so the successive dots of one convolution share it, and each
+    Scalar packs itself once for them (``_pack``).  A single such pair is
+    one ``_ip_mul``; any other pair is added through ``Scalar.__add__``.
     """
-    terms = []
+    pairs = []
     rest = ZERO
     for x, y in zip(xs, ys):
-        a, b = x.num, y.num
-        if not a[2] or not b[2]:
+        if not x.num[2] or not y.num[2]:
             continue
         if x.den != (1,) or y.den != (1,):
-            rest = rest + x * y
+            rest = x * y if rest is ZERO else rest + x * y
         else:
-            terms.append((a[0] + b[0], a[1] * b[1], a[2], b[2]))
-    if not terms:
+            pairs.append((x, y))
+    if not pairs:
         return rest
-    if len(terms) == 1:
-        v, den, ac, bc = terms[0]
-        num = _lp_make(v, den, _ip_mul(ac, bc))
+    if len(pairs) == 1:
+        [(x, y)] = pairs
+        (av, ad, ac), (bv, bd, bc) = x.num, y.num
+        num = _lp_make(av + bv, ad * bd, _ip_mul(ac, bc))
     else:
-        lo = min(t[0] for t in terms)
-        den = lcm(*[t[1] for t in terms])
-        step = 1 if any((v - lo) & 1 or any(ac[1::2]) or any(bc[1::2])
-                        for v, _, ac, bc in terms) else 2
-        packs = [((v - lo) // step, den // d, ac[::step], bc[::step])
-                 for v, d, ac, bc in terms]
-        bound = max(m * max(map(abs, ac)) * max(map(abs, bc)) * min(len(ac), len(bc))
-                    for _, m, ac, bc in packs)
-        w = bound.bit_length() + len(packs).bit_length() + 1
+        lo = min(x.num[0] + y.num[0] for x, y in pairs)
+        den = lcm(*[x.num[1] * y.num[1] for x, y in pairs])
+        terms = [(x.num[0] + y.num[0] - lo, den // (x.num[1] * y.num[1]),
+                  _shape(x), _shape(y)) for x, y in pairs]
+        step = 1 if any(v & 1 or sx[0] or sy[0] for v, _, sx, sy in terms) else 2
+        bound = max(m * sx[1] * sy[1] * min(sx[2], sy[2]) for _, m, sx, sy in terms)
+        w = (bound.bit_length() + len(pairs).bit_length() + 64) & -64
         acc = 0
-        for k, m, ac, bc in packs:
-            acc += (_ip_pack(ac, w) * _ip_pack(bc, w) * m) << (w * k)
+        for (x, y), (v, m, _, _) in zip(pairs, terms):
+            acc += (_pack(x, step, w) * _pack(y, step, w) * m) << (w * (v // step))
         num = _lp_make(lo, den, _ip_stretch(_ip_unpack(acc, w), step))
     if not num[2]:
         return rest
     return Scalar(num, (1,)) + rest if rest else Scalar(num, (1,))
+
+
+def _shape(x: Scalar) -> tuple:
+    """The packing slot of a nonzero Scalar, filled in on first use: (a
+    coefficient at an odd offset?, the largest absolute coefficient, the
+    length, then the stride, width and integer of the last packing, with
+    stride 0 before the first)."""
+    slot = x._packing
+    if slot is None:
+        ac = x.num[2]
+        slot = x._packing = (any(ac[1::2]), max(map(abs, ac)), len(ac), 0, 0, 0)
+    return slot
+
+
+def _pack(x: Scalar, step: int, w: int) -> int:
+    """The numerator of x packed at this stride and width, from its slot
+    when the last packing had them; a new packing replaces the slot whole."""
+    slot = x._packing
+    if slot[3] != step or slot[4] != w:
+        slot = slot[:3] + (step, w, _ip_pack(x.num[2][::step], w))
+        x._packing = slot
+    return slot[5]
 
 
 def _reduce(num, den) -> Scalar:

@@ -376,15 +376,16 @@ class BiSeries:
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         n = self._common(other)
         rhs = [(e, sum(e), c) for e, c in other.terms.items()]
-        out = {}
+        pairs: dict = {}
         for e1, c1 in self.terms.items():
             room = n - sum(e1)
             for e2, d2, c2 in rhs:
                 if d2 <= room:
-                    key = tuple(map(add, e1, e2))
-                    prev = out.get(key)
-                    out[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return BiSeries._build(self.nvars, n, out)
+                    xs, ys = pairs.setdefault(tuple(map(add, e1, e2)), ([], []))
+                    xs.append(c1)
+                    ys.append(c2)
+        return BiSeries._build(self.nvars, n, {m: _dot(xs, ys)
+                                               for m, (xs, ys) in pairs.items()})
 
     def __truediv__(self, other: "BiSeries") -> "BiSeries":
         n = self._common(other)
@@ -398,11 +399,15 @@ class BiSeries:
         # solve by increasing total degree; out never holds a negative key
         for d in range(n + 1):
             for m in _monomials(self.nvars, d):
-                acc = self.terms.get(m, ZERO)
+                cs, rs = [], []
                 for e, c in rest:
                     r = out.get(tuple(map(sub, m, e)))
                     if r is not None:
-                        acc = acc - c * r
+                        cs.append(c)
+                        rs.append(r)
+                acc = self.terms.get(m, ZERO)
+                if cs:
+                    acc = acc - _dot(cs, rs)
                 if not acc.is_zero():
                     out[m] = acc * inv0
         return BiSeries._build(self.nvars, n, out)

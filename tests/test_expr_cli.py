@@ -311,6 +311,17 @@ def test_cli_table_budget_admits_its_boundary(capsys, name, largest):
     assert out.splitlines()[-1].startswith(f"{largest}\t")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "proposition", "--order", "39"),
+    ("verify", "cartier", "--t-order", "39", "--order", "39"),
+    ("verify", "pochhammer-identity", "--t-order", "39"),
+])
+def test_cli_order_budget_admits_its_boundary(capsys, argv):
+    # n^5 <= MAX_ORDER_COST = 10^8 up to n = 39; one more is refused
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0, out
+
+
 def test_cli_expand_plain_table(capsys):
     code, out, _ = run_cli(capsys, "expand", "euler_phi", "--q-order", "7")
     assert code == 0
@@ -351,7 +362,7 @@ def test_cli_coefficient_output_schema(capsys, argv):
 def test_cli_unexpected_exception_exits_2(capsys, monkeypatch):
     def broken(args):
         raise ArithmeticError("not a usage error")
-    monkeypatch.setitem(_SUITES, "lemma21", broken)
+    monkeypatch.setitem(_SUITES, "lemma21", ((), 0, broken))
     code, out, err = run_cli(capsys, "verify", "lemma21")
     assert code == 2
     assert out == ""
@@ -405,6 +416,18 @@ print(code, time.perf_counter() - t0)
     ("table", "qint", "--max", "502"),
     ("table", "cyclotomic", "--max", "502"),
     ("table", "cp_image", "--max", "75"),
+    # one past the largest order the per-target cost budget admits: the
+    # first two ran about 7 s and 4 s, and cartier at order 100 about 3 s
+    ("expand", "log_chi", "--order", "1000"),
+    ("verify", "proposition", "--order", "64"),
+    ("verify", "cartier", "--t-order", "8", "--order", "100"),
+    ("expand", "log_chi", "--order", "465"),
+    ("expand", "exp_chi", "--order", "101"),
+    ("expand", "fgl_inverse", "--order", "101"),
+    ("verify", "mishchenko", "--order", "101"),
+    ("verify", "proposition", "--order", "40"),
+    ("verify", "cartier", "--t-order", "40", "--order", "2"),
+    ("verify", "pochhammer-identity", "--t-order", "40"),
 ])
 def test_cli_size_budget_refuses_before_allocating(argv):
     pytest.importorskip("resource")
@@ -438,3 +461,16 @@ def test_cli_size_budget_admits_monomials_and_the_benchmark_orders(capsys):
             evaluate(text)
     code, out, _ = run_cli(capsys, "table", "tau", "--max", "300")
     assert code == 0
+    # the orders of the benchmark's law and qseries jobs
+    for argv in (("verify", "proposition", "--order", "16"),
+                 ("expand", "fgl_inverse", "--order", "20"),
+                 ("verify", "cartier", "--t-order", "8", "--order", "24"),
+                 ("verify", "fgl-axioms", "--order", "16"),
+                 ("expand", "exp_chi", "--order", "40"),
+                 ("expand", "log_chi", "--order", "40"),
+                 ("expand", "f_chi", "--order", "24"),
+                 ("expand", "drinfeld", "--order", "20"),
+                 ("verify", "pochhammer-identity", "--t-order", "8", "--q-order", "80"),
+                 ("expand", "lambda_t", "--t-order", "8", "--q-order", "60")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv

@@ -1,5 +1,7 @@
 """Exact scalar arithmetic, canonical forms and membership predicates."""
 
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -7,11 +9,11 @@ import pytest
 
 from qfgl import (
     Scalar, ZERO, ONE, Q, S, cyclotomic, adams, membership, is_cromulent,
-    eval_q0, eval_q1, canonical_str, QSeries,
+    eval_q0, eval_q1, canonical_str, QSeries, Series,
 )
 from qfgl.qcomb import q_int, q_fact
 from qfgl import scalar
-from qfgl.scalar import _dot, _ip_divexact, _ip_divides, _ip_gcd, _lp_make
+from qfgl.scalar import _dot, _ip_divexact, _ip_divides, _ip_gcd, _ip_pack, _lp_make
 
 from conftest import SEED, random_scalar, random_q_poly
 
@@ -387,6 +389,101 @@ def test_dot_in_q_cancels_to_zero(rng):
         assert _same(_dot(xs2, ys2), _schoolbook_dot(xs2, ys2))
         assert _same(_dot(xs2, ys2), b)
         assert _dot(xs + [Q], ys + [-a / Q]) is ZERO
+
+
+# -- the packing cache: a Scalar keeps its last packing, keyed by stride and
+#    width, and every dot it enters reuses it ---------------------------------
+
+def _dot_pool(rng) -> list:
+    """Scalars to share between dots: polynomials in q with negative
+    valuations and 1/j! content, numerators whose widths lie words apart,
+    and factors that force stride 1 by an odd valuation or offset."""
+    pool = [random_q_poly(rng, 4, 9) * Q ** rng.randint(-3, 2)
+            / Scalar.from_int(factorial(j)) for j in range(1, 15)]
+    pool += [Scalar.from_q_coeffs([rng.choice((-1, 1)) * (2 ** k - 1)] * rng.randint(2, 8))
+             for k in (70, 150, 300)]
+    for _ in range(5):
+        pool.append(random_q_poly(rng, 3, 5) * S ** rng.choice((-3, -1, 1)))
+        pool.append(random_q_poly(rng, 3, 5) + Scalar.from_int(rng.randint(1, 4)) * S ** 3)
+    return pool
+
+
+def _fresh(x: Scalar) -> Scalar:
+    return Scalar(x.num, x.den)
+
+
+def test_dot_reuses_packings_across_interleaved_dots(rng):
+    pool = _dot_pool(rng)
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        xs = [rng.choice(pool) for _ in range(n)]
+        ys = [rng.choice(pool) for _ in range(n)]
+        assert _same(_dot(xs, ys), _schoolbook_dot([_fresh(x) for x in xs], ys))
+
+
+def test_dot_packing_is_keyed_by_stride_and_width():
+    x, y = Scalar.from_q_coeffs([1, 2, 3]), Scalar.from_q_coeffs([4, -1, 5])
+    wide = Scalar.from_q_coeffs([2 ** 100 - 1] * 3)
+    # in q, then in s beside 1 + s, at one width; then a word wider, and back
+    for xs, ys in [([x, y], [y, x]), ([x, ONE + S], [y, ONE]), ([x, y], [y, x]),
+                   ([x, wide], [y, x]), ([x, y], [y, ONE + S]), ([x, y], [y, x])]:
+        assert _same(_dot(xs, ys), _schoolbook_dot(xs, ys))
+
+
+def test_series_product_packs_each_coefficient_once(monkeypatch):
+    # the width is rounded up to whole words, so every dot of the product
+    # has the same one and no coefficient is packed twice
+    widths = []
+    monkeypatch.setattr(scalar, "_ip_pack", lambda p, w: widths.append(w) or _ip_pack(p, w))
+    n = 24
+    a = [Scalar.from_q_coeffs([k + 1, -k, 2]) for k in range(n + 1)]
+    b = [Scalar.from_q_coeffs([1, k, k * k]) * Q ** (k % 3) for k in range(n + 1)]
+    got = (Series(n, a) * Series(n, b)).coeffs
+    assert got == tuple(_schoolbook_dot(a[:k + 1], b[k::-1]) for k in range(n + 1))
+    assert len(widths) == 2 * (n + 1) and set(widths) == {64}
+
+
+def test_packed_scalars_compare_and_hash_as_fresh_ones(rng):
+    pool = _dot_pool(rng)
+    for x in pool:
+        _dot([x, x], [x, ONE + S])
+        _dot([x, Q], [x, Q])
+    for x in pool:
+        y = _fresh(x)
+        assert x == y and y == x and hash(x) == hash(y) and {y: 1}[x] == 1
+        assert str(x) == str(y) and (x.num, x.den) == (y.num, y.den)
+        assert x != y + ONE
+
+
+def test_dot_on_shared_scalars_in_four_threads(rng):
+    pool = _dot_pool(rng)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        xs = [rng.choice(pool) for _ in range(n)]
+        ys = [rng.choice(pool) for _ in range(n)]
+        cases.append((xs, ys, _schoolbook_dot(xs, ys)))
+    wrong = []
+
+    def work(k):
+        # each thread walks the cases in its own order, so widths interleave
+        for i in range(4 * len(cases)):
+            xs, ys, want = cases[(i * (2 * k + 1) + k) % len(cases)]
+            if not _same(_dot(xs, ys), want):
+                wrong.append((k, i))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 # -- reduction: the exact quotient when the denominator divides ------------

@@ -1,6 +1,7 @@
 """Truncated series arithmetic, composition, reversion, log/exp, powers."""
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -386,6 +387,86 @@ def test_convolutions_equal_the_schoolbook(rng, n):
         if n:
             f = [ZERO, Scalar.from_fraction(Fraction(rng.choice((-2, 1, 3)), 2))] + a[2:]
             assert reverse(Series(n, f)).coeffs == tuple(schoolbook_reverse(f))
+
+
+# -- BiSeries products and quotients against a term-by-term schoolbook ----------------
+
+def schoolbook_bimul(a, b):
+    n = min(a.order, b.order)
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            key = tuple(i + j for i, j in zip(e1, e2))
+            if sum(key) <= n:
+                out[key] = out.get(key, ZERO) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def schoolbook_bidiv(a, d):
+    """Solve q * d = a one monomial at a time, by increasing total degree."""
+    n = min(a.order, d.order)
+    inv0 = ONE / d.constant_term()
+    out = {}
+    for m in sorted(product(range(n + 1), repeat=a.nvars), key=sum):
+        if sum(m) > n:
+            continue
+        acc = a.terms.get(m, ZERO)
+        for e, c in d.terms.items():
+            r = out.get(tuple(i - j for i, j in zip(m, e)))
+            if any(e) and r is not None:
+                acc = acc - c * r
+        if acc:
+            out[m] = acc * inv0
+    return out
+
+
+def bi_coefficient(rng) -> Scalar:
+    """Integers, polynomials in q or s with negative valuations and rational
+    content, drinfeld's s^-1 + s, and rational functions in q and in s."""
+    kind = rng.randrange(7)
+    if kind == 0:
+        return ZERO
+    if kind == 1:
+        return Scalar.from_int(rng.randint(-3, 3))
+    if kind == 2:
+        return random_q_poly(rng, 2, 3) / (ONE - Q)
+    if kind == 3:
+        return (ONE + Scalar.from_int(rng.randint(-2, 2)) * S) / (ONE - S - S ** 3)
+    if kind == 4:
+        return (ONE / S + S) * Scalar.from_fraction(Fraction(rng.randint(-3, 3), rng.randint(1, 5)))
+    return (random_q_poly(rng, 2, 3) * S ** rng.randint(-2, 1)
+            * Scalar.from_fraction(Fraction(1, rng.randint(1, 6))))
+
+
+def random_biseries(rng, nvars, order, density=0.6) -> BiSeries:
+    terms = {e: bi_coefficient(rng) for e in product(range(order + 1), repeat=nvars)
+             if sum(e) <= order and rng.random() < density}
+    return BiSeries(nvars, order, terms)
+
+
+@pytest.mark.parametrize("nvars, order", [(2, 0), (2, 1), (2, 4), (2, 6), (3, 3), (3, 4)])
+def test_biseries_product_and_quotient_equal_the_schoolbook(rng, nvars, order):
+    for _ in range(4):
+        a = random_biseries(rng, nvars, order)
+        b = random_biseries(rng, nvars, order, density=0.4)
+        assert (a * b).terms == schoolbook_bimul(a, b)
+        d = b + BiSeries.constant(nvars, order, bi_coefficient(rng) or Q - S)
+        if d.constant_term():
+            assert (a / d).terms == schoolbook_bidiv(a, d)
+
+
+def test_biseries_sums_that_cancel_drop_their_monomial(rng):
+    for c in (Scalar.from_int(3), ONE / S + S, random_q_poly(rng, 2) / (ONE - Q),
+              (ONE + S) / (ONE - S - S ** 3)):
+        x_plus_y = BiSeries(2, 4, {(1, 0): c, (0, 1): c})
+        x_minus_y = BiSeries(2, 4, {(1, 0): ONE / c, (0, 1): -ONE / c})
+        prod = x_plus_y * x_minus_y
+        # the XY coefficient c/c - c/c cancels
+        assert prod.terms == schoolbook_bimul(x_plus_y, x_minus_y)
+        assert prod.terms == {(2, 0): ONE, (0, 2): -ONE}
+        d = random_biseries(rng, 3, 4) + BiSeries.constant(3, 4, c)
+        assert (d / d).terms == {(0, 0, 0): ONE}
+        assert (d - d) * d == BiSeries(3, 4)
 
 
 # -- the same routines over the ring of a QSeries -------------------------------------
