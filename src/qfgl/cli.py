@@ -13,8 +13,8 @@ Output is plain text or JSON (``--format``); diagnostics go to stderr.
 Exit codes: 0 success / all checks pass, 1 any failing check, 2 usage,
 evaluation or internal error.  Orders, --max, diagram dimensions and the
 sizes an expression asks for are held to ``expr.MAX_SIZE``, and each
-``expand`` target and ``verify`` suite to a cost in its --order and
---t-order (``MAX_ORDER_COST``).
+``expand`` target and ``verify`` suite to a cost in the orders it reads
+(``MAX_ORDER_COST``).
 """
 
 from __future__ import annotations
@@ -47,19 +47,26 @@ DEFAULT_ORDER = 10
 DEFAULT_T_ORDER = 6
 DEFAULT_Q_ORDER = 30
 
-# cp_image(n) expands log_chi(n + 1) in time about n^3: CP^200 takes 2 s
+# expanding log_chi(n + 1) for cp_image(n) took about n^3 (CP^200: 2 s) when
+# this was set; it now grows about as n^2.2 (0.15 s), and a process expands
+# once to its largest order, so the sum of cubes is a conservative bound
 MAX_DIAGRAM_CUBES = 200 ** 3
 
 # an expand target or verify suite runs in time about n ** e, n the largest
 # --order or --t-order it reads; its exponent e in _EXPANDS or _SUITES is
 # the one measured by doubling n up to its admitted maximum, rounded, and
-# raised while that maximum ran for more than about 3 s
+# raised while that maximum ran for more than about 3 s.  A target reading
+# --t-order and --q-order is also held to (t * q) ** 2: about t q^2 measured,
+# t raised so that every q-order stays admitted at the default t-order
 MAX_ORDER_COST = 10 ** 8
 
 
 def _check_order_cost(what: str, args, orders, exponent: int) -> None:
     n = max([getattr(args, k) for k in orders if k != "q_order"], default=0)
     _check_size(f"the cost n^{exponent} of {what} at n = {n}", n ** exponent, MAX_ORDER_COST)
+    if "t_order" in orders and "q_order" in orders:
+        tq = args.t_order * args.q_order
+        _check_size(f"the cost (t*q)^2 of {what} at t*q = {tq}", tq ** 2, MAX_ORDER_COST)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +161,10 @@ def _suite_fgl_axioms(args) -> VerificationReport:
 
 
 def _suite_mishchenko(args) -> VerificationReport:
+    # the largest image first: it expands the logarithm, the others read it
+    images = [cp_image(n) for n in range(args.order, -1, -1)][::-1]
     checks = []
-    for n in range(args.order + 1):
-        img = cp_image(n)
+    for n, img in enumerate(images):
         ok = img == q_int(n + 1)
         ok2 = img.eval_s(1) == n + 1
         checks.append(Check(f"CP^{n} image equals the (n+1)-st q-integer",
@@ -349,10 +357,11 @@ def _run_diagram(args) -> int:
 
 
 def _table_family(fn, size, budget=MAX_SIZE, first=0):
-    """The rows k, fn(k) for k from ``first`` to --max, if size(--max) is in budget."""
+    """The rows k, fn(k) for k from ``first`` to --max, if size(--max) is in
+    budget, computed from --max down: ``cp_image`` then expands log_chi once."""
     def rows(m):
         _check_size(f"the table up to {m}", size(m), budget)
-        return [(k, canonical_str(fn(k))) for k in range(first, m + 1)]
+        return [(k, canonical_str(fn(k))) for k in range(m, first - 1, -1)][::-1]
     return rows
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import comb, factorial
 
 from .scalar import Scalar, ZERO, ONE, Q, S, _dot
@@ -59,14 +60,40 @@ def qmob_series(order: int) -> Series:
     return mob_apply(q_mobius(), Series.generator(order))
 
 
+# the longest expansion so far of each function under _expanded_once
+_EXPANSIONS: dict = {}
+
+
+def _expanded_once(expand):
+    """``expand``, read off the longest expansion made so far by truncation.
+
+    Series operations truncate exactly, so [T^k] of an expansion does not
+    depend on its order.  A call for more than is stored expands again, to
+    exactly the order asked, and stores the finished series by one
+    assignment: threads that miss together both expand, and none reads a
+    half-built value.
+    """
+    @wraps(expand)
+    def read(order: int) -> Series:
+        stored = _EXPANSIONS.get(expand.__name__)
+        if stored is None or stored.order < order:
+            stored = _EXPANSIONS[expand.__name__] = expand(order)
+        return stored.truncate(order)
+    return read
+
+
+@_expanded_once
 def log_chi(order: int) -> Series:
-    """det^{-1} * log of the basic unit series; equals sum [k]_q T^k / k."""
+    """det^{-1} * log of the basic unit series; equals sum [k]_q T^k / k.
+    Its [T^k] does not depend on ``order``, so it is expanded once."""
     det_inv = ONE / mob_det(q_mobius())
     return log1(qmob_series(order)).scale(det_inv)
 
 
+@_expanded_once
 def exp_chi(order: int) -> Series:
-    """Moebius companion applied to exp((1-q) T); inverse of log_chi."""
+    """Moebius companion applied to exp((1-q) T); inverse of log_chi.
+    Its [T^k] does not depend on ``order``, so it is expanded once."""
     det = mob_det(q_mobius())
     inner = Series.generator(order).scale(det)
     return mob_apply(q_mobius_inv(), exp0(inner))

@@ -10,9 +10,17 @@ from fractions import Fraction
 
 import pytest
 
+import qfgl.fgl
 from qfgl import Scalar, ZERO, ONE, Q, Series, BiSeries, QSeries, Mobius, mob_det
 
 SEED = 1729
+
+
+@pytest.fixture(autouse=True)
+def empty_expansions():
+    """Each test expands log_chi and exp_chi afresh: a test that patches
+    what they call must not read a series that an earlier test stored."""
+    qfgl.fgl._EXPANSIONS.clear()
 
 
 @pytest.fixture

@@ -315,11 +315,23 @@ def test_cli_table_budget_admits_its_boundary(capsys, name, largest):
     ("verify", "proposition", "--order", "39"),
     ("verify", "cartier", "--t-order", "39", "--order", "39"),
     ("verify", "pochhammer-identity", "--t-order", "39"),
+    ("expand", "pochhammer", "--t-order", "10", "--q-order", "1000"),
 ])
 def test_cli_order_budget_admits_its_boundary(capsys, argv):
-    # n^5 <= MAX_ORDER_COST = 10^8 up to n = 39; one more is refused
+    # n^5 <= MAX_ORDER_COST = 10^8 up to n = 39, and (t*q)^2 up to
+    # t*q = 10^4; one more is refused
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0, out
+
+
+@pytest.mark.parametrize("target", ["log_chi", "exp_chi"])
+def test_cli_expand_after_a_larger_order_prints_as_a_fresh_process(capsys, target):
+    env = dict(os.environ, PYTHONPATH=str(Path(qfgl.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "qfgl", "expand", target, "--order", "5"],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert run_cli(capsys, "expand", target, "--order", "10")[0] == 0
+    assert run_cli(capsys, "expand", target, "--order", "5") == (0, fresh.stdout, "")
+    assert fresh.returncode == 0
 
 
 def test_cli_expand_plain_table(capsys):
@@ -428,6 +440,10 @@ print(code, time.perf_counter() - t0)
     ("verify", "proposition", "--order", "40"),
     ("verify", "cartier", "--t-order", "40", "--order", "2"),
     ("verify", "pochhammer-identity", "--t-order", "40"),
+    # the cost in --t-order times --q-order: these ran about 17 s and 5 s
+    ("expand", "pochhammer", "--t-order", "1000", "--q-order", "1000"),
+    ("verify", "pochhammer-identity", "--t-order", "32", "--q-order", "1000"),
+    ("expand", "lambda_t", "--t-order", "11", "--q-order", "1000"),
 ])
 def test_cli_size_budget_refuses_before_allocating(argv):
     pytest.importorskip("resource")

@@ -1,5 +1,8 @@
 """The q-deformed group law: log/exp, closed forms, axioms, adjudications."""
 
+import sys
+import threading
+
 import pytest
 
 from qfgl import (
@@ -12,6 +15,7 @@ from qfgl import (
     q_int, log1,
 )
 import qfgl.fgl
+from qfgl.cli import main
 from qfgl.fgl import _log_u_powers
 from qfgl.series import _powers
 
@@ -57,6 +61,73 @@ def test_exp_equals_reversed_log():
     # n = m^2 + 1: orders 1..26 cover m^2 and m^2 + 1 for m = 1..5
     for n in (*range(1, 27), 32):
         assert exp_chi(n) == reverse(log_chi(n)), f"order {n}"
+
+
+def test_stored_expansions_read_as_fresh_ones():
+    # [T^k] does not depend on the order, so a truncated read is exact
+    log_chi(30), exp_chi(30)
+    stored = [(log_chi(n), exp_chi(n)) for n in range(1, 31)]
+    for n, pair in enumerate(stored, start=1):
+        qfgl.fgl._EXPANSIONS.clear()
+        assert pair == (log_chi(n), exp_chi(n)), f"order {n}"
+        assert pair[0].order == pair[1].order == n
+    # a larger order asked after a smaller one expands again and is stored
+    qfgl.fgl._EXPANSIONS.clear()
+    small, large = log_chi(8), log_chi(24)
+    assert qfgl.fgl._EXPANSIONS["log_chi"] is large
+    qfgl.fgl._EXPANSIONS.clear()
+    assert (small, large) == (log_chi(8), log_chi(24))
+
+
+def test_stored_expansions_in_four_threads():
+    fresh = {}
+    for n in range(1, 17):
+        qfgl.fgl._EXPANSIONS.clear()
+        fresh[n] = (log_chi(n), exp_chi(n))
+    qfgl.fgl._EXPANSIONS.clear()
+    wrong = []
+
+    def work(k):
+        # each thread asks the orders in its own sequence, so misses interleave
+        for i in range(48):
+            n = (i * (2 * k + 1) + k) % 16 + 1
+            if (log_chi(n), exp_chi(n)) != fresh[n]:
+                wrong.append((k, n))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    # whichever thread stored last, the store holds a whole expansion
+    for i, name in enumerate(("log_chi", "exp_chi")):
+        stored = qfgl.fgl._EXPANSIONS[name]
+        assert stored == fresh[stored.order][i]
+
+
+def test_one_logarithm_serves_the_images_and_mishchenko(monkeypatch, capsys):
+    calls = []
+    true_log1 = qfgl.fgl.log1
+    monkeypatch.setattr(qfgl.fgl, "log1", lambda f: calls.append(f.order) or true_log1(f))
+    images = [cp_image(n) for n in range(20, -1, -1)]
+    assert main(["verify", "mishchenko", "--order", "19"]) == 0
+    assert calls == [21]
+    assert images[::-1] == [q_int(n + 1) for n in range(21)]
+    assert "0 failing" in capsys.readouterr().out
+    # cold, the suite and the table each start from their largest image
+    for argv, order in ((["verify", "mishchenko", "--order", "19"], 20),
+                        (["table", "cp_image", "--max", "20"], 21)):
+        qfgl.fgl._EXPANSIONS.clear()
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [order]
 
 
 # -- orientation images ------------------------------------------------------------
