@@ -20,6 +20,7 @@ sizes an expression asks for are held to ``expr.MAX_SIZE``, and each
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import sys
@@ -397,46 +398,66 @@ def _add_common(p, fn):
                    default=DEFAULT_Q_ORDER)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _expand_args(p):
+    p.add_argument("target", choices=tuple(_EXPANDS))
+    p.add_argument("--element", default="1/(1-q)",
+                   help="scalar expression for lambda_t (default 1/(1-q))")
+
+
+def _diagram_args(p):
+    p.add_argument("factors", nargs="*", type=int)
+    p.add_argument("--catalog", default=None)
+
+
+def _table_args(p):
+    p.add_argument("name", choices=tuple(_TABLES))
+    p.add_argument("--max", dest="maximum", type=int, default=10)
+
+
+# verb -> (its help, its run function, the filler of its own arguments)
+_VERBS = {
+    "expand": ("print a coefficient table", _run_expand, _expand_args),
+    "verify": ("run a verification suite", _run_verify,
+               lambda p: p.add_argument("suite", choices=sorted(_SUITES))),
+    "eval": ("evaluate a scalar expression", _run_eval,
+             lambda p: p.add_argument("expression")),
+    "diagram": ("check one product of projective spaces", _run_diagram, _diagram_args),
+    "table": ("tabulate a named exact family", _run_table, _table_args),
+}
+
+
+def build_parser(verb=None) -> argparse.ArgumentParser:
+    """The parser of every verb, or only of ``verb`` when it names one.
+
+    A parser of one verb parses that verb's calls as the full parser does;
+    only its own usage line, printed for unrecognized arguments, differs.
+    """
     ap = argparse.ArgumentParser(
         prog="qfgl",
         description="exact q-series and formal-group-law computations")
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("expand", help="print a coefficient table")
-    p.add_argument("target", choices=tuple(_EXPANDS))
-    p.add_argument("--element", default="1/(1-q)",
-                   help="scalar expression for lambda_t (default 1/(1-q))")
-    _add_common(p, _run_expand)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(_SUITES))
-    _add_common(p, _run_verify)
-
-    p = sub.add_parser("eval", help="evaluate a scalar expression")
-    p.add_argument("expression")
-    _add_common(p, _run_eval)
-
-    p = sub.add_parser("diagram", help="check one product of projective spaces")
-    p.add_argument("factors", nargs="*", type=int)
-    p.add_argument("--catalog", default=None)
-    _add_common(p, _run_diagram)
-
-    p = sub.add_parser("table", help="tabulate a named exact family")
-    p.add_argument("name", choices=tuple(_TABLES))
-    p.add_argument("--max", dest="maximum", type=int, default=10)
-    _add_common(p, _run_table)
-
+    for name in [verb] if verb in _VERBS else _VERBS:
+        help_, run, fill = _VERBS[name]
+        p = sub.add_parser(name, help=help_)
+        fill(p)
+        _add_common(p, run)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
+        args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+        if extra:
+            # the full parser reports them, with the usage line of every verb
+            build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)
+    # a parser is a web of reference cycles: free the one just dropped while
+    # it is young, lest a process calling main often keep every discarded
+    # parser until its next full collection
+    gc.collect(1)
     try:
         orders = (args.order, args.t_order, args.q_order)
         if min(orders) <= 0:

@@ -22,7 +22,7 @@ arithmetic at a total degree no product can exceed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
 from math import comb, factorial
@@ -114,16 +114,14 @@ def cp_image(n: int) -> Scalar:
 # ---------------------------------------------------------------------------
 # the law itself
 
-@dataclass(frozen=True)
-class FormalGroupLaw:
+class FormalGroupLaw(namedtuple("FormalGroupLaw", "series closed", defaults=(None,))):
     """A truncated group law, optionally with its closed rational form.
 
     ``closed`` is a pair of term dictionaries (numerator, denominator)
     over the two variables; when present it is exact (no truncation).
     """
 
-    series: BiSeries
-    closed: tuple | None = None
+    __slots__ = ()
 
 
 def _closed_law(closed, order: int) -> FormalGroupLaw:

@@ -18,7 +18,7 @@ conventions are made through ``negate_t``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
 
 from .scalar import Scalar, ZERO, ONE, Q
@@ -112,8 +112,9 @@ def elementary_symmetric_oracle(k: int, q_order: int) -> QSeries:
     return QSeries(q_order, e[k])
 
 
-@dataclass(frozen=True)
-class LambdaKReport:
+class LambdaKReport(namedtuple(
+        "LambdaKReport",
+        "k printed corrected witt_route oracle selected q_order_used")):
     """Adjudication of the closed form of lambda^k((1-q)^{-1}).
 
     ``printed`` carries the exponent k(k+1)/2, ``corrected`` the binomial
@@ -125,13 +126,7 @@ class LambdaKReport:
     the exponent variant all routes agree on.
     """
 
-    k: int
-    printed: Scalar
-    corrected: Scalar
-    witt_route: QSeries
-    oracle: QSeries
-    selected: str
-    q_order_used: int
+    __slots__ = ()
 
 
 def lambda_k_closed(k: int, q_order: int) -> LambdaKReport:

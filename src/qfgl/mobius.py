@@ -9,7 +9,7 @@ an honest inverse pair on series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .scalar import Scalar, ZERO, ONE, Q
 from .series import Series
@@ -26,16 +26,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Mobius:
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    d: Scalar
+class Mobius(namedtuple("Mobius", "a b c d")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a: Scalar, b: Scalar, c: Scalar, d: Scalar):
+        self = super().__new__(cls, a, b, c, d)
         if mob_det(self).is_zero():
             raise ValueError("Moebius matrix must have nonzero determinant")
+        return self
 
 
 def mob_det(m: Mobius) -> Scalar:

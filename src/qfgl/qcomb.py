@@ -18,8 +18,9 @@ each factor (1 + c*t*q^n)^m updates in place (``_row_product``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from math import isqrt
 from operator import add, mul, sub
 
 from .scalar import Scalar, ONE, Q
@@ -213,10 +214,13 @@ def poch_inf_product(t_order: int, q_order: int) -> tuple:
     Every omitted factor 1 - t*q^n with n > q_order differs from 1 only
     in q-degrees beyond the truncation, at every positive t-degree, so
     the cut is exact at this precision.  Returned as the tuple of the
-    t^0 .. t^t_order coefficients.
+    t^0 .. t^t_order coefficients.  The t^k coefficient starts at
+    q^(k(k-1)/2), so the rows past the largest k with k(k-1)/2 <= q_order
+    are zero and are not computed.
     """
+    live = min(t_order, (1 + isqrt(1 + 8 * q_order)) // 2)
     factors = ((k, -1, 1) for k in range(q_order + 1))
-    return _row_product(t_order, q_order, factors)
+    return _row_product(live, q_order, factors) + (QSeries(q_order),) * (t_order - live)
 
 
 def poch_inf_sum(t_order: int, q_order: int) -> tuple:
@@ -277,8 +281,7 @@ def discriminant(q_order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 # eta bookkeeping: a fractional power of q times an honest series
 
-@dataclass(frozen=True)
-class EtaElement:
+class EtaElement(namedtuple("EtaElement", "exponent body")):
     """q**exponent times a power series, with an exact rational exponent.
 
     Keeps fractional powers of q out of the series type: the eta function
@@ -286,8 +289,7 @@ class EtaElement:
     multiplies the exponent and raises the body to the same power.
     """
 
-    exponent: Fraction
-    body: QSeries
+    __slots__ = ()
 
     def fold(self) -> QSeries:
         """Push an integer exponent into the series; errors otherwise."""

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 __all__ = ["Check", "VerificationReport"]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple("Check", "name order passed detail", defaults=(None,))):
     """Outcome of one exact identity check.
 
     ``order`` records the truncation the check was run at (an int, a tuple
@@ -16,10 +15,7 @@ class Check:
     first failing coefficient when the check fails.
     """
 
-    name: str
-    order: object
-    passed: bool
-    detail: str | None = None
+    __slots__ = ()
 
     def __str__(self):
         status = "PASS" if self.passed else "FAIL"
@@ -28,11 +24,10 @@ class Check:
         return f"{status} {self.name}{where}{extra}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", "checks", defaults=((),))):
     """A bundle of checks; never claims an order beyond what was computed."""
 
-    checks: tuple = field(default_factory=tuple)
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:

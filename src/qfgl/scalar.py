@@ -38,7 +38,7 @@ denominator with the unit division of ``series.Series``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -703,15 +703,12 @@ def is_cromulent(a: Scalar) -> bool:
     return membership(a).in_cromulent
 
 
-@dataclass(frozen=True)
-class RingMembership:
+class RingMembership(namedtuple(
+        "RingMembership", "in_Z_q in_Z_q_laurent in_Q_q in_cromulent in_Q_s",
+        defaults=(True,))):
     """Flags for the subring tower Z[q] c Z[q,q^-1] c Z[q]_cr c Q(s)."""
 
-    in_Z_q: bool
-    in_Z_q_laurent: bool
-    in_Q_q: bool
-    in_cromulent: bool
-    in_Q_s: bool = True
+    __slots__ = ()
 
 
 def membership(a: Scalar) -> RingMembership:

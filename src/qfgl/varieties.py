@@ -11,7 +11,7 @@ factor, decomposed by the Clebsch-Gordan rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .scalar import Scalar, ZERO, ONE
 from .fgl import cp_image
@@ -38,17 +38,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # varieties and Hodge polynomials
 
-@dataclass(frozen=True)
-class Variety:
+class Variety(namedtuple("Variety", "factors")):
     """A product of projective spaces, one entry per factor dimension."""
 
-    factors: tuple
+    __slots__ = ()
 
-    def __init__(self, factors=()):
+    def __new__(cls, factors=()):
         factors = tuple(int(n) for n in factors)
         if any(n < 0 for n in factors):
             raise ValueError("factor dimensions must be >= 0")
-        object.__setattr__(self, "factors", factors)
+        return super().__new__(cls, factors)
 
     @property
     def dimension(self) -> int:

@@ -1,6 +1,7 @@
 """Expression grammar, canonical-string round trips, CLI contracts."""
 
-import dataclasses
+import argparse
+import gc
 import json
 import os
 import subprocess
@@ -191,7 +192,7 @@ def test_cli_lambda_k_compares_at_the_order_it_used(capsys, monkeypatch):
     # the order lambda_k_closed used, which exceeds 10 for k = 6, 7, 8
     def printed_is_corrected(k, q_order):
         rep = qfgl.lambda_k_closed(k, q_order)
-        return dataclasses.replace(rep, printed=rep.corrected)
+        return rep._replace(printed=rep.corrected)
     monkeypatch.setattr(qfgl.cli, "lambda_k_closed", printed_is_corrected)
     code, out, _ = run_cli(capsys, "verify", "lambda-k", "--q-order", "10",
                            "--format", "json")
@@ -342,6 +343,16 @@ def test_cli_expand_plain_table(capsys):
     assert rows[5] == ["5", "1"]
 
 
+def test_cli_expand_pochhammer_prints_the_rows_past_the_truncation(capsys):
+    # the t^7 and t^8 rows start at q^21 and q^28, past q-order 20
+    code, out, _ = run_cli(capsys, "expand", "pochhammer", "--t-order", "8",
+                           "--q-order", "20")
+    assert code == 0
+    rows = [l.split("\t") for l in out.splitlines() if not l.startswith("#")]
+    assert len(rows) == 9 and rows[6][1] != "0"
+    assert rows[7:] == [["7", "0"], ["8", "0"]]
+
+
 @pytest.mark.parametrize("argv", [
     ("expand", target, "--order", "3", "--t-order", "2", "--q-order", "4")
     for target in _EXPANDS] + [("table", name, "--max", "4") for name in _TABLES])
@@ -379,6 +390,48 @@ def test_cli_unexpected_exception_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: internal ArithmeticError")
+
+
+# (verb, a bad choice, a bad int, a missing positional or option argument,
+# a passing call); diagram has no choice but --format's
+_VERB_ARGVS = (
+    ("expand", ("expand", "nope"), ("expand", "log_chi", "--order", "x"), ("expand",),
+     ("expand", "log_chi", "--order", "3")),
+    ("verify", ("verify", "nope"), ("verify", "lemma21", "--t-order", "x"), ("verify",),
+     ("verify", "lemma21")),
+    ("eval", ("eval", "q", "--format", "xml"), ("eval", "q", "--q-order", "x"), ("eval",),
+     ("eval", "qint(3)", "--format", "json")),
+    ("diagram", ("diagram", "1", "--format", "xml"), ("diagram", "1", "x"),
+     ("diagram", "--catalog"), ("diagram", "1", "2")),
+    ("table", ("table", "nope"), ("table", "qint", "--max", "y"), ("table",),
+     ("table", "qint", "--max", "3")),
+)
+_PARSER_ARGVS = [(verb, "-h") for verb, *_ in _VERB_ARGVS] + [
+    argv for _, *argvs in _VERB_ARGVS for argv in argvs] + [
+    (), ("-h",), ("bogus",), ("ev", "1"), ("--format", "json", "eval", "q"),
+    ("eval", "1", "--bogus"), ("verify", "diagram", "--catalog", "x")]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=lambda a: " ".join(a) or "none")
+def test_cli_parser_of_one_verb_prints_as_the_parser_of_all(capsys, monkeypatch, argv):
+    """``main`` builds only the parser of the verb it runs: its exit code,
+    stdout and stderr are those of the parser of every verb, whatever the
+    terminal width that argparse wraps its help and usage lines to."""
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = run_cli(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(qfgl.cli, "build_parser", lambda verb=None: build_parser())
+            assert got == run_cli(capsys, *argv), columns
+
+
+def test_cli_frees_its_parser_before_the_verb_runs(capsys):
+    # a full collection first, so that no collection can promote the new
+    # parser to the oldest generation while main builds it
+    gc.collect()
+    assert run_cli(capsys, "eval", "q") == (0, "q\n", "")
+    assert not [o for o in gc.get_objects()
+                if isinstance(o, argparse.ArgumentParser) and o.prog.startswith("qfgl")]
 
 
 # Each of these would allocate gigabytes without the size budget.  The

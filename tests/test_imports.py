@@ -1,8 +1,12 @@
 """Every name a module of the package imports is used in that module, the
-package namespace re-exports exactly the modules' public names, and every
-public name has a caller outside the tests."""
+package namespace re-exports exactly the modules' public names, every
+public name has a caller outside the tests, and importing the CLI loads
+no module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -251,3 +255,19 @@ def test_scan_sees_a_forwarding_name(tmp_path):
         "    def total(self):\n"
         "        return sum(self.parts)\n")
     assert forwarders(mod) == ["m.alias", "m.plain", "m.C.coeff"]
+
+
+# dataclasses and the modules it pulls in took more than half of the CLI's import
+HEAVY = ("dataclasses", "inspect", "ast", "dis")
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    """Each ``qfgl`` call imports the CLI first: its records are named
+    tuples, and no module of the package loads ``dataclasses``.  ``-S``
+    keeps site hooks from loading any module before the import."""
+    code = ("import sys, qfgl.cli; "
+            f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == []

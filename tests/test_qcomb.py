@@ -167,6 +167,18 @@ def test_sum_equals_product():
     assert poch_inf_sum(8, 30) == poch_inf_product(8, 30)
 
 
+def test_infinite_product_rows_past_the_truncation_are_zero():
+    # the t^k row starts at q^(k(k-1)/2), so at q-order 1000 the rows
+    # t^0 .. t^45 are the nonzero ones (45*44/2 = 990 < 1035 = 46*45/2)
+    P = poch_inf_product(128, 1000)
+    assert P == poch_inf_product(46, 1000) + (QSeries(1000),) * 82
+    assert P[45] != QSeries(1000) and P[45].coeffs[990] == -1
+    # the uncut product of the same factors, 1 - t*q^k for k <= q-order
+    for nt, nq in ((8, 20), (12, 10), (3, 0)):
+        uncut = poch_finite(nq + 1, nq) + (QSeries(nq),) * nt
+        assert poch_inf_product(nt, nq) == uncut[:nt + 1]
+
+
 # -- Euler function and discriminant ------------------------------------------------
 
 def test_euler_phi_frozen_to_15():
