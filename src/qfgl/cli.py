@@ -11,10 +11,11 @@ Verbs:
 
 Output is plain text or JSON (``--format``); diagnostics go to stderr.
 Exit codes: 0 success / all checks pass, 1 any failing check, 2 usage,
-evaluation or internal error.  Orders, --max, diagram dimensions and the
-sizes an expression asks for are held to ``expr.MAX_SIZE``, and each
-``expand`` target and ``verify`` suite to a cost in the orders it reads
-(``MAX_ORDER_COST``).
+evaluation or internal error.  Orders (of ``expand``, ``verify`` and
+``diagram`` only), --max, diagram dimensions and expression sizes are held
+to ``expr.MAX_SIZE``, each ``expand`` target and ``verify`` suite to a
+cost in the orders it reads, and each reader of the logarithm to that of
+expanding ``log_chi`` once (``MAX_ORDER_COST``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import itertools
 import json
 import sys
 
-from .scalar import ONE, Q, cyclotomic, adams, canonical_str
+from .scalar import ONE, Q, adams, canonical_str
 from .series import Series
 from .mobius import q_mobius, q_mobius_inv, mob_mul, mob_det, scalar_matrix
 from .fgl import (
@@ -33,8 +34,7 @@ from .fgl import (
     cartier_check, proposition_check, verify_fgl,
 )
 from .qcomb import (
-    QSeries, q_int, q_fact, euler_phi, discriminant, poch_inf_product,
-    poch_inf_sum,
+    QSeries, q_int, euler_phi, discriminant, poch_inf_product, poch_inf_sum,
 )
 from .lambda_ring import (
     lambda_t, negate_t, newton_adams_from_lambda, lambda_k_closed,
@@ -48,11 +48,6 @@ DEFAULT_ORDER = 10
 DEFAULT_T_ORDER = 6
 DEFAULT_Q_ORDER = 30
 
-# expanding log_chi(n + 1) for cp_image(n) took about n^3 (CP^200: 2 s) when
-# this was set; it now grows about as n^2.2 (0.15 s), and a process expands
-# once to its largest order, so the sum of cubes is a conservative bound
-MAX_DIAGRAM_CUBES = 200 ** 3
-
 # an expand target or verify suite runs in time about n ** e, n the largest
 # --order or --t-order it reads; its exponent e in _EXPANDS or _SUITES is
 # the one measured by doubling n up to its admitted maximum, rounded, and
@@ -62,9 +57,13 @@ MAX_DIAGRAM_CUBES = 200 ** 3
 MAX_ORDER_COST = 10 ** 8
 
 
+def _check_cost(what: str, n: int, exponent: int) -> None:
+    _check_size(f"the cost n^{exponent} of {what} at n = {n}", n ** exponent, MAX_ORDER_COST)
+
+
 def _check_order_cost(what: str, args, orders, exponent: int) -> None:
     n = max([getattr(args, k) for k in orders if k != "q_order"], default=0)
-    _check_size(f"the cost n^{exponent} of {what} at n = {n}", n ** exponent, MAX_ORDER_COST)
+    _check_cost(what, n, exponent)
     if "t_order" in orders and "q_order" in orders:
         tq = args.t_order * args.q_order
         _check_size(f"the cost (t*q)^2 of {what} at t*q = {tq}", tq ** 2, MAX_ORDER_COST)
@@ -93,8 +92,19 @@ def _table_tq(rows_by_t):
 
 
 def _expand_lambda_element(args):
+    """lambda_t of --element, held to (t*q)^2 * w <= MAX_ORDER_COST, w the 64-bit words
+    of the longest coefficient of its q-expansion, read to orders 1, 3, 7, ... up to
+    --q-order: an element whose digits outgrow the budget is not expanded in full."""
+    tq, order = args.t_order * args.q_order, 0
     try:
-        return lambda_t(evaluate(args.element), args.t_order, args.q_order)
+        a = evaluate(args.element)
+        while order < args.q_order:
+            order = min(2 * order + 1, args.q_order)
+            words = 1 + max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                            for c in QSeries.from_scalar(a, order).coeffs) // 64
+            _check_size(f"the cost (t*q)^2 * w of expand lambda_t at t*q = {tq}, w = {words}",
+                        tq ** 2 * words, MAX_ORDER_COST)
+        return lambda_t(a, args.t_order, args.q_order)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"--element {args.element!r}: {exc}")
 
@@ -161,16 +171,19 @@ def _suite_fgl_axioms(args) -> VerificationReport:
     return verify_fgl(f_chi_closed(args.order), args.order)
 
 
+def _cp_images(what: str, m: int) -> list:
+    """cp_image(0) .. cp_image(m), held as ``expand log_chi --order m+1``: the
+    largest is computed first and expands log_chi once; the others read it."""
+    _check_cost(what, m + 1, _EXPANDS["log_chi"][1])
+    return [cp_image(n) for n in range(m, -1, -1)][::-1]
+
+
 def _suite_mishchenko(args) -> VerificationReport:
-    # the largest image first: it expands the logarithm, the others read it
-    images = [cp_image(n) for n in range(args.order, -1, -1)][::-1]
     checks = []
-    for n, img in enumerate(images):
-        ok = img == q_int(n + 1)
-        ok2 = img.eval_s(1) == n + 1
-        checks.append(Check(f"CP^{n} image equals the (n+1)-st q-integer",
-                            None, ok))
-        checks.append(Check(f"CP^{n} image at q = 1 equals {n + 1}", None, ok2))
+    for n, img in enumerate(_cp_images("verify mishchenko", args.order)):
+        checks.append(Check(f"CP^{n} image equals the (n+1)-st q-integer", None,
+                            img == q_int(n + 1)))
+        checks.append(Check(f"CP^{n} image at q = 1 equals {n + 1}", None, img.eval_s(1) == n + 1))
     return VerificationReport(tuple(checks))
 
 
@@ -248,29 +261,23 @@ def _suite_exercise32(args) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def _diagram_entries(args) -> list:
-    """(label prefix, Variety) per product to check: the 125 of ``verify
-    diagram``, or the --catalog or factors of ``diagram``, each held to the
-    budgets."""
-    if args.verb == "verify":
+def _check_diagram(v: Variety) -> Variety:
+    """``v``, held to its dimension, for the Hodge and Clebsch-Gordan routes,
+    and to the logarithm that its largest factor CP^n expands to order n + 1."""
+    _check_size(f"diagram {v}", v.dimension)
+    _check_cost(f"diagram {v}", max(v.factors, default=0) + 1, _EXPANDS["log_chi"][1])
+    return v
+
+
+def _suite_diagram(args, entries=None) -> VerificationReport:
+    """One check per (label prefix, Variety) of ``entries``, by default the 125
+    products of ``verify diagram``, once every product is in budget."""
+    if entries is None:
         entries = [("", Variety(dims)) for dims in itertools.product(range(5), repeat=3)]
-    elif args.catalog:
-        entries = [(f"{name}: ", v) for name, v in load_catalog(args.catalog)]
-    elif args.factors:
-        entries = [("", Variety(args.factors))]
-    else:
-        raise ValueError("diagram needs factor dimensions or --catalog")
-    for _, v in entries:
-        _check_size(f"diagram {v}", v.dimension)
-        _check_size(f"the sum of the cubes of the factors of diagram {v}",
-                    sum(n ** 3 for n in v.factors), MAX_DIAGRAM_CUBES)
-    return entries
-
-
-def _suite_diagram(args) -> VerificationReport:
-    checks = [Check(f"{prefix}diagram commutes on {v}", None, diagram_check(v).all_passed)
-              for prefix, v in _diagram_entries(args)]
-    return VerificationReport(tuple(checks))
+    entries = [(prefix, _check_diagram(v)) for prefix, v in entries]
+    return VerificationReport(tuple(
+        Check(f"{prefix}diagram commutes on {v}", None, diagram_check(v).all_passed)
+        for prefix, v in entries))
 
 
 def _suite_proposition(args) -> VerificationReport:
@@ -294,11 +301,11 @@ def _suite_selftest_fail(args) -> VerificationReport:
     ))
 
 
-# suite -> (the orders it reads, its cost exponent, its report)
+# suite -> (the orders it reads, its cost exponent (0: it holds itself), its report)
 _SUITES = {
     "lemma21": ((), 0, _suite_lemma21),
     "fgl-axioms": (("order",), 2, _suite_fgl_axioms),
-    "mishchenko": (("order",), 4, _suite_mishchenko),
+    "mishchenko": (("order",), 0, _suite_mishchenko),
     "adams": (("q_order",), 0, _suite_adams),
     "pochhammer-identity": (("t_order", "q_order"), 5, _suite_pochhammer),
     "lambda-k": (("q_order",), 0, _suite_lambda_k),
@@ -352,33 +359,38 @@ def _run_eval(args) -> int:
 
 def _run_diagram(args) -> int:
     if args.catalog:
-        return _emit_report(_suite_diagram(args), "diagram", args)
-    [(_, v)] = _diagram_entries(args)
+        entries = [(f"{name}: ", v) for name, v in load_catalog(args.catalog)]
+        return _emit_report(_suite_diagram(args, entries), "diagram", args)
+    if not args.factors:
+        raise ValueError("diagram needs factor dimensions or --catalog")
+    v = _check_diagram(Variety(args.factors))
     return _emit_report(diagram_check(v), f"diagram {v}", args)
 
 
-def _table_family(fn, size, budget=MAX_SIZE, first=0):
-    """The rows k, fn(k) for k from ``first`` to --max, if size(--max) is in
-    budget, computed from --max down: ``cp_image`` then expands log_chi once."""
+def _table_family(name, first=0):
+    """The rows k, name(k) for k from ``first`` to --max of an eval builtin,
+    once its value at --max is within the budget that eval holds it to."""
+    fn, _, size = _BUILTINS[name]
     def rows(m):
-        _check_size(f"the table up to {m}", size(m), budget)
-        return [(k, canonical_str(fn(k))) for k in range(m, first - 1, -1)][::-1]
+        _check_size(f"{name}({m})", size(m))
+        return [(k, canonical_str(fn(k))) for k in range(first, m + 1)]
     return rows
 
 
-# name -> its (index, value) rows up to --max; cp_image is sized as diagram 0 1 ... max
+# name -> its (index, value) rows up to --max
 _TABLES = {
-    "qint": _table_family(q_int, _BUILTINS["qint"][2]),
-    "qfact": _table_family(q_fact, _BUILTINS["qfact"][2]),
-    "cyclotomic": _table_family(cyclotomic, _BUILTINS["cyclotomic"][2], first=1),
-    "cp_image": _table_family(cp_image, lambda m: (m * (m + 1) // 2) ** 2, MAX_DIAGRAM_CUBES),
+    "qint": _table_family("qint"),
+    "qfact": _table_family("qfact"),
+    "cyclotomic": _table_family("cyclotomic", first=1),
+    "cp_image": lambda m: [(k, canonical_str(c))
+                           for k, c in enumerate(_cp_images("table cp_image", m))],
     "tau": lambda m: _table_univariate(discriminant(max(m, 1)))[1:m + 1],
 }
 
 
 def _run_table(args) -> int:
-    if args.maximum < 0:
-        raise ValueError("--max must be >= 0")
+    if not 0 <= args.maximum <= MAX_SIZE:
+        raise ValueError(f"--max must be >= 0 and at most {MAX_SIZE}")
     return _emit_coefficients(args, args.name, {"max": args.maximum},
                               f"{args.name} up to {args.maximum}",
                               _TABLES[args.name](args.maximum))
@@ -387,15 +399,14 @@ def _run_table(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_common(p, fn):
+def _add_common(p, fn, orders):
     p.set_defaults(fn=fn)
     p.add_argument("--format", choices=("plain", "json"), default="plain")
-    p.add_argument("--order", "-N", type=int, default=DEFAULT_ORDER,
-                   help="series / total-degree truncation order")
-    p.add_argument("--t-order", dest="t_order", type=int,
-                   default=DEFAULT_T_ORDER)
-    p.add_argument("--q-order", dest="q_order", type=int,
-                   default=DEFAULT_Q_ORDER)
+    if orders:
+        p.add_argument("--order", "-N", type=int, default=DEFAULT_ORDER,
+                       help="series / total-degree truncation order")
+        p.add_argument("--t-order", dest="t_order", type=int, default=DEFAULT_T_ORDER)
+        p.add_argument("--q-order", dest="q_order", type=int, default=DEFAULT_Q_ORDER)
 
 
 def _expand_args(p):
@@ -440,7 +451,7 @@ def build_parser(verb=None) -> argparse.ArgumentParser:
         help_, run, fill = _VERBS[name]
         p = sub.add_parser(name, help=help_)
         fill(p)
-        _add_common(p, run)
+        _add_common(p, run, name in ("expand", "verify", "diagram"))
     return ap
 
 
@@ -459,11 +470,9 @@ def main(argv=None) -> int:
     # parser until its next full collection
     gc.collect(1)
     try:
-        orders = (args.order, args.t_order, args.q_order)
-        if min(orders) <= 0:
-            raise ValueError("orders must be positive")
-        if max(orders + (getattr(args, "maximum", 0),)) > MAX_SIZE:
-            raise ValueError(f"orders and --max must be at most {MAX_SIZE}")
+        if any(not 0 < getattr(args, k) <= MAX_SIZE
+               for k in ("order", "t_order", "q_order") if k in args):
+            raise ValueError(f"orders must be positive and at most {MAX_SIZE}")
         return args.fn(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

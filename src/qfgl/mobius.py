@@ -35,6 +35,11 @@ class Mobius(namedtuple("Mobius", "a b c d")):
             raise ValueError("Moebius matrix must have nonzero determinant")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace checks the determinant as well
+        return cls(*iterable)
+
 
 def mob_det(m: Mobius) -> Scalar:
     return m.a * m.d - m.b * m.c

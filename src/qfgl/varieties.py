@@ -49,6 +49,11 @@ class Variety(namedtuple("Variety", "factors")):
             raise ValueError("factor dimensions must be >= 0")
         return super().__new__(cls, factors)
 
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace checks the factors as well
+        return cls(*iterable)
+
     @property
     def dimension(self) -> int:
         return sum(self.factors)

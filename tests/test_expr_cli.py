@@ -303,10 +303,10 @@ def test_cli_table_negative_max_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("name, largest", [
-    ("qfact", 32), ("qint", 501), ("cyclotomic", 501), ("cp_image", 74)])
+    ("qfact", 32), ("qint", 501), ("cyclotomic", 501), ("cp_image", 463)])
 def test_cli_table_budget_admits_its_boundary(capsys, name, largest):
-    # the eval budget of the value at --max, or the diagram budget of
-    # diagram 0 1 ... max for cp_image, admits this --max and refuses one more
+    # the eval budget of the value at --max, or for cp_image the cost of
+    # expanding log_chi to --max + 1, admits this --max and refuses one more
     code, out, _ = run_cli(capsys, "table", name, "--max", str(largest))
     assert code == 0
     assert out.splitlines()[-1].startswith(f"{largest}\t")
@@ -323,6 +323,19 @@ def test_cli_order_budget_admits_its_boundary(capsys, argv):
     # t*q = 10^4; one more is refused
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0, out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "mishchenko", "--order", "463"),
+    ("diagram", "463"),
+    ("expand", "lambda_t", "--element", "1/(1-2*q)", "--t-order", "10", "--q-order", "382"),
+])
+def test_cli_logarithm_and_element_budgets_admit_their_boundary(capsys, argv):
+    # a reader of the logarithm is held as expand log_chi at the order it
+    # expands, and lambda_t to (t*q)^2 times the 64-bit words of --element's
+    # longest coefficient: 464^3 and 3820^2 * 6 are in budget; one more is not
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv[:-1], str(int(argv[-1]) + 1))[0] == 2
 
 
 @pytest.mark.parametrize("target", ["log_chi", "exp_chi"])
@@ -393,13 +406,14 @@ def test_cli_unexpected_exception_exits_2(capsys, monkeypatch):
 
 
 # (verb, a bad choice, a bad int, a missing positional or option argument,
-# a passing call); diagram has no choice but --format's
+# a passing call); diagram has no choice but --format's, and eval takes no
+# int, so an order option that it does not take stands in
 _VERB_ARGVS = (
     ("expand", ("expand", "nope"), ("expand", "log_chi", "--order", "x"), ("expand",),
      ("expand", "log_chi", "--order", "3")),
     ("verify", ("verify", "nope"), ("verify", "lemma21", "--t-order", "x"), ("verify",),
      ("verify", "lemma21")),
-    ("eval", ("eval", "q", "--format", "xml"), ("eval", "q", "--q-order", "x"), ("eval",),
+    ("eval", ("eval", "q", "--format", "xml"), ("eval", "q", "--order", "3"), ("eval",),
      ("eval", "qint(3)", "--format", "json")),
     ("diagram", ("diagram", "1", "--format", "xml"), ("diagram", "1", "x"),
      ("diagram", "--catalog"), ("diagram", "1", "2")),
@@ -423,6 +437,15 @@ def test_cli_parser_of_one_verb_prints_as_the_parser_of_all(capsys, monkeypatch,
         with monkeypatch.context() as m:
             m.setattr(qfgl.cli, "build_parser", lambda verb=None: build_parser())
             assert got == run_cli(capsys, *argv), columns
+
+
+@pytest.mark.parametrize("argv", [("eval", "q", "--order", "3"),
+                                  ("table", "qint", "--t-order", "1")])
+def test_cli_eval_and_table_take_no_orders(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: qfgl [-h] {expand,verify,eval,diagram,table} ...\n")
+    assert err.endswith(f"unrecognized arguments: {' '.join(argv[2:])}\n")
 
 
 def test_cli_frees_its_parser_before_the_verb_runs(capsys):
@@ -473,14 +496,15 @@ print(code, time.perf_counter() - t0)
     # the gcd behind a sum: seconds, and minutes with 2001-digit integers
     ("eval", "1/(10^20*q^100 + 7*q^3 + 10^20) + 1/(q^150 + 10^20*q + 3)"),
     ("eval", "1/(10^2000*q^100 + 7*q^3 + 10^2000) + 1/(q^150 + 10^2000*q + 3)"),
-    # the logarithm of each factor: CP^400 takes about 10 s
-    ("diagram", "400"),
-    ("diagram", "200", "200"),
+    # the logarithm that the largest factor CP^n expands to order n + 1:
+    # one past the order that expand log_chi stops at
+    ("diagram", "464"),
+    ("diagram", "464", "1"),
     # one past the largest table test_cli_table_budget_admits_its_boundary runs
     ("table", "qfact", "--max", "33"),
     ("table", "qint", "--max", "502"),
     ("table", "cyclotomic", "--max", "502"),
-    ("table", "cp_image", "--max", "75"),
+    ("table", "cp_image", "--max", "464"),
     # one past the largest order the per-target cost budget admits: the
     # first two ran about 7 s and 4 s, and cartier at order 100 about 3 s
     ("expand", "log_chi", "--order", "1000"),
@@ -489,7 +513,7 @@ print(code, time.perf_counter() - t0)
     ("expand", "log_chi", "--order", "465"),
     ("expand", "exp_chi", "--order", "101"),
     ("expand", "fgl_inverse", "--order", "101"),
-    ("verify", "mishchenko", "--order", "101"),
+    ("verify", "mishchenko", "--order", "464"),
     ("verify", "proposition", "--order", "40"),
     ("verify", "cartier", "--t-order", "40", "--order", "2"),
     ("verify", "pochhammer-identity", "--t-order", "40"),
@@ -497,6 +521,9 @@ print(code, time.perf_counter() - t0)
     ("expand", "pochhammer", "--t-order", "1000", "--q-order", "1000"),
     ("verify", "pochhammer-identity", "--t-order", "32", "--q-order", "1000"),
     ("expand", "lambda_t", "--t-order", "11", "--q-order", "1000"),
+    # and in the digits of --element's expansion: this ran about 14 s
+    ("expand", "lambda_t", "--element", "1/(1-9*q)", "--t-order", "10", "--q-order", "1000"),
+    ("expand", "lambda_t", "--element", "1/(1-10^4000*q)", "--t-order", "1", "--q-order", "1000"),
 ])
 def test_cli_size_budget_refuses_before_allocating(argv):
     pytest.importorskip("resource")
@@ -543,3 +570,7 @@ def test_cli_size_budget_admits_monomials_and_the_benchmark_orders(capsys):
                  ("expand", "lambda_t", "--t-order", "8", "--q-order", "60")):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
+    # the elements of the benchmark's lambda_t requests, at their largest orders
+    for element in ("1/(1-q)", "1 + q", "2*q", "qint(3)"):
+        argv = ("expand", "lambda_t", "--element", element, "--t-order", "6", "--q-order", "30")
+        assert run_cli(capsys, *argv)[0] == 0, element

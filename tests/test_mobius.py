@@ -41,6 +41,18 @@ def test_degenerate_matrix_rejected():
         Mobius(ONE, ONE, ONE, ONE)
 
 
+def test_make_checks_the_determinant():
+    with pytest.raises(ValueError, match="nonzero determinant"):
+        Mobius._make((ZERO,) * 4)
+    assert Mobius._make((-Q, ONE, -ONE, ONE)) == q_mobius()
+
+
+def test_replace_checks_the_determinant():
+    with pytest.raises(ValueError, match="nonzero determinant"):
+        q_mobius()._replace(a=ZERO, c=ZERO)
+    assert q_mobius()._replace(a=ONE) == Mobius(ONE, ONE, -ONE, ONE)
+
+
 def test_apply_to_generator():
     f = mob_apply(q_mobius(), Series.generator(2))
     assert f[0] == ONE

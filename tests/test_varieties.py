@@ -245,3 +245,10 @@ def test_catalog_file_rejects_bad_dims(tmp_path):
     path.write_text("oops one two\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_catalog(path)
+
+
+def test_make_checks_the_factors():
+    with pytest.raises(ValueError, match=">= 0"):
+        Variety._make(((-1,),))
+    assert Variety._make(((1, 2),)) == V(1, 2)
+    assert str(V(1, 2)._replace(factors=(3,))) == "CP3"
