@@ -14,8 +14,8 @@ Exit codes: 0 success / all checks pass, 1 any failing check, 2 usage,
 evaluation or internal error.  Orders (of ``expand``, ``verify`` and
 ``diagram`` only), --max, diagram dimensions and expression sizes are held
 to ``expr.MAX_SIZE``, each ``expand`` target and ``verify`` suite to a
-cost in the orders it reads, and each reader of the logarithm to that of
-expanding ``log_chi`` once (``MAX_ORDER_COST``).
+cost in the orders it reads, and the readers of the logarithm to that of
+expanding ``log_chi`` once, at the largest order they read (``MAX_ORDER_COST``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .lambda_ring import (
 )
 from .varieties import Variety, diagram_check, load_catalog
 from .report import Check, VerificationReport
-from .expr import MAX_SIZE, evaluate, _check_size, _BUILTINS
+from .expr import MAX_SIZE, evaluate, _check_digits, _check_size, _BUILTINS
 
 DEFAULT_ORDER = 10
 DEFAULT_T_ORDER = 6
@@ -88,7 +88,8 @@ def _table_bivariate(law):
 
 
 def _table_tq(rows_by_t):
-    return [(k, canonical_str(row.to_scalar())) for k, row in enumerate(rows_by_t)]
+    return [(k, canonical_str(_check_digits(f"the t^{k} row", row.to_scalar())))
+            for k, row in enumerate(rows_by_t)]
 
 
 def _expand_lambda_element(args):
@@ -171,11 +172,18 @@ def _suite_fgl_axioms(args) -> VerificationReport:
     return verify_fgl(f_chi_closed(args.order), args.order)
 
 
+def _hold_log(what: str, n: int) -> None:
+    """Hold ``what``, a reader of log_chi to order n, to the cost of ``expand
+    log_chi --order n``, then expand it once there: every later read of the
+    call, at order n or less, truncates that expansion."""
+    _check_cost(what, n, _EXPANDS["log_chi"][1])
+    log_chi(n)
+
+
 def _cp_images(what: str, m: int) -> list:
-    """cp_image(0) .. cp_image(m), held as ``expand log_chi --order m+1``: the
-    largest is computed first and expands log_chi once; the others read it."""
-    _check_cost(what, m + 1, _EXPANDS["log_chi"][1])
-    return [cp_image(n) for n in range(m, -1, -1)][::-1]
+    """cp_image(0) .. cp_image(m), read off one logarithm of order m + 1."""
+    _hold_log(what, m + 1)
+    return [cp_image(n) for n in range(m + 1)]
 
 
 def _suite_mishchenko(args) -> VerificationReport:
@@ -261,12 +269,14 @@ def _suite_exercise32(args) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def _check_diagram(v: Variety) -> Variety:
-    """``v``, held to its dimension, for the Hodge and Clebsch-Gordan routes,
-    and to the logarithm that its largest factor CP^n expands to order n + 1."""
-    _check_size(f"diagram {v}", v.dimension)
-    _check_cost(f"diagram {v}", max(v.factors, default=0) + 1, _EXPANDS["log_chi"][1])
-    return v
+def _hold_diagrams(varieties) -> None:
+    """Hold each product to its dimension, for the Hodge and Clebsch-Gordan
+    routes, then the logarithm once, to the order n + 1 that the largest
+    factor CP^n of them all reads it to."""
+    for v in varieties:
+        _check_size(f"diagram {v}", v.dimension)
+    n, top = max(((max(v.factors, default=0), v) for v in varieties), key=lambda e: e[0])
+    _hold_log(f"diagram {top}", n + 1)
 
 
 def _suite_diagram(args, entries=None) -> VerificationReport:
@@ -274,7 +284,7 @@ def _suite_diagram(args, entries=None) -> VerificationReport:
     products of ``verify diagram``, once every product is in budget."""
     if entries is None:
         entries = [("", Variety(dims)) for dims in itertools.product(range(5), repeat=3)]
-    entries = [(prefix, _check_diagram(v)) for prefix, v in entries]
+    _hold_diagrams([v for _, v in entries])
     return VerificationReport(tuple(
         Check(f"{prefix}diagram commutes on {v}", None, diagram_check(v).all_passed)
         for prefix, v in entries))
@@ -363,7 +373,8 @@ def _run_diagram(args) -> int:
         return _emit_report(_suite_diagram(args, entries), "diagram", args)
     if not args.factors:
         raise ValueError("diagram needs factor dimensions or --catalog")
-    v = _check_diagram(Variety(args.factors))
+    v = Variety(args.factors)
+    _hold_diagrams([v])
     return _emit_report(diagram_check(v), f"diagram {v}", args)
 
 
@@ -440,13 +451,14 @@ _VERBS = {
 def build_parser(verb=None) -> argparse.ArgumentParser:
     """The parser of every verb, or only of ``verb`` when it names one.
 
-    A parser of one verb parses that verb's calls as the full parser does;
-    only its own usage line, printed for unrecognized arguments, differs.
+    A parser of one verb parses that verb's calls as the full parser does,
+    and prints the same usage line, which names every verb.
     """
     ap = argparse.ArgumentParser(
         prog="qfgl",
         description="exact q-series and formal-group-law computations")
-    sub = ap.add_subparsers(dest="verb", required=True)
+    sub = ap.add_subparsers(dest="verb", required=True, metavar=(
+        "{" + ",".join(_VERBS) + "}" if verb in _VERBS else None))
     for name in [verb] if verb in _VERBS else _VERBS:
         help_, run, fill = _VERBS[name]
         p = sub.add_parser(name, help=help_)
@@ -458,10 +470,7 @@ def build_parser(verb=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
-        if extra:
-            # the full parser reports them, with the usage line of every verb
-            build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)

@@ -124,21 +124,22 @@ class FormalGroupLaw(namedtuple("FormalGroupLaw", "series closed", defaults=(Non
     __slots__ = ()
 
 
-def _closed_law(closed, order: int) -> FormalGroupLaw:
-    """The law of a closed form (numerator, denominator), expanded."""
-    num_terms, den_terms = closed
-    num = BiSeries(2, order, num_terms)
-    den = BiSeries(2, order, den_terms)
-    return FormalGroupLaw(series=num / den, closed=closed)
+def _closed_form(a: Scalar, b: Scalar) -> tuple:
+    """The terms (numerator, denominator) of (X + Y + a XY)/(1 + b XY), with
+    no key for a zero coefficient."""
+    return tuple({k: c for k, c in terms.items() if c} for terms in (
+        {(1, 0): ONE, (0, 1): ONE, (1, 1): a}, {(0, 0): ONE, (1, 1): b}))
+
+
+def _closed_law(a: Scalar, b: Scalar, order: int) -> FormalGroupLaw:
+    """(X + Y + a XY)/(1 + b XY), expanded by total degree, with its closed form."""
+    closed = num, den = _closed_form(a, b)
+    return FormalGroupLaw(BiSeries(2, order, num) / BiSeries(2, order, den), closed)
 
 
 def f_chi_closed(order: int) -> FormalGroupLaw:
     """Expand (X + Y + (1+q)XY)/(1 + qXY) by total degree."""
-    closed = (
-        {(1, 0): ONE, (0, 1): ONE, (1, 1): ONE + Q},
-        {(0, 0): ONE, (1, 1): Q},
-    )
-    return _closed_law(closed, order)
+    return _closed_law(ONE + Q, Q, order)
 
 
 def f_chi_from_log(order: int) -> FormalGroupLaw:
@@ -178,19 +179,14 @@ def f_chi_derived_closed(order: int) -> FormalGroupLaw:
     logarithms), so the two are kept side by side and compared by
     ``proposition_check``.
     """
-    closed = (
-        {(1, 0): ONE, (0, 1): ONE, (1, 1): -(ONE + Q)},
-        {(0, 0): ONE, (1, 1): -Q},
-    )
-    return _closed_law(closed, order)
+    return _closed_law(-(ONE + Q), -Q, order)
 
 
 def multiplicative_law(order: int) -> FormalGroupLaw:
     """X + Y + XY with its closed form: the fixture of
     ``test_multiplicative_law_passes``, ``test_generic_and_closed_assoc_routes_agree``
     and ``test_inverse_of_multiplicative_law``, called from the tests only."""
-    closed = ({(1, 0): ONE, (0, 1): ONE, (1, 1): ONE}, {(0, 0): ONE})
-    return _closed_law(closed, order)
+    return _closed_law(ONE, ZERO, order)
 
 
 def proposition_check(order: int) -> VerificationReport:
@@ -224,16 +220,10 @@ def drinfeld_form(order: int) -> FormalGroupLaw:
     so the two routes can be compared.
     """
     base = f_chi_closed(order).series
-    s_inv = ONE / S
     terms = {}
     for (i, j), c in base.terms.items():
         terms[(i, j)] = c * S ** (1 - i - j)
-    rescaled = BiSeries(2, order, terms)
-    closed = (
-        {(1, 0): ONE, (0, 1): ONE, (1, 1): s_inv + S},
-        {(0, 0): ONE, (1, 1): ONE},
-    )
-    return FormalGroupLaw(series=rescaled, closed=closed)
+    return FormalGroupLaw(BiSeries(2, order, terms), _closed_form(ONE / S + S, ONE))
 
 
 # ---------------------------------------------------------------------------

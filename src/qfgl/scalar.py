@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 __all__ = [
@@ -480,8 +481,7 @@ def _dot(xs, ys) -> Scalar:
         return rest
     if len(pairs) == 1:
         [(x, y)] = pairs
-        (av, ad, ac), (bv, bd, bc) = x.num, y.num
-        num = _lp_make(av + bv, ad * bd, _ip_mul(ac, bc))
+        num = _lp_mul(x.num, y.num)
     else:
         lo = min(x.num[0] + y.num[0] for x, y in pairs)
         den = lcm(*[x.num[1] * y.num[1] for x, y in pairs])
@@ -627,13 +627,9 @@ def canonical_str(a: Scalar) -> str:
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and the cromulent localization
 
-_cyclo_cache: dict = {}
-
-
+@cache
 def _cyclotomic_q_vec(d: int):
     """Phi_d as an integer coefficient tuple in q."""
-    if d in _cyclo_cache:
-        return _cyclo_cache[d]
     if d == 1:
         out = (-1, 1)
     else:
@@ -643,7 +639,6 @@ def _cyclotomic_q_vec(d: int):
             if d % e == 0:
                 rem = _ip_divexact(rem, _cyclotomic_q_vec(e))
         out = rem
-    _cyclo_cache[d] = out
     return out
 
 

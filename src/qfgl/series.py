@@ -330,9 +330,6 @@ class BiSeries:
         return BiSeries._build(self.nvars, order, {e: c for e, c in self.terms.items()
                                                    if sum(e) <= order})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiSeries):
             return NotImplemented

@@ -77,9 +77,6 @@ class HodgePoly:
                 clean[key] = int(c)
         self.terms = clean
 
-    def coeff(self, i: int, j: int) -> int:
-        return self.terms.get((i, j), 0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HodgePoly):
             return NotImplemented

@@ -173,6 +173,17 @@ def test_cli_expand_lambda_element_refusals(capsys):
         assert reason in err and err.count("lambda_t") <= 1
 
 
+def test_cli_expand_lambda_refuses_rows_past_the_digits_str_prints(capsys):
+    for argv in (("--element", "10^4000*q", "--t-order", "10", "--q-order", "60"),
+                 ("--element", "1/(1-10^10*q)", "--t-order", "1", "--q-order", "570")):
+        code, out, err = run_cli(capsys, "expand", "lambda_t", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the t^") and "longer than 4300 digits" in err
+    code, _, _ = run_cli(capsys, "expand", "lambda_t", "--element", "1/(1-10^10*q)",
+                         "--t-order", "1", "--q-order", "400")
+    assert code == 0
+
+
 def test_cli_verify_suites_pass(capsys):
     for suite in ("lemma21", "mishchenko", "cartier", "lambda-k",
                   "exercise32", "proposition"):
@@ -446,6 +457,15 @@ def test_cli_eval_and_table_take_no_orders(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("usage: qfgl [-h] {expand,verify,eval,diagram,table} ...\n")
     assert err.endswith(f"unrecognized arguments: {' '.join(argv[2:])}\n")
+
+
+def test_cli_builds_one_parser_per_call(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(qfgl.cli, "build_parser",
+                        lambda verb=None, true=build_parser: built.append(verb) or true(verb))
+    code, out, err = run_cli(capsys, "eval", "1", "--bogus")
+    assert (code, out, built) == (2, "", ["eval"])
+    assert err.endswith("unrecognized arguments: --bogus\n")
 
 
 def test_cli_frees_its_parser_before_the_verb_runs(capsys):

@@ -112,7 +112,7 @@ def test_stored_expansions_in_four_threads():
         assert stored == fresh[stored.order][i]
 
 
-def test_one_logarithm_serves_the_images_and_mishchenko(monkeypatch, capsys):
+def test_one_logarithm_serves_the_images_and_mishchenko(monkeypatch, capsys, tmp_path):
     calls = []
     true_log1 = qfgl.fgl.log1
     monkeypatch.setattr(qfgl.fgl, "log1", lambda f: calls.append(f.order) or true_log1(f))
@@ -121,13 +121,25 @@ def test_one_logarithm_serves_the_images_and_mishchenko(monkeypatch, capsys):
     assert calls == [21]
     assert images[::-1] == [q_int(n + 1) for n in range(21)]
     assert "0 failing" in capsys.readouterr().out
-    # cold, the suite and the table each start from their largest image
+    # cold, each call expands the logarithm once, at the largest order it
+    # reads, whatever the order of its factors or catalog entries
+    catalog = tmp_path / "ascending.txt"
+    catalog.write_text("e1 1\ne2 2\ne3 3\n")
     for argv, order in ((["verify", "mishchenko", "--order", "19"], 20),
-                        (["table", "cp_image", "--max", "20"], 21)):
+                        (["table", "cp_image", "--max", "20"], 21),
+                        (["diagram", "1", "3", "2"], 4),
+                        (["diagram", "--catalog", str(catalog)], 4),
+                        (["verify", "diagram"], 5)):
         qfgl.fgl._EXPANSIONS.clear()
         calls.clear()
         assert main(argv) == 0
-        assert calls == [order]
+        assert calls == [order], argv
+    # and none when any entry is refused, wherever it stands
+    catalog.write_text("e1 1\ne2 464\ne3 2\n")
+    qfgl.fgl._EXPANSIONS.clear()
+    calls.clear()
+    assert main(["diagram", "--catalog", str(catalog)]) == 2
+    assert calls == []
 
 
 # -- orientation images ------------------------------------------------------------
@@ -173,6 +185,17 @@ def test_closed_law_coefficients_integral():
     F = f_chi_closed(12).series
     for (i, j), c in F.terms.items():
         assert membership(c).in_Z_q, f"coefficient at {(i, j)}"
+
+
+def test_closed_forms_pinned():
+    assert f_chi_closed(2).closed == ({(1, 0): ONE, (0, 1): ONE, (1, 1): ONE + Q},
+                                      {(0, 0): ONE, (1, 1): Q})
+    assert f_chi_derived_closed(2).closed == (
+        {(1, 0): ONE, (0, 1): ONE, (1, 1): -(ONE + Q)}, {(0, 0): ONE, (1, 1): -Q})
+    assert multiplicative_law(2).closed == ({(1, 0): ONE, (0, 1): ONE, (1, 1): ONE},
+                                            {(0, 0): ONE})
+    assert drinfeld_form(2).closed == ({(1, 0): ONE, (0, 1): ONE, (1, 1): ONE / S + S},
+                                       {(0, 0): ONE, (1, 1): ONE})
 
 
 def test_closed_law_axioms():

@@ -40,7 +40,7 @@ def test_hodge_multiplicative(rng):
 
 def test_hodge_symmetry():
     h = hodge(V(3, 2))
-    assert all(h.coeff(j, i) == c for (i, j), c in h.terms.items())
+    assert all(h.terms.get((j, i), 0) == c for (i, j), c in h.terms.items())
 
 
 # -- Euler characteristics ------------------------------------------------------
