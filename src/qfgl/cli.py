@@ -334,8 +334,7 @@ def _emit_report(rep: VerificationReport, name: str, args) -> int:
             "orders": {"order": args.order, "t_order": args.t_order,
                        "q_order": args.q_order},
             "checks": [{"name": c.name,
-                        "order": list(c.order) if isinstance(c.order, tuple)
-                        else c.order,
+                        "order": c.order,
                         "pass": c.passed,
                         "detail": c.detail} for c in rep.checks],
             "passed": rep.all_passed,

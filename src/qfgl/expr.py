@@ -9,9 +9,14 @@ Grammar (whitespace insensitive):
 
 Builtin calls: qint(k), qfact(k), qbinom(n, k), cyclotomic(d),
 adams(e, k).  Exponents are integer literals, optionally negative.
-Syntax errors carry the character offset of the offending token.  Atoms
-nest at most ``MAX_NESTING`` deep (parentheses, unary minus, call
-arguments), which keeps parsing and evaluation well inside Python's
+``evaluate`` reads and evaluates an expression in one pass, with no syntax
+tree: each grammar rule returns the value of the text it read.  The text
+is split into tokens first, so a character outside the grammar is refused
+before anything is computed; any other syntax error is raised where it is
+read, after the values to its left, so an evaluation error to the left of
+it is the one reported.  Syntax errors carry the character offset of the
+offending token.  Atoms nest at most ``MAX_NESTING`` deep (parentheses,
+unary minus, call arguments), which keeps evaluation well inside Python's
 recursion limit.  Before anything is allocated, ``MAX_SIZE`` bounds the
 s-degree span of a value: that of a builtin, which each ``_BUILTINS``
 entry states from the arguments; that of a power, its exponent times the
@@ -32,7 +37,7 @@ from math import log10
 from .scalar import Scalar, Q, S, cyclotomic, adams
 from .qcomb import q_int, q_fact, q_binom
 
-__all__ = ["Expr", "ParseError", "EvalError", "parse_expr", "eval_expr", "evaluate"]
+__all__ = ["ParseError", "EvalError", "evaluate"]
 
 
 class ParseError(ValueError):
@@ -43,12 +48,6 @@ class ParseError(ValueError):
 
 class EvalError(ValueError):
     pass
-
-
-# AST nodes are plain tuples:
-#   ("int", n) ("var", "q"|"s") ("neg", e) ("pow", e, k)
-#   ("bin", op, left, right) ("call", name, [args])
-Expr = tuple
 
 
 # name -> (function, argument kinds, s-degree span of its value): a kind is
@@ -102,6 +101,9 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
+    """Evaluates while it parses: each grammar rule returns the value of the
+    text it read, so a budget is checked as soon as its operands are read."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
@@ -115,34 +117,34 @@ class _Parser:
         self.i += 1
         return self.tokens[self.i - 1]
 
-    def parse(self) -> Expr:
-        e = self.expr()
+    def parse(self) -> Scalar:
+        value = self.expr()
         tok = self.peek()
         if tok[0] != "eof":
             raise ParseError(f"trailing input starting with {tok[1]!r}", tok[2])
-        return e
+        return value
 
-    def _chain(self, ops, operand) -> Expr:
-        """operand (op operand)*, nested to the left."""
-        e = operand()
+    def _chain(self, ops, operand) -> Scalar:
+        """operand (op operand)*, each op applied as its right operand is
+        read, so a long chain costs no recursion depth."""
+        acc = operand()
         while self.peek()[0] in ops:
             op = self.next()[0]
-            e = ("bin", op, e, operand())
-        return e
+            acc = _binary(op, acc, operand())
+        return acc
 
-    def expr(self) -> Expr:
+    def expr(self) -> Scalar:
         return self._chain(("+", "-"), self.term)
 
-    def term(self) -> Expr:
+    def term(self) -> Scalar:
         return self._chain(("*", "/"), self.factor)
 
-    def factor(self) -> Expr:
-        e = self.atom()
-        tok = self.peek()
-        if tok[0] == "^":
-            self.next()
-            e = ("pow", e, self._integer())
-        return e
+    def factor(self) -> Scalar:
+        base = self.atom()
+        if self.peek()[0] != "^":
+            return base
+        self.next()
+        return _power(base, self._integer())
 
     def _integer(self) -> int:
         tok = self.peek()
@@ -156,28 +158,28 @@ class _Parser:
         self.next()
         return sign * tok[1]
 
-    def atom(self) -> Expr:
+    def atom(self) -> Scalar:
         if self.depth == MAX_NESTING:
             raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
                              self.peek()[2])
         self.depth += 1
-        e = self._atom()
+        value = self._atom()
         self.depth -= 1
-        return e
+        return value
 
-    def _atom(self) -> Expr:
+    def _atom(self) -> Scalar:
         kind, value, pos = self.next()
         if kind == "int":
-            return ("int", value)
+            return Scalar.from_int(value)
         if kind == "-":
-            return ("neg", self.atom())
+            return -self.atom()
         if kind == "(":
-            e = self.expr()
+            inner = self.expr()
             self._expect(")", "expected ')'")
-            return e
+            return inner
         if kind == "ident":
             if value in ("q", "s"):
-                return ("var", value)
+                return Q if value == "q" else S
             if value not in _BUILTINS:
                 raise ParseError(f"unknown identifier {value!r}", pos)
             self._expect("(", f"{value} expects arguments")
@@ -190,17 +192,13 @@ class _Parser:
             if len(args) != arity:
                 raise ParseError(
                     f"{value} takes {arity} argument(s), got {len(args)}", pos)
-            return ("call", value, args)
+            return _call(value, args)
         raise ParseError("expected a value", pos)
 
     def _expect(self, kind: str, message: str) -> None:
         tok = self.next()
         if tok[0] != kind:
             raise ParseError(message, tok[2])
-
-
-def parse_expr(text: str) -> Expr:
-    return _Parser(text).parse()
 
 
 def _s_span(value: Scalar) -> int:
@@ -237,68 +235,52 @@ def _int_arg(name: str, value: Scalar) -> int:
         raise EvalError(f"{name} needs an integer argument") from None
 
 
-def eval_expr(e: Expr) -> Scalar:
-    kind = e[0]
-    if kind == "int":
-        return Scalar.from_int(e[1])
-    if kind == "var":
-        return Q if e[1] == "q" else S
-    if kind == "neg":
-        return -eval_expr(e[1])
-    if kind == "pow":
-        base = eval_expr(e[1])
-        if base.is_zero() and e[2] < 0:
-            raise EvalError("zero cannot be raised to a negative power")
-        _check_size(f"power {e[2]}", abs(e[2]) * _s_span(base))
-        # no integer of the result may outgrow the literals _tokenize admits:
-        # each is at most h^|k|, h the largest 1-norm of the base's integers
-        h = max(sum(map(abs, base.num[2])), base.num[1], sum(map(abs, base.den)))
-        if h > 1 and abs(e[2]) >= MAX_DIGITS / log10(h):  # no float of a long exponent
-            raise EvalError(f"power {e[2]} has integers longer than {MAX_DIGITS} digits")
-        return _check_digits(f"power {e[2]}", base ** e[2])
-    if kind == "bin":
-        # a chain a op b op c ... nests to the left; walk it in a loop so
-        # that its length costs no recursion depth
-        chain = []
-        while e[0] == "bin":
-            chain.append(e)
-            e = e[2]
-        acc = eval_expr(e)
-        for _, op, _, r in reversed(chain):
-            b = eval_expr(r)
-            if op == "/" and b.is_zero():
-                raise EvalError("division by zero")
-            if op in "+-" and not (acc.is_zero() or b.is_zero()):
-                # one vector from the lower valuation to the higher top degree
-                lo = min(acc.num[0], b.num[0])
-                hi = max(acc.num[0] + _s_span(acc), b.num[0] + _s_span(b))
-                _check_size(f"{op!r} over s-degrees {lo}..{hi}", hi - lo)
-            if op in "*/":
-                _check_size(f"{op!r} of s-spans {_s_span(acc)} and {_s_span(b)}",
-                            _s_span(acc) + _s_span(b))
-            # the gcd that reduces the result is trivial unless its numerator
-            # and denominator, before reduction, both have two terms or more
-            n, d = (b.den, b.num[2]) if op == "/" else (b.num[2], b.den)
-            if max(len(acc.den), len(d)) > 1 and (op in "+-"
-                                                  or max(len(acc.num[2]), len(n)) > 1):
-                span, digits = _s_span(acc) + _s_span(b), _digits(acc) + _digits(b)
-                _check_size(f"the gcd behind {op!r} (s-span {span} squared times {digits} "
-                            "digits)", span * span * digits, MAX_GCD_WORK)
-            acc = _check_digits(f"the result of {op!r}", _BINARY[op](acc, b))
-        return acc
-    if kind == "call":
-        _, name, args = e
-        fn, kinds, span = _BUILTINS[name]
-        vals = [eval_expr(a) for a in args]
-        try:
-            vals = [v if k == "s" else _int_arg(name, v) for v, k in zip(vals, kinds)]
-            _check_size(f"the value of {name}", span(*vals))
-            return _check_digits(f"the value of {name}", fn(*vals))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise EvalError(str(exc)) from None
-    raise EvalError(f"malformed expression node {e!r}")
+def _binary(op: str, a: Scalar, b: Scalar) -> Scalar:
+    """``a op b`` for op in ``+-*/``, within the budgets."""
+    if op == "/" and b.is_zero():
+        raise EvalError("division by zero")
+    if op in "+-" and not (a.is_zero() or b.is_zero()):
+        # one vector from the lower valuation to the higher top degree
+        lo = min(a.num[0], b.num[0])
+        hi = max(a.num[0] + _s_span(a), b.num[0] + _s_span(b))
+        _check_size(f"{op!r} over s-degrees {lo}..{hi}", hi - lo)
+    if op in "*/":
+        _check_size(f"{op!r} of s-spans {_s_span(a)} and {_s_span(b)}",
+                    _s_span(a) + _s_span(b))
+    # the gcd that reduces the result is trivial unless its numerator
+    # and denominator, before reduction, both have two terms or more
+    n, d = (b.den, b.num[2]) if op == "/" else (b.num[2], b.den)
+    if max(len(a.den), len(d)) > 1 and (op in "+-" or max(len(a.num[2]), len(n)) > 1):
+        span, digits = _s_span(a) + _s_span(b), _digits(a) + _digits(b)
+        _check_size(f"the gcd behind {op!r} (s-span {span} squared times {digits} "
+                    "digits)", span * span * digits, MAX_GCD_WORK)
+    return _check_digits(f"the result of {op!r}", _BINARY[op](a, b))
+
+
+def _power(base: Scalar, k: int) -> Scalar:
+    """``base ** k``, within the budgets."""
+    if base.is_zero() and k < 0:
+        raise EvalError("zero cannot be raised to a negative power")
+    _check_size(f"power {k}", abs(k) * _s_span(base))
+    # no integer of the result may outgrow the literals _tokenize admits:
+    # each is at most h^|k|, h the largest 1-norm of the base's integers
+    h = max(sum(map(abs, base.num[2])), base.num[1], sum(map(abs, base.den)))
+    if h > 1 and abs(k) >= MAX_DIGITS / log10(h):  # no float of a long exponent
+        raise EvalError(f"power {k} has integers longer than {MAX_DIGITS} digits")
+    return _check_digits(f"power {k}", base ** k)
+
+
+def _call(name: str, args: list) -> Scalar:
+    """The builtin ``name`` at ``args``, within the budgets."""
+    fn, kinds, span = _BUILTINS[name]
+    try:
+        vals = [v if k == "s" else _int_arg(name, v) for v, k in zip(args, kinds)]
+        _check_size(f"the value of {name}", span(*vals))
+        return _check_digits(f"the value of {name}", fn(*vals))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise EvalError(str(exc)) from None
 
 
 def evaluate(text: str) -> Scalar:
-    """Parse and evaluate in one step."""
-    return eval_expr(parse_expr(text))
+    """The value of ``text``, read and evaluated in one pass."""
+    return _Parser(text).parse()

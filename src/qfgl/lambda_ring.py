@@ -23,7 +23,7 @@ from operator import add
 
 from .scalar import Scalar, ZERO, ONE, Q
 from .mobius import Mobius, mob_apply_scalar
-from .qcomb import QSeries, q_fact, euler_phi, discriminant, _row_product
+from .qcomb import QSeries, q_fact, euler_phi, discriminant, _row_product, _top_row
 from .report import Check, VerificationReport
 
 __all__ = [
@@ -170,11 +170,8 @@ def thom_class(q_order: int) -> QSeries:
     at t = 1; equals the Euler function.
     """
     # t-degrees k with minimal q-degree k(k+1)/2 beyond q_order cannot
-    # contribute
-    t_order = 1
-    while t_order * (t_order + 1) // 2 <= q_order:
-        t_order += 1
-    return _at_t_equals_1(lambda_t(Q / (ONE - Q), t_order, q_order))
+    # contribute; the least such k is the largest with k(k-1)/2 <= q_order
+    return _at_t_equals_1(lambda_t(Q / (ONE - Q), _top_row(q_order), q_order))
 
 
 def discriminant_limit(q_order: int) -> VerificationReport:

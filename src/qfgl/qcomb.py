@@ -208,6 +208,11 @@ def poch_finite(n: int, q_order: int) -> tuple:
     return _row_product(n, q_order, ((k, -1, 1) for k in range(n)))
 
 
+def _top_row(q_order: int) -> int:
+    """The largest k with k(k-1)/2 <= q_order."""
+    return (1 + isqrt(1 + 8 * q_order)) // 2
+
+
 def poch_inf_product(t_order: int, q_order: int) -> tuple:
     """(t; q)_infinity via its product, factors cut at index q_order.
 
@@ -218,7 +223,7 @@ def poch_inf_product(t_order: int, q_order: int) -> tuple:
     q^(k(k-1)/2), so the rows past the largest k with k(k-1)/2 <= q_order
     are zero and are not computed.
     """
-    live = min(t_order, (1 + isqrt(1 + 8 * q_order)) // 2)
+    live = min(t_order, _top_row(q_order))
     factors = ((k, -1, 1) for k in range(q_order + 1))
     return _row_product(live, q_order, factors) + (QSeries(q_order),) * (t_order - live)
 

@@ -100,7 +100,7 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order >= self.order:
             return self
-        return self._new(order, self.coeffs)
+        return self._new(order, self.coeffs[: order + 1])
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -15,8 +15,9 @@ import qfgl
 from qfgl import (
     Scalar, ZERO, ONE, Q, S, canonical_str, cyclotomic,
     q_int, q_fact, q_binom, adams,
-    parse_expr, eval_expr, evaluate, ParseError, EvalError,
+    evaluate, ParseError, EvalError,
 )
+from qfgl import expr
 from qfgl.cli import main, build_parser, _EXPANDS, _SUITES, _TABLES
 
 from conftest import random_scalar
@@ -49,7 +50,7 @@ def test_precedence_and_unary_minus():
 
 def test_parse_error_position():
     with pytest.raises(ParseError) as err:
-        parse_expr("1 + $")
+        evaluate("1 + $")
     assert err.value.pos == 4
 
 
@@ -62,35 +63,53 @@ def test_integer_literals_keep_their_source_length():
 
 def test_non_ascii_digit_is_a_parse_error():
     with pytest.raises(ParseError) as err:
-        parse_expr("\u00b2")
+        evaluate("\u00b2")
     assert err.value.pos == 0
 
 
 def test_long_integer_literal_is_a_parse_error():
     assert evaluate("9" * 4300) == Scalar.from_int(10 ** 4300 - 1)
     with pytest.raises(ParseError) as err:
-        parse_expr("q + " + "9" * 4301)
+        evaluate("q + " + "9" * 4301)
     assert err.value.pos == 4
 
 
 def test_unknown_identifier():
     with pytest.raises(ParseError):
-        parse_expr("mystery(3)")
+        evaluate("mystery(3)")
 
 
 def test_arity_mismatch():
     with pytest.raises(ParseError):
-        parse_expr("qbinom(3)")
+        evaluate("qbinom(3)")
 
 
 def test_trailing_garbage():
     with pytest.raises(ParseError):
-        parse_expr("1 + q q")
+        evaluate("1 + q q")
 
 
 def test_eval_division_by_zero():
     with pytest.raises(EvalError):
         evaluate("1/(q - q)")
+
+
+def test_eval_is_one_pass(monkeypatch):
+    # an evaluation error to the left of a syntax error is the one reported
+    with pytest.raises(EvalError, match="division by zero"):
+        evaluate("(1/0")
+    with pytest.raises(ParseError) as err:
+        evaluate("qint(3) + (q")
+    assert err.value.pos == 12
+    # a character outside the grammar is refused before anything is computed
+    calls = []
+    fn, kinds, span = expr._BUILTINS["qfact"]
+    monkeypatch.setitem(expr._BUILTINS, "qfact",
+                        (lambda k: calls.append(k) or fn(k), kinds, span))
+    with pytest.raises(ParseError) as err:
+        evaluate("qfact(32)*$")
+    assert err.value.pos == 10 and calls == []
+    assert evaluate("qfact(32)") == q_fact(32) and calls == [32]
 
 
 def test_eval_adams_needs_q():
@@ -238,7 +257,7 @@ def test_cli_eval_deep_nesting_is_a_usage_error(capsys):
     assert code == 2
     assert err.startswith("error: expression nested deeper than")
     with pytest.raises(ParseError):
-        parse_expr("(-" * 3000 + "q" + ")" * 3000)
+        evaluate("(-" * 3000 + "q" + ")" * 3000)
     # below the limit the nesting parses; a long flat chain costs no depth
     assert evaluate("(" * 90 + "-q" + ")" * 90) == -Q
     assert evaluate("q" + "+q" * 3000) == Scalar.from_int(3001) * Q

@@ -114,6 +114,16 @@ def test_integral_qseries_keep_int_storage(rng):
             assert r.is_integral()
 
 
+def test_truncate_coerces_only_what_it_keeps(monkeypatch):
+    f = Series(300, [Scalar.from_int(k) for k in range(301)])
+    seen = []
+    monkeypatch.setattr(Series, "_coerce",
+                        staticmethod(lambda c: seen.append(c) or c))
+    g = f.truncate(3)
+    assert len(seen) <= 4
+    assert g.order == 3 and g.coeffs == f.coeffs[:4]
+
+
 def test_qseries_storage_is_exact():
     assert not QSeries(2, (1, Fraction(1, 2))).is_integral()
     assert QSeries(2, (Fraction(4, 2), 1.5)).coeffs == (2, Fraction(3, 2), 0)
