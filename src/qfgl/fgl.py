@@ -222,7 +222,7 @@ def drinfeld_form(order: int) -> FormalGroupLaw:
     base = f_chi_closed(order).series
     terms = {}
     for (i, j), c in base.terms.items():
-        terms[(i, j)] = c * S ** (1 - i - j)
+        terms[(i, j)] = c * Scalar.s_power(1 - i - j)
     return FormalGroupLaw(BiSeries(2, order, terms), _closed_form(ONE / S + S, ONE))
 
 

@@ -6,7 +6,8 @@ The catalog is deliberately restricted to finite products of projective
 spaces; these are the varieties whose Hodge and Lefschetz data are fully
 explicit.  A product carries the diagonal sl2 action, so its
 representation is the tensor product of one irreducible string per
-factor, decomposed by the Clebsch-Gordan rule.
+factor, decomposed by the Clebsch-Gordan rule.  A character is
+decomposed back by first differences of its weight multiplicities.
 """
 
 from __future__ import annotations
@@ -155,9 +156,6 @@ class SL2Rep:
     def is_effective(self) -> bool:
         return all(c > 0 for c in self.mult.values())
 
-    def is_zero(self) -> bool:
-        return not self.mult
-
     def top_weight(self) -> int:
         if not self.mult:
             raise ValueError("the zero representation has no top weight")
@@ -195,30 +193,22 @@ def character(r: SL2Rep) -> Scalar:
 
 
 def decompose_character(p: Scalar) -> SL2Rep:
-    """Invert ``character``: peel off irreducible strings from the top.
+    """Invert ``character`` by first differences of weight multiplicities.
 
-    Works for any symmetric Laurent polynomial in s with integer
-    coefficients that is a virtual character; raises otherwise.
+    With m_w the coefficient of s^w, V_w has multiplicity m_w - m_(w+2).
+    Any Laurent polynomial in s with integer coefficients that is
+    symmetric under s -> 1/s is a virtual character; other inputs raise.
+    The result is effective exactly when m_w >= m_(w+2) for every w >= 0:
+    the coefficients never increase going outward from the middle.
     """
     if p.den != (1,) or p.num[1] != 1:
         raise ValueError("not a character: needs integer Laurent coefficients")
     val, _, coeffs = p.num
-    work = {val + i: c for i, c in enumerate(coeffs) if c}
-    out = {}
-    while work:
-        w = max(work)
-        if w < 0 or work.get(-w, 0) != work[w]:
-            raise ValueError("not symmetric under s -> 1/s")
-        c = work[w]
-        out[w] = c
-        for j in range(w + 1):
-            e = w - 2 * j
-            nv = work.get(e, 0) - c
-            if nv:
-                work[e] = nv
-            else:
-                work.pop(e, None)
-    return SL2Rep(out)
+    mult = {val + i: c for i, c in enumerate(coeffs) if c}
+    if any(mult.get(-w) != c for w, c in mult.items()):
+        raise ValueError("not symmetric under s -> 1/s")
+    return SL2Rep({w: mult.get(w, 0) - mult.get(w + 2, 0)
+                   for w in range(max(mult, default=-1) + 1)})
 
 
 def qdim_normalized(r: SL2Rep) -> Scalar:
@@ -228,23 +218,20 @@ def qdim_normalized(r: SL2Rep) -> Scalar:
     normalization is the unique shift making the projective-space diagram
     commute on products.
     """
-    if r.is_zero() or not r.is_effective():
-        raise ValueError("normalization needs an effective, nonzero element")
-    w = r.top_weight()
-    return Scalar.s_power(w) * character(r)
+    if not r.is_effective():
+        raise ValueError("normalization needs an effective element")
+    return Scalar.s_power(r.top_weight()) * character(r)
 
 
 def lambda_rep(r: SL2Rep, k: int) -> SL2Rep:
     """k-th exterior power via elementary symmetric functions of weights."""
-    if not r.is_effective() and not r.is_zero():
+    if not r.is_effective():
         raise ValueError("exterior powers need an effective element")
     if k < 0:
         raise ValueError("exterior power index must be >= 0")
-    # multiset of weights
-    weights = []
-    for n, c in sorted(r.mult.items()):
-        for j in range(n + 1):
-            weights.extend([n - 2 * j] * c)
+    # the multiset of weights, read off the character
+    val, _, coeffs = character(r).num
+    weights = [val + i for i, c in enumerate(coeffs) for _ in range(c)]
     e = [ONE] + [ZERO] * k
     for w in weights:
         x = Scalar.s_power(w)

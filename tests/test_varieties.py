@@ -1,6 +1,7 @@
 """Hodge polynomials, the Lefschetz sl2 ring, and the diagram checks."""
 
 import itertools
+from math import comb
 
 import pytest
 
@@ -144,6 +145,12 @@ def test_character_injective_round_trip(rng):
     for _ in range(50):
         r = SL2Rep({rng.randint(0, 6): rng.randint(1, 3) for _ in range(3)})
         assert decompose_character(character(r)) == r
+    # virtual representations: zero and negative multiplicities, both parities
+    for _ in range(50):
+        r = SL2Rep({rng.randint(0, 9): rng.randint(-3, 3)
+                    for _ in range(rng.randint(1, 4))})
+        assert decompose_character(character(r)) == r
+    assert decompose_character(character(SL2Rep())) == SL2Rep()
 
 
 def test_decompose_character_rejects_non_characters():
@@ -151,6 +158,11 @@ def test_decompose_character_rejects_non_characters():
         decompose_character(S)
     with pytest.raises(ValueError, match="integer Laurent"):
         decompose_character(ONE / (ONE - Q))
+    # the top pair is symmetric, the middle is not
+    with pytest.raises(ValueError, match="not symmetric"):
+        decompose_character(S ** 2 + S + S ** -2)
+    with pytest.raises(ValueError, match="not symmetric"):
+        decompose_character(ONE / S)
 
 
 def test_qdim_normalized_strings():
@@ -167,8 +179,10 @@ def test_qdim_normalized_product_example():
 
 
 def test_qdim_rejects_virtual():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no top weight"):
         qdim_normalized(SL2Rep())
+    with pytest.raises(ValueError, match="effective"):
+        qdim_normalized(SL2Rep({2: 1, 0: -1}))
 
 
 def test_exterior_powers():
@@ -176,6 +190,17 @@ def test_exterior_powers():
     assert lambda_rep(SL2Rep.irrep(2), 2) == SL2Rep.irrep(2)
     r = SL2Rep({3: 1, 1: 2})
     assert lambda_rep(r, 1) == r
+    assert lambda_rep(SL2Rep(), 0) == SL2Rep.irrep(0)
+
+
+def test_exterior_powers_count_subsets(rng):
+    # the dimension of the k-th exterior power is an independent count
+    for _ in range(20):
+        r = SL2Rep({rng.randint(0, 4): rng.randint(1, 2)
+                    for _ in range(rng.randint(1, 3))})
+        d = dimension(r)
+        for k in range(d + 2):
+            assert character(lambda_rep(r, k)).eval_s(1) == comb(d, k)
 
 
 def test_rep_of_variety():
