@@ -2,10 +2,10 @@
 function and the modular discriminant, all in exact arithmetic."""
 
 from qfgl import (
-    ONE, Q, is_cromulent, eval_q0, eval_q1,
+    ONE, Q, membership,
     q_int, q_fact, q_binom,
     poch_finite, poch_inf_product, poch_inf_sum,
-    euler_phi, discriminant, eta_from_phi, eta_pow,
+    euler_phi, discriminant,
 )
 
 print("q-integers and their localization")
@@ -16,10 +16,10 @@ print("q-factorial [3]! =", q_fact(3))
 print("Gaussian binomial (4 choose 2)_q =", q_binom(4, 2))
 print()
 print("inverting q-integers stays inside the cyclotomic localization:")
-print("  1/[6]_q cromulent:", is_cromulent(ONE / q_int(6)))
-print("  1/(1-q) cromulent:", is_cromulent(ONE / (ONE - Q)))
+print("  1/[6]_q cromulent:", membership(ONE / q_int(6)).in_cromulent)
+print("  1/(1-q) cromulent:", membership(ONE / (ONE - Q)).in_cromulent)
 print("  q -> 0 and q -> 1 on 1/[4]_q:",
-      eval_q0(ONE / q_int(4)), "and", eval_q1(ONE / q_int(4)))
+      (ONE / q_int(4)).eval_s(0), "and", (ONE / q_int(4)).eval_s(1))
 print()
 
 print("Pochhammer symbols")
@@ -41,6 +41,5 @@ support = [(k, c) for k, c in enumerate(phi.coeffs) if c]
 print("pentagonal support/signs:", support)
 d = discriminant(12)
 print("discriminant coefficients 1..12:", list(d.coeffs[1:13]))
-eta = eta_from_phi(12)
-print("eta = q^(1/24) * Euler function; eta^24 folds to the discriminant:",
-      eta_pow(eta, 24).fold() == d)
+print("q times the Euler function to the 24th is the discriminant:",
+      (euler_phi(12) ** 24).shift(1) == d)

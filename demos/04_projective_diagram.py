@@ -6,7 +6,7 @@ import itertools
 from qfgl import (
     Variety, SL2Rep,
     hodge, euler_specialize, yz_to_q,
-    rep_of_variety, cg_tensor, character, qdim_normalized, lambda_rep,
+    rep_of_variety, cg_tensor, character, qdim_normalized,
     diagram_check, cp_image,
 )
 
@@ -33,7 +33,6 @@ print("  its character:", character(r))
 print("  normalized to land in Z[q]:", qdim_normalized(r))
 print("  Clebsch-Gordan: V1 (x) V2 =", cg_tensor(SL2Rep.irrep(1),
                                                  SL2Rep.irrep(2)))
-print("  exterior square of V2:", lambda_rep(SL2Rep.irrep(2), 2))
 print()
 
 print("Three routes, one answer")

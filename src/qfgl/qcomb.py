@@ -18,7 +18,6 @@ each factor (1 + c*t*q^n)^m updates in place (``_row_product``).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 from operator import add, mul, sub
@@ -36,9 +35,6 @@ __all__ = [
     "poch_inf_sum",
     "euler_phi",
     "discriminant",
-    "EtaElement",
-    "eta_from_phi",
-    "eta_pow",
 ]
 
 
@@ -281,35 +277,3 @@ def discriminant(q_order: int) -> QSeries:
     for _ in range(3):
         p = p * p
     return QSeries(q_order, (0,) + p.coeffs)
-
-
-# ---------------------------------------------------------------------------
-# eta bookkeeping: a fractional power of q times an honest series
-
-class EtaElement(namedtuple("EtaElement", "exponent body")):
-    """q**exponent times a power series, with an exact rational exponent.
-
-    Keeps fractional powers of q out of the series type: the eta function
-    itself is (exponent 1/24, body the Euler function).  ``eta_pow``
-    multiplies the exponent and raises the body to the same power.
-    """
-
-    __slots__ = ()
-
-    def fold(self) -> QSeries:
-        """Push an integer exponent into the series; errors otherwise."""
-        if self.exponent.denominator != 1:
-            raise ValueError("cannot fold a genuinely fractional exponent")
-        k = self.exponent.numerator
-        if k < 0:
-            raise ValueError("cannot fold a negative exponent into a series")
-        return self.body.shift(k)
-
-
-def eta_from_phi(q_order: int) -> EtaElement:
-    """The eta function as q^(1/24) times the Euler function."""
-    return EtaElement(Fraction(1, 24), euler_phi(q_order))
-
-
-def eta_pow(e: EtaElement, k: int) -> EtaElement:
-    return EtaElement(e.exponent * k, e.body ** k)

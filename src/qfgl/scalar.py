@@ -30,8 +30,7 @@ operation ``adams`` applies, and ``_dot`` the one sum of products of
 Scalars, which every ``series.Series`` convolution and each coefficient
 of a ``series.BiSeries`` product or quotient reads; it multiplies
 polynomials as packed big integers (``_ip_pack``, ``_ip_unpack``).
-``Scalar.eval_s`` is the one evaluation; ``eval_q0`` and ``eval_q1``
-are its values at s = 0 and s = 1.  The q-expansion of a Scalar is
+``Scalar.eval_s`` is the one evaluation.  The q-expansion of a Scalar is
 ``qcomb.QSeries.from_scalar``, which divides the numerator by the
 denominator with the unit division of ``series.Series``.
 """
@@ -53,9 +52,6 @@ __all__ = [
     "cyclotomic",
     "adams",
     "membership",
-    "is_cromulent",
-    "eval_q0",
-    "eval_q1",
     "canonical_str",
 ]
 
@@ -685,23 +681,15 @@ def _den_is_cyclotomic(den_q) -> bool:
     return rem == (1,)
 
 
-def is_cromulent(a: Scalar) -> bool:
-    """Membership in the localization of Z[q,q^-1] inverting every [k]_q.
-
-    True iff a = p(q) / prod Phi_{d_i}(q) with p an integer Laurent
-    polynomial in q and every d_i >= 2 (inverting the q-integers inverts
-    exactly the cyclotomic polynomials of index >= 2 and nothing else).
-    Integrality of the numerator is part of the test.
-    """
-    if not a.lives_in_q():
-        raise ValueError("cromulence is only defined for elements living in q")
-    return membership(a).in_cromulent
-
-
 class RingMembership(namedtuple(
         "RingMembership", "in_Z_q in_Z_q_laurent in_Q_q in_cromulent in_Q_s",
         defaults=(True,))):
-    """Flags for the subring tower Z[q] c Z[q,q^-1] c Z[q]_cr c Q(s)."""
+    """Flags for the subring tower Z[q] c Z[q,q^-1] c Z[q]_cr c Q(s).
+
+    ``in_cromulent`` holds iff a = p(q) / prod Phi_d(q) with p an integer
+    Laurent polynomial in q and every d >= 2: inverting the q-integers
+    inverts exactly these cyclotomic polynomials.
+    """
 
     __slots__ = ()
 
@@ -733,20 +721,3 @@ def adams(a: Scalar, k: int) -> Scalar:
     nval, nden, nco = a.num
     num = (nval * k, nden, _ip_stretch(nco, k))
     return _reduce(num, _ip_stretch(a.den, k))
-
-
-# ---------------------------------------------------------------------------
-# evaluation maps q -> 0 and q -> 1
-
-def eval_q0(a: Scalar) -> Fraction:
-    """Exact evaluation at q = 0; errors on a pole (Laurent numerator)."""
-    if not a.lives_in_q():
-        raise ValueError("evaluation at q = 0 requires an element living in q")
-    return a.eval_s(0)
-
-
-def eval_q1(a: Scalar) -> Fraction:
-    """Exact evaluation at q = 1; errors on a pole (e.g. 1/(1-q))."""
-    if not a.lives_in_q():
-        raise ValueError("evaluation at q = 1 requires an element living in q")
-    return a.eval_s(1)

@@ -30,7 +30,6 @@ __all__ = [
     "character",
     "decompose_character",
     "qdim_normalized",
-    "lambda_rep",
     "diagram_check",
     "load_catalog",
 ]
@@ -221,23 +220,6 @@ def qdim_normalized(r: SL2Rep) -> Scalar:
     if not r.is_effective():
         raise ValueError("normalization needs an effective element")
     return Scalar.s_power(r.top_weight()) * character(r)
-
-
-def lambda_rep(r: SL2Rep, k: int) -> SL2Rep:
-    """k-th exterior power via elementary symmetric functions of weights."""
-    if not r.is_effective():
-        raise ValueError("exterior powers need an effective element")
-    if k < 0:
-        raise ValueError("exterior power index must be >= 0")
-    # the multiset of weights, read off the character
-    val, _, coeffs = character(r).num
-    weights = [val + i for i, c in enumerate(coeffs) for _ in range(c)]
-    e = [ONE] + [ZERO] * k
-    for w in weights:
-        x = Scalar.s_power(w)
-        for j in range(min(k, len(weights)), 0, -1):
-            e[j] = e[j] + x * e[j - 1]
-    return decompose_character(e[k])
 
 
 def rep_of_variety(v: Variety) -> SL2Rep:

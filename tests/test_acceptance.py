@@ -23,7 +23,7 @@ from fractions import Fraction
 import pytest
 
 from qfgl import (
-    Scalar, ZERO, ONE, Q, S, eval_q0, eval_q1, membership, is_cromulent,
+    Scalar, ZERO, ONE, Q, S, membership,
     Series, BiSeries, compose, reverse,
     q_mobius, q_mobius_inv, mob_mul, mob_det, scalar_matrix,
     log_chi, exp_chi, f_chi_closed, f_chi_from_log, f_chi_derived_closed,
@@ -113,8 +113,8 @@ def test_criterion_03b_closed_law_axioms_integrality_degeneration():
     ok = verify_fgl(F, n).all_passed
     ok = ok and verify_fgl(F, n, assoc="generic").all_passed
     ok = ok and all(membership(c).in_Z_q for c in F.series.terms.values())
-    num0 = {k: eval_q0(c) for k, c in F.closed[0].items() if eval_q0(c)}
-    den0 = {k: eval_q0(c) for k, c in F.closed[1].items() if eval_q0(c)}
+    num0 = {k: c.eval_s(0) for k, c in F.closed[0].items() if c.eval_s(0)}
+    den0 = {k: c.eval_s(0) for k, c in F.closed[1].items() if c.eval_s(0)}
     ok = ok and num0 == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
     ok = ok and den0 == {(0, 0): 1}
     elapsed = time.time() - t0
@@ -123,7 +123,7 @@ def test_criterion_03b_closed_law_axioms_integrality_degeneration():
 
 
 def test_criterion_04_orientation_images():
-    ok = all(cp_image(n) == q_int(n + 1) and eval_q1(cp_image(n)) == n + 1
+    ok = all(cp_image(n) == q_int(n + 1) and cp_image(n).eval_s(1) == n + 1
              for n in range(11))
     announce("04 projective-space images are q-integers via the logarithm", ok)
 
@@ -149,11 +149,11 @@ def test_criterion_06_exponential_character_exponent():
 
 
 def test_criterion_07_cromulence():
-    ok = all(is_cromulent(ONE / q_int(k))
-             and eval_q0(ONE / q_int(k)) == 1
-             and eval_q1(ONE / q_int(k)) == Fraction(1, k)
+    ok = all(membership(ONE / q_int(k)).in_cromulent
+             and (ONE / q_int(k)).eval_s(0) == 1
+             and (ONE / q_int(k)).eval_s(1) == Fraction(1, k)
              for k in range(1, 21))
-    ok = ok and not is_cromulent(ONE / (ONE - Q))
+    ok = ok and not membership(ONE / (ONE - Q)).in_cromulent
     announce("07 cromulence of inverse q-integers, 1/(1-q) excluded", ok)
 
 
@@ -251,7 +251,7 @@ def test_criterion_11_diagram_on_125_varieties():
         right = Variety(dims[1:])
         ok = ok and h == hodge(left) * hodge(right)
         chi, flags_ok = euler_specialize(h, v.dimension)
-        ok = ok and flags_ok and eval_q1(yz_to_q(h)) == chi
+        ok = ok and flags_ok and yz_to_q(h).eval_s(1) == chi
     ok = ok and count == 125
     elapsed = time.time() - t0
     announce("11 diagram, multiplicativity, Euler consistency on 125 varieties", ok)

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, the
 package namespace re-exports exactly the modules' public names, every
-public name has a caller outside the tests, and importing the CLI loads
-no module it does not need."""
+public name is read by ``src/`` or ``perfbench/`` or is the reference of
+a named test, no public name only forwards to another call, and
+importing the CLI loads no module it does not need."""
 
 import ast
 import os
@@ -69,9 +70,19 @@ def test_namespace_is_the_union_of_the_modules_all():
     assert public == set().union(*(declared_all(p) for p in MODULES))
 
 
-# the public names that only tests call, each the oracle or fixture of the
-# test named here
+# the public names that only tests read, each the reference, oracle or
+# fixture of the test named here
 ORACLES = {
+    "compose": "tests/test_acceptance.py::test_criterion_02_log_exp_inverse_pair_order_20",
+    # additivity of lambda_t; its home is `verify adams`, which waits for a
+    # change that re-records the suite digests in perfbench/golden.json
+    "witt_add": "tests/test_acceptance.py::test_criterion_09_adams_operations",
+    "euler_specialize": "tests/test_acceptance.py::test_criterion_11_diagram_on_125_varieties",
+    # the uncut product; its home is the q-binomial theorem in
+    # `verify pochhammer-identity`, which waits for a change that
+    # re-records the suite digests in perfbench/golden.json
+    "poch_finite": "tests/test_qcomb.py::test_infinite_product_rows_past_the_truncation_are_zero",
+    "decompose_character": "tests/test_varieties.py::test_character_injective_round_trip",
     "multiplicative_law": "tests/test_fgl.py::test_multiplicative_law_passes",
 }
 
@@ -123,8 +134,9 @@ def uncalled(modules, callers) -> set:
 
 def test_every_public_name_has_a_caller():
     """Each name in a module's ``__all__`` and each public method is
-    referenced in ``src/``, ``demos/`` or ``perfbench/`` outside its tests,
-    unless ``ORACLES`` names the test that uses it.
+    referenced in ``src/`` or ``perfbench/`` outside its tests, unless
+    ``ORACLES`` names the test that uses it.  A demo does not count as a
+    caller: a name lives only if the program reads it.
 
     A static method must be reached as ``Class.method``.  Any other method
     counts as called only when an attribute of that name is read, as in
@@ -132,7 +144,7 @@ def test_every_public_name_has_a_caller():
     count.  The receiver is not checked, so ``FormalGroupLaw.order`` would
     still pass on ``Series.order``.
     """
-    callers = [p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")
+    callers = [p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py")
                if "tests" not in p.relative_to(ROOT).parts]
     # an exemption whose name gained a caller fails here as well
     assert uncalled(MODULES, callers) == set(ORACLES)
@@ -188,7 +200,9 @@ def _receiver(node):
 def only_forwards(f) -> bool:
     """Whether the body of ``f``, after its docstring and any ``if …: raise``
     guards, is one ``return`` of a call whose receiver and positional
-    arguments are exactly the parameters of ``f``, in order."""
+    arguments are exactly the parameters of ``f``, in order.  Literal
+    arguments are part of the forwarded call, so ``a.g(0)`` on a
+    parameter ``a`` is a second name for ``a.g`` at 0."""
     body = f.body
     if ast.get_docstring(f) is not None:
         body = body[1:]
@@ -198,7 +212,8 @@ def only_forwards(f) -> bool:
             or not isinstance(body[0].value, ast.Call):
         return False
     call = body[0].value
-    operands = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+    operands = [a.id if isinstance(a, ast.Name) else None for a in call.args
+                if not isinstance(a, ast.Constant)]
     if isinstance(call.func, ast.Attribute):
         operands.insert(0, _receiver(call.func.value))
     params = [a.arg for a in f.args.posonlyargs + f.args.args]
@@ -223,7 +238,7 @@ def forwarders(path: Path) -> list:
 
 def test_no_public_name_only_forwards():
     """One public name per job: no public function or method is a second
-    name for a call on its own arguments."""
+    name for a call on its own arguments and literals."""
     assert [name for path in MODULES for name in forwarders(path)] == []
 
 
@@ -245,6 +260,9 @@ def test_scan_sees_a_forwarding_name(tmp_path):
         "def swapped(a, k):\n"
         "    return other(k, a)\n"
         "\n"
+        "def at_zero(a):\n"
+        "    return a.method(0)\n"
+        "\n"
         "def _private(a):\n"
         "    return other(a)\n"
         "\n"
@@ -254,7 +272,7 @@ def test_scan_sees_a_forwarding_name(tmp_path):
         "\n"
         "    def total(self):\n"
         "        return sum(self.parts)\n")
-    assert forwarders(mod) == ["m.alias", "m.plain", "m.C.coeff"]
+    assert forwarders(mod) == ["m.alias", "m.plain", "m.at_zero", "m.C.coeff"]
 
 
 # dataclasses and the modules it pulls in took more than half of the CLI's import

@@ -6,17 +6,15 @@ expected values in the frozen assertions were produced by running these
 oracles first.
 """
 
-from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from qfgl import (
-    Scalar, ZERO, ONE, Q, eval_q1, membership, is_cromulent,
+    Scalar, ZERO, ONE, Q, membership,
     QSeries, q_int, q_fact, q_binom,
     poch_finite, poch_inf_product, poch_inf_sum,
     euler_phi, discriminant,
-    eta_from_phi, eta_pow,
 )
 
 
@@ -91,7 +89,7 @@ def test_q_int_is_q_adic_unit():
 
 def test_q_int_at_one():
     for k in range(31):
-        assert eval_q1(q_int(k)) == k
+        assert q_int(k).eval_s(1) == k
 
 
 def test_q_fact_base():
@@ -266,25 +264,3 @@ def test_tau_hecke_recursion_at_prime_powers(tau):
             checked += 1
             k += 1
     assert checked == 25
-
-
-# -- eta bookkeeping ------------------------------------------------------------------
-
-def test_eta_twenty_fourth_power_is_discriminant():
-    eta = eta_from_phi(14)
-    e24 = eta_pow(eta, 24)
-    assert e24.exponent == 1
-    assert e24.fold() == discriminant(14)
-
-
-def test_eta_inverse():
-    eta = eta_from_phi(10)
-    inv = eta_pow(eta, -1)
-    assert eta.exponent + inv.exponent == 0
-    assert eta.body * inv.body == QSeries(10, (1,))
-
-
-def test_eta_exponent_arithmetic_exact():
-    eta = eta_from_phi(6)
-    assert eta.exponent * 24 == 1
-    assert eta_pow(eta, 24).exponent == Fraction(1)

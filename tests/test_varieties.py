@@ -1,15 +1,14 @@
 """Hodge polynomials, the Lefschetz sl2 ring, and the diagram checks."""
 
 import itertools
-from math import comb
 
 import pytest
 
 from qfgl import (
-    Scalar, ZERO, ONE, Q, S, eval_q1,
+    Scalar, ZERO, ONE, Q, S,
     Variety, HodgePoly, SL2Rep,
     hodge, euler_specialize, yz_to_q, rep_of_variety, cg_tensor,
-    character, decompose_character, qdim_normalized, lambda_rep,
+    character, decompose_character, qdim_normalized,
     diagram_check, load_catalog, cp_image,
 )
 
@@ -185,24 +184,6 @@ def test_qdim_rejects_virtual():
         qdim_normalized(SL2Rep({2: 1, 0: -1}))
 
 
-def test_exterior_powers():
-    assert lambda_rep(SL2Rep.irrep(1), 2) == SL2Rep.irrep(0)
-    assert lambda_rep(SL2Rep.irrep(2), 2) == SL2Rep.irrep(2)
-    r = SL2Rep({3: 1, 1: 2})
-    assert lambda_rep(r, 1) == r
-    assert lambda_rep(SL2Rep(), 0) == SL2Rep.irrep(0)
-
-
-def test_exterior_powers_count_subsets(rng):
-    # the dimension of the k-th exterior power is an independent count
-    for _ in range(20):
-        r = SL2Rep({rng.randint(0, 4): rng.randint(1, 2)
-                    for _ in range(rng.randint(1, 3))})
-        d = dimension(r)
-        for k in range(d + 2):
-            assert character(lambda_rep(r, k)).eval_s(1) == comb(d, k)
-
-
 def test_rep_of_variety():
     assert rep_of_variety(V(3)) == SL2Rep.irrep(3)
     assert rep_of_variety(V()) == SL2Rep.irrep(0)
@@ -238,7 +219,7 @@ def test_euler_consistency_on_catalog():
         h = hodge(v)
         chi, ok = euler_specialize(h, v.dimension)
         assert ok
-        assert eval_q1(yz_to_q(h)) == chi
+        assert yz_to_q(h).eval_s(1) == chi
 
 
 def test_catalog_file(tmp_path):
