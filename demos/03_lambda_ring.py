@@ -2,7 +2,7 @@
 into Witt elements, and the identities they pin down."""
 
 from qfgl import (
-    Scalar, ONE, Q,
+    ONE, Q,
     adams, lambda_t, witt_add,
     newton_adams_from_lambda, lambda_k_closed,
     thom_class, discriminant_limit, euler_phi, QSeries,

@@ -25,7 +25,9 @@ quotient, the sum of its operands' spans; and the s-degrees a sum or
 difference covers.  No value may hold or print an integer longer than an
 integer literal may be (``MAX_DIGITS``); a power is refused before it is computed.
 ``MAX_GCD_WORK`` bounds the s-span squared times the digits of the operands
-of a gcd that reduces a fraction, a measure its time follows.
+of a gcd that reduces a fraction.  Fitted to the gcd's former pseudo-remainder
+sequence and kept unchanged, it refuses conservatively:
+``1/(10^20*q^100 + 7*q^3 + 10^20) + 1/(q^150 + 10^20*q + 3)`` stays refused.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ MAX_SIZE = 1000
 MAX_DIGITS = 4300  # Python 3.11+ refuses int() and str() of longer integers
 _DIGIT_LIMIT = 10 ** MAX_DIGITS
 
-# bounds s-span^2 * digits of a gcd's operands: 1/A + 1/B with A, B dense, of
-# one-digit coefficients and s-spans summing to 600, measures 7.2e5 and takes 0.5 s
+# bounds s-span^2 * digits of a gcd's operands; fitted to the gcd's former
+# pseudo-remainder sequence and kept unchanged, so it refuses conservatively
 MAX_GCD_WORK = 10 ** 6
 
 # one token per match; whitespace matches no group and is skipped

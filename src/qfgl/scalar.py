@@ -29,7 +29,8 @@ Each polynomial job has one kernel: ``_ip_mul`` is the one convolution,
 operation ``adams`` applies, and ``_dot`` the one sum of products of
 Scalars, which every ``series.Series`` convolution and each coefficient
 of a ``series.BiSeries`` product or quotient reads; it multiplies
-polynomials as packed big integers (``_ip_pack``, ``_ip_unpack``).
+polynomials as packed big integers (``_ip_pack``, ``_ip_unpack``), and the
+gcd ``_ip_gcd`` reads the same kernels, one integer gcd per try.
 ``Scalar.eval_s`` is the one evaluation.  The q-expansion of a Scalar is
 ``qcomb.QSeries.from_scalar``, which divides the numerator by the
 denominator with the unit division of ``series.Series``.
@@ -194,8 +195,9 @@ def _ip_pack(p, w: int) -> int:
 
 
 def _ip_unpack(n: int, w: int) -> list:
-    """The signed base-2**w digits of n, lowest first; each must be less
-    than 2**(w-1) in absolute value."""
+    """The signed base-2**w digits of n, lowest first, each in
+    [-2**(w-1), 2**(w-1)): the coefficients of p when n = p(2**w) and each
+    is less than 2**(w-1) in absolute value."""
     mask = (1 << w) - 1
     half = 1 << (w - 1)
     out = []
@@ -217,36 +219,28 @@ def _ip_primitive(a):
     return tuple(x // c for x in a)
 
 
-def _ip_prem_reduce(a, b):
-    """One full pseudo-remainder pass of a modulo b (deg b >= 1)."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db:
-        k = len(r) - 1 - db
-        lr = r[-1]
-        r = [lb * c for c in r]
-        for i, bc in enumerate(b):
-            r[k + i] -= lr * bc
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            break
-    return r
-
-
 def _ip_gcd(a, b):
-    """Primitive gcd of two nonzero integer polynomials (primitive PRS)."""
+    """Primitive gcd of two nonzero integer polynomials, with a positive
+    leading coefficient (GCDHEU: B. W. Char, K. O. Geddes and G. H. Gonnet,
+    J. Symbolic Comput. 7, 1989).
+
+    Each try packs both primitive inputs at xi = 2**w >= 2*min(|a|, |b|) + 2,
+    |p| the largest absolute coefficient, takes one integer gcd, and reads
+    its signed base-2**w digits; by their Theorem 1 the primitive part is
+    the gcd as soon as it divides both inputs, and otherwise w doubles.
+    No input needs another route: write a = G*a' and b = G*b'.  A nonzero
+    integer r (their resultant, or 1) lies in the ideal (a', b'), so
+    k = gcd(a'(xi), b'(xi)) divides r and the integer gcd is |G(xi)| * k;
+    once xi > 2*|r|*|G| its digits are those of +-k*G, and the try succeeds.
+    """
     a = _ip_primitive(a)
     b = _ip_primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _ip_prem_reduce(a, b)
-        if not r:
-            return b
-        a, b = b, _ip_primitive(r)
-    return (1,)
+    w = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
+    while True:
+        g = _ip_primitive(_ip_unpack(gcd(_ip_pack(a, w), _ip_pack(b, w)), w))
+        if g == (1,) or _ip_divides(a, g) is not None and _ip_divides(b, g) is not None:
+            return g
+        w *= 2
 
 
 def _ip_divides(a, b):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import qfgl.fgl
-from qfgl import Scalar, ZERO, ONE, Q, Series, BiSeries, QSeries, Mobius, mob_det
+from qfgl import Scalar, ZERO, ONE, Series, QSeries, Mobius
 
 SEED = 1729
 

@@ -20,22 +20,20 @@ import itertools
 import time
 from fractions import Fraction
 
-import pytest
-
 from qfgl import (
     Scalar, ZERO, ONE, Q, S, membership,
     Series, BiSeries, compose, reverse,
     q_mobius, q_mobius_inv, mob_mul, mob_det, scalar_matrix,
     log_chi, exp_chi, f_chi_closed, f_chi_from_log, f_chi_derived_closed,
-    verify_fgl, drinfeld_form, cp_image, fgl_inverse, fgl_eval,
-    cartier_check, multiplicative_law,
-    QSeries, q_int, q_fact, poch_inf_product, poch_inf_sum,
+    verify_fgl, drinfeld_form, cp_image,
+    cartier_check,
+    QSeries, q_int, poch_inf_product, poch_inf_sum,
     euler_phi, discriminant,
     adams, lambda_t, negate_t, witt_add, newton_adams_from_lambda,
     lambda_k_closed,
     thom_class, discriminant_limit,
     Variety, hodge, euler_specialize, yz_to_q, diagram_check,
-    Mobius, mob_apply, mob_det,
+    mob_apply,
 )
 from conftest import (
     SEED, random_series, random_reversible_series, random_mobius,

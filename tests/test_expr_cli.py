@@ -14,7 +14,7 @@ import qfgl
 
 from qfgl import (
     Scalar, ZERO, ONE, Q, S, canonical_str, cyclotomic,
-    q_int, q_fact, q_binom, adams,
+    q_int, q_fact, q_binom,
     evaluate, ParseError, EvalError,
 )
 from qfgl import expr

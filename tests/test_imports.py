@@ -1,8 +1,8 @@
-"""Every name a module of the package imports is used in that module, the
-package namespace re-exports exactly the modules' public names, every
-public name is read by ``src/`` or ``perfbench/`` or is the reference of
-a named test, no public name only forwards to another call, and
-importing the CLI loads no module it does not need."""
+"""Every name a module of the package, a test or a demo imports is used
+in that file, the package namespace re-exports exactly the modules'
+public names, every public name is read by ``src/`` or ``perfbench/`` or
+is the reference of a named test, no public name only forwards to
+another call, and importing the CLI loads no module it does not need."""
 
 import ast
 import os
@@ -43,7 +43,13 @@ def test_modules_found():
     assert len(MODULES) >= 9
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+# the files whose imports are scanned: the package's modules, the tests
+# and the demos
+IMPORTERS = (MODULES + sorted((ROOT / "tests").glob("*.py"))
+             + sorted((ROOT / "demos").glob("*.py")))
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 

@@ -7,7 +7,7 @@ import pytest
 
 from qfgl import (
     Scalar, ZERO, ONE, Q, S, Series,
-    QSeries, q_int, q_fact, q_binom, euler_phi, discriminant, poch_inf_product,
+    QSeries, q_int, q_binom, euler_phi, poch_inf_product,
     poch_inf_sum, adams, lambda_t, negate_t, witt_add,
     newton_adams_from_lambda, lambda_k_closed, elementary_symmetric_oracle,
     thom_class, discriminant_limit,

@@ -6,7 +6,7 @@ from qfgl import (
     Scalar, ZERO, ONE, Q,
     Mobius, mob_mul, mob_det, mob_apply, mob_apply_scalar,
     scalar_matrix, q_mobius, q_mobius_inv,
-    Series, compose,
+    Series,
 )
 
 from conftest import random_mobius, random_zero_constant_series

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -13,9 +14,11 @@ from qfgl import (
 )
 from qfgl.qcomb import q_int, q_fact
 from qfgl import scalar
-from qfgl.scalar import _dot, _ip_divexact, _ip_divides, _ip_gcd, _ip_pack, _lp_make
+from qfgl.scalar import (
+    _dot, _ip_divexact, _ip_divides, _ip_gcd, _ip_mul, _ip_pack, _lp_make,
+)
 
-from conftest import SEED, random_scalar, random_q_poly
+from conftest import random_scalar, random_q_poly
 
 
 def test_inverse_pair():
@@ -516,3 +519,32 @@ def test_reduce_equals_the_gcd_route(rng, monkeypatch):
     for g, w in zip(got, want):
         assert all(u is v is None or _same(u, v) for u, v in zip(g, w))
     assert exact.count(True) > 100 and exact.count(False) > 100
+
+
+# -- the polynomial gcd: one integer gcd per try -------------------------------
+
+def test_gcd_doubles_the_width_until_its_candidate_divides(monkeypatch):
+    # a = G*a' and b = G*(a' + M) with a'(1) = 0, so 2**w - 1 divides a'(2**w);
+    # M is divisible by 2**w - 1 at the first two widths, where the integer
+    # gcd reads back as (x - 1)*G, which does not divide b
+    G = (1, 1, 1)
+    ap = _ip_mul((-1, 1), (2, 1))
+    a = _ip_mul(G, ap)
+    w = (2 * max(map(abs, a)) + 1).bit_length()       # least 2**w >= 2*|a| + 2
+    M = ((1 << w) - 1) * ((1 << 2 * w) - 1)
+    b = _ip_mul(G, (ap[0] + M,) + ap[1:])
+    widths = []
+    monkeypatch.setattr(scalar, "_ip_pack", lambda p, w: widths.append(w) or _ip_pack(p, w))
+    assert _ip_gcd(a, b) == G
+    assert widths == [w, w, 2 * w, 2 * w, 4 * w, 4 * w]
+
+
+def test_dense_fraction_sum_takes_one_integer_gcd_per_try(rng):
+    # dense q-degrees 200 and 300 with one-digit coefficients; a
+    # pseudo-remainder sequence took 3.4 s to find their gcds
+    A = Scalar.from_q_coeffs([rng.randint(-9, 9) for _ in range(200)] + [1])
+    B = Scalar.from_q_coeffs([rng.randint(-9, 9) for _ in range(300)] + [1])
+    start = time.perf_counter()
+    r = ONE / A + ONE / B
+    assert time.perf_counter() - start < 0.5
+    assert r * A * B == A + B

@@ -5,13 +5,15 @@ Each case applies + - * / to two random Laurent rational functions in s
 result with ``sympy.cancel`` of the same operation, brought to the form
 ``scalar.py`` stores.  The stored form is also checked against the
 canonical-form invariants directly, and ``_ip_gcd`` is compared with
-``sympy.gcd`` up to content and sign.  sympy is an optional dependency:
-without it the module is skipped.
+``sympy.gcd`` up to content and sign, and with sympy's primitive
+pseudo-remainder sequence (``dup_rr_prs_gcd``), an algorithm that shares
+nothing with its integer gcds.  sympy is an optional dependency: without
+it the module is skipped.
 """
 
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import gcd, lcm
 from operator import add, mul, sub, truediv
 
@@ -19,8 +21,11 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_rr_prs_gcd
+
 from qfgl import Scalar, ZERO
-from qfgl.scalar import _ip_gcd
+from qfgl.scalar import _ip_gcd, _ip_mul
 
 SEED = 1729
 PAIRS = 64          # per operation, so 256 arithmetic cases in all
@@ -137,9 +142,9 @@ def test_arithmetic_matches_sympy_cancel(op):
         assert sympy.expand(num - want_num) == 0, (op, str(a), str(b))
 
 
-def random_int_poly(rng, deg):
+def random_int_poly(rng, deg, bound=5):
     while True:
-        p = [rng.randint(-5, 5) for _ in range(deg + 1)]
+        p = [rng.randint(-bound, bound) for _ in range(deg + 1)]
         if p[-1]:
             return tuple(p)
 
@@ -162,3 +167,54 @@ def test_ip_gcd_matches_sympy_gcd():
         ia = tuple(reversed([int(c) for c in a.all_coeffs()]))
         ib = tuple(reversed([int(c) for c in b.all_coeffs()]))
         assert _ip_gcd(ia, ib) == primitive_positive(sympy.gcd(a, b)), (ia, ib)
+
+
+def prs_gcd(a, b):
+    """sympy's primitive PRS gcd of two ascending integer tuples, without
+    content (its leading coefficient is positive)."""
+    h = dup_rr_prs_gcd([ZZ(c) for c in reversed(a)], [ZZ(c) for c in reversed(b)], ZZ)[0]
+    content = reduce(gcd, h)
+    return tuple(int(c) // content for c in reversed(h))
+
+
+@cache
+def cyclotomic(d):
+    """sympy's d-th cyclotomic polynomial as an ascending integer tuple."""
+    return tuple(reversed([int(c) for c in sympy.Poly(sympy.cyclotomic_poly(d, s), s)
+                           .all_coeffs()]))
+
+
+def cyclotomic_product(rng):
+    return reduce(_ip_mul, [cyclotomic(rng.randint(1, 40)) for _ in range(rng.randint(1, 5))])
+
+
+def test_ip_gcd_matches_the_prs_on_cyclotomic_products():
+    rng = random.Random(SEED)
+    for _ in range(GCD_CASES):
+        a, b = cyclotomic_product(rng), cyclotomic_product(rng)
+        assert _ip_gcd(a, b) == prs_gcd(a, b), (a, b)
+
+
+def test_ip_gcd_matches_the_prs_on_dense_pairs():
+    # a common factor and two cofactors, dense, of total degrees up to 60
+    rng = random.Random(SEED)
+    for _ in range(40):
+        bound = rng.choice([1, 9, 10 ** 6])
+        g = random_int_poly(rng, rng.randint(0, 20), bound)
+        a = _ip_mul(g, random_int_poly(rng, rng.randint(0, 40), bound))
+        b = _ip_mul(g, random_int_poly(rng, rng.randint(0, 40), bound))
+        assert _ip_gcd(a, b) == prs_gcd(a, b), (a, b)
+
+
+def test_ip_gcd_matches_the_prs_on_the_adversarial_family():
+    # a = G*a' and b = G*(a' + M) with a'(1) = 0 and 2**w - 1 dividing M at
+    # each of the first n widths tried, so the first n integer gcds mislead
+    rng = random.Random(SEED)
+    for n in range(1, 6):
+        g = random_int_poly(rng, rng.randint(1, 30))
+        ap = _ip_mul((-1, 1), random_int_poly(rng, rng.randint(0, 10)))
+        a = _ip_mul(g, ap)
+        w = (2 * max(map(abs, a)) + 1).bit_length()
+        m = reduce(mul, [(1 << (w << i)) - 1 for i in range(n)])
+        b = _ip_mul(g, (ap[0] + m,) + ap[1:])
+        assert _ip_gcd(a, b) == prs_gcd(a, b) == prs_gcd(g, g), (a, b)

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from qfgl import (
-    Scalar, ZERO, ONE, Q, S,
+    Scalar, ONE, Q, S,
     Variety, HodgePoly, SL2Rep,
     hodge, euler_specialize, yz_to_q, rep_of_variety, cg_tensor,
     character, decompose_character, qdim_normalized,
