@@ -413,7 +413,7 @@ def _add_common(p, fn, orders):
     p.set_defaults(fn=fn)
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     if orders:
-        p.add_argument("--order", "-N", type=int, default=DEFAULT_ORDER,
+        p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                        help="series / total-degree truncation order")
         p.add_argument("--t-order", dest="t_order", type=int, default=DEFAULT_T_ORDER)
         p.add_argument("--q-order", dest="q_order", type=int, default=DEFAULT_Q_ORDER)

@@ -30,10 +30,12 @@ operation ``adams`` applies, and ``_dot`` the one sum of products of
 Scalars, which every ``series.Series`` convolution and each coefficient
 of a ``series.BiSeries`` product or quotient reads; it multiplies
 polynomials as packed big integers (``_ip_pack``, ``_ip_unpack``), and the
-gcd ``_ip_gcd`` reads the same kernels, one integer gcd per try.
-``Scalar.eval_s`` is the one evaluation.  The q-expansion of a Scalar is
-``qcomb.QSeries.from_scalar``, which divides the numerator by the
-denominator with the unit division of ``series.Series``.
+gcd ``_ip_gcd`` reads the same kernels, one integer gcd per try, and returns
+its quotients, so ``_reduce`` is the one canonicaliser (``/`` multiplies by
+an exact inverse).  ``Scalar.eval_s`` is the one evaluation.  The
+q-expansion of a Scalar is ``qcomb.QSeries.from_scalar``, which divides
+the numerator by the denominator with the unit division of
+``series.Series``.
 """
 
 from __future__ import annotations
@@ -220,26 +222,32 @@ def _ip_primitive(a):
 
 
 def _ip_gcd(a, b):
-    """Primitive gcd of two nonzero integer polynomials, with a positive
-    leading coefficient (GCDHEU: B. W. Char, K. O. Geddes and G. H. Gonnet,
-    J. Symbolic Comput. 7, 1989).
+    """``(g, a // g, b // g)`` for two nonzero integer polynomials, g their
+    primitive gcd with a positive leading coefficient (GCDHEU: B. W. Char,
+    K. O. Geddes and G. H. Gonnet, J. Symbolic Comput. 7, 1989).
 
     Each try packs both primitive inputs at xi = 2**w >= 2*min(|a|, |b|) + 2,
     |p| the largest absolute coefficient, takes one integer gcd, and reads
     its signed base-2**w digits; by their Theorem 1 the primitive part is
     the gcd as soon as it divides both inputs, and otherwise w doubles.
+    A primitive g divides a exactly when it divides a's primitive part, so
+    the test divides a and b as given and returns its quotients.
     No input needs another route: write a = G*a' and b = G*b'.  A nonzero
     integer r (their resultant, or 1) lies in the ideal (a', b'), so
     k = gcd(a'(xi), b'(xi)) divides r and the integer gcd is |G(xi)| * k;
     once xi > 2*|r|*|G| its digits are those of +-k*G, and the try succeeds.
     """
-    a = _ip_primitive(a)
-    b = _ip_primitive(b)
-    w = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
+    pa = _ip_primitive(a)
+    pb = _ip_primitive(b)
+    w = (2 * min(max(map(abs, pa)), max(map(abs, pb))) + 1).bit_length()
     while True:
-        g = _ip_primitive(_ip_unpack(gcd(_ip_pack(a, w), _ip_pack(b, w)), w))
-        if g == (1,) or _ip_divides(a, g) is not None and _ip_divides(b, g) is not None:
-            return g
+        g = _ip_primitive(_ip_unpack(gcd(_ip_pack(pa, w), _ip_pack(pb, w)), w))
+        if g == (1,):
+            return g, a, b
+        qa = _ip_divides(a, g)
+        qb = None if qa is None else _ip_divides(b, g)
+        if qb is not None:
+            return g, qa, qb
         w *= 2
 
 
@@ -263,16 +271,6 @@ def _ip_divides(a, b):
     if any(r):
         return None
     return tuple(q)
-
-
-def _ip_divexact(a, b):
-    """Exact quotient of integer polynomials; remainder must vanish."""
-    if b == (1,):
-        return tuple(a)
-    q = _ip_divides(a, b)
-    if q is None:
-        raise ArithmeticError("inexact polynomial division")
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +374,16 @@ class Scalar:
         return _reduce(_lp_mul(self.num, other.num), _ip_mul(self.den, other.den))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        num = _lp_mul_int_poly(self.num, other.den)
-        den = _lp_mul_int_poly(other.num, self.den)
-        return _make_scalar(num, den)
+        # other = s**val * c*p / (d*den), p primitive with p[-1] > 0, has
+        # the inverse s**-val * d*den / (c*p), canonical with no gcd: p and
+        # den are coprime, and so are c and d
+        val, d, co = other.num
+        if not co:
+            raise ZeroDivisionError("scalar division by zero")
+        p = _ip_primitive(co)
+        c = co[-1] // p[-1]
+        d = d if c > 0 else -d
+        return self * Scalar((-val, abs(c), tuple(d * x for x in other.den)), p)
 
     def __pow__(self, k: int) -> "Scalar":
         # num and den are coprime, and so are their powers: no gcd to run
@@ -512,40 +517,23 @@ def _pack(x: Scalar, step: int, w: int) -> int:
 
 
 def _reduce(num, den) -> Scalar:
-    """Build a Scalar from an LP numerator and a primitive denominator with
-    positive leading coefficient.
+    """The Scalar num/den, from an LP numerator and a primitive denominator
+    with positive leading coefficient: the one canonicaliser after a gcd.
 
     When den divides the numerator the gcd is den itself (Gauss's lemma),
-    so the exact quotient is taken and no gcd runs.
+    so no gcd runs.  Dividing by a primitive factor of den keeps the
+    numerator's content and nonzero end coefficients: no renormalisation.
     """
     if not num[2]:
         return ZERO
     if den != (1,):
         quo = _ip_divides(num[2], den)
         if quo is not None:
-            return Scalar(_lp_make(num[0], num[1], quo), (1,))
-        g = _ip_gcd(num[2], den)
-        if len(g) > 1:
-            num = _lp_make(num[0], num[1], list(_ip_divexact(num[2], g)))
-            den = _ip_divexact(den, g)
+            den = (1,)
+        else:
+            _, quo, den = _ip_gcd(num[2], den)
+        num = (num[0], num[1], quo)
     return Scalar(num, den)
-
-
-def _make_scalar(num, den) -> Scalar:
-    """Fully canonicalize num/den where both are Laurent polynomials."""
-    if _lp_is_zero(den):
-        raise ZeroDivisionError("scalar division by zero")
-    if _lp_is_zero(num):
-        return ZERO
-    dval, dden, dco = den
-    prim = _ip_primitive(dco)
-    c = dco[-1] // prim[-1]             # dco = c * prim, c carrying the sign
-    nval, nden, nco = num
-    if c < 0:
-        nco = [-x for x in nco]
-        c = -c
-    num2 = _lp_make(nval - dval, nden * c, [x * dden for x in nco])
-    return _reduce(num2, prim)
 
 
 ZERO = Scalar(_LP_ZERO, (1,))
@@ -621,15 +609,12 @@ def canonical_str(a: Scalar) -> str:
 def _cyclotomic_q_vec(d: int):
     """Phi_d as an integer coefficient tuple in q."""
     if d == 1:
-        out = (-1, 1)
-    else:
-        num = [-1] + [0] * (d - 1) + [1]          # q**d - 1
-        rem = tuple(num)
-        for e in range(1, d):
-            if d % e == 0:
-                rem = _ip_divexact(rem, _cyclotomic_q_vec(e))
-        out = rem
-    return out
+        return (-1, 1)
+    rem = (-1,) + (0,) * (d - 1) + (1,)           # q**d - 1
+    for e in range(1, d):
+        if d % e == 0:
+            rem = _ip_divides(rem, _cyclotomic_q_vec(e))
+    return rem
 
 
 def cyclotomic(d: int) -> Scalar:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -487,6 +488,16 @@ def test_cli_builds_one_parser_per_call(capsys, monkeypatch):
     assert err.endswith("unrecognized arguments: --bogus\n")
 
 
+def test_cli_options_have_one_name_each(capsys):
+    # one spelling per option: only argparse's own -h/--help has two
+    sub = build_parser()._subparsers._group_actions[0]
+    for verb, p in sub.choices.items():
+        for action in p._actions:
+            assert len(action.option_strings) <= 1 or action.dest == "help", (verb, action)
+    code, _, err = run_cli(capsys, "expand", "log_chi", "-N", "3")
+    assert code == 2 and "unrecognized arguments: -N 3" in err
+
+
 def test_cli_frees_its_parser_before_the_verb_runs(capsys):
     # a full collection first, so that no collection can promote the new
     # parser to the oldest generation while main builds it
@@ -532,8 +543,10 @@ print(code, time.perf_counter() - t0)
     ("eval", "9" * 4300 + "+1"),
     ("eval", "qfact(10^4200)"),
     ("eval", "*".join(["10^4000"] * 1000)),
-    # the gcd behind a sum: seconds, and minutes with 2001-digit integers
-    ("eval", "1/(10^20*q^100 + 7*q^3 + 10^20) + 1/(q^150 + 10^20*q + 3)"),
+    # the gcd behind a sum, s-span 500 times 402 digits: one past the gcd
+    # budget, whose boundary test_cli_size_budget_admits_the_gcd_boundary
+    # runs; with 2001-digit integers it took about 8 s
+    ("eval", "1/(10^200*q^100 + 7*q^3 + 10^200) + 1/(q^150 + 10^200*q + 3)"),
     ("eval", "1/(10^2000*q^100 + 7*q^3 + 10^2000) + 1/(q^150 + 10^2000*q + 3)"),
     # the logarithm that the largest factor CP^n expands to order n + 1:
     # one past the order that expand log_chi stops at
@@ -613,3 +626,19 @@ def test_cli_size_budget_admits_monomials_and_the_benchmark_orders(capsys):
     for element in ("1/(1-q)", "1 + q", "2*q", "qint(3)"):
         argv = ("expand", "lambda_t", "--element", element, "--t-order", "6", "--q-order", "30")
         assert run_cli(capsys, *argv)[0] == 0, element
+
+
+def test_cli_size_budget_admits_the_gcd_boundary():
+    # s-span 500 times 2 * (D + 1) digits: D = 199 is the largest the gcd
+    # budget admits; D = 20 was refused when the budget was fitted to a
+    # pseudo-remainder sequence, and takes milliseconds
+    for d in (20, 199):
+        text = f"1/(10^{d}*q^100 + 7*q^3 + 10^{d}) + 1/(q^150 + 10^{d}*q + 3)"
+        a = Scalar.from_q_coeffs({100: 10 ** d, 3: 7, 0: 10 ** d})
+        b = Scalar.from_q_coeffs({150: 1, 1: 10 ** d, 0: 3})
+        start = time.perf_counter()
+        r = evaluate(text)
+        assert time.perf_counter() - start < 0.5
+        assert r * a * b == a + b
+    with pytest.raises(EvalError, match="s-span 500 times 402 digits"):
+        evaluate(text.replace("10^199", "10^200"))

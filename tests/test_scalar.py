@@ -10,12 +10,12 @@ import pytest
 
 from qfgl import (
     Scalar, ZERO, ONE, Q, S, cyclotomic, adams, membership,
-    canonical_str, QSeries, Series,
+    canonical_str, evaluate, QSeries, Series,
 )
 from qfgl.qcomb import q_int, q_fact
 from qfgl import scalar
 from qfgl.scalar import (
-    _dot, _ip_divexact, _ip_divides, _ip_gcd, _ip_mul, _ip_pack, _lp_make,
+    _dot, _ip_divides, _ip_gcd, _ip_mul, _ip_pack, _lp_make,
 )
 
 from conftest import random_scalar, random_q_poly
@@ -27,6 +27,31 @@ def test_inverse_pair():
 
 def test_polynomial_division_normalizes():
     assert (ONE - Q ** 2) / (ONE - Q) == ONE + Q
+
+
+@pytest.mark.parametrize("x, y, want", [
+    # a negative leading coefficient
+    ("(1 + 2*q)/(3 - q^2)", "2 - 3*q", "(1 + 2*q)/(6 - 9*q - 2*q^2 + 3*q^3)"),
+    ("q^-2 + 4*s", "2 - 3*q", "(-1*q^-2 - 4*s)/(-2 + 3*q)"),
+    # an integer content, with a positive valuation
+    ("(1 + 2*q)/(3 - q^2)", "6*q + 4*q^2 - 10*q^3",
+     "(q^-1 + 2)/(18 + 12*q - 36*q^2 - 4*q^3 + 10*q^4)"),
+    ("s^3 - 5/7", "6*q + 4*q^2 - 10*q^3", "(5*q^-1 - 7*s)/(-42 - 28*q + 70*q^2)"),
+    # a rational content
+    ("(1 + 2*q)/(3 - q^2)", "(3/4)*q - 1/6", "(-12 - 24*q)/(6 - 27*q - 2*q^2 + 9*q^3)"),
+    ("q^-2 + 4*s", "(3/4)*q - 1/6", "(12*q^-2 + 48*s)/(-2 + 9*q)"),
+    # a negative valuation, with a polynomial denominator
+    ("(1 + 2*q)/(3 - q^2)", "s^-3*(2 - s) / (1 + q)",
+     "(s^3 + 3*s^5 + 2*s^7)/(6 - 3*s - 2*q^2 + s^5)"),
+    ("s^3 - 5/7", "-5/(q^2*(3 + q))", "(15*q^2 + 5*q^3 - 21*s^7 - 7*s^9)/35"),
+    ("q^-2 + 4*s", "(1-q)/(2*q + 7)*(-2/9)*s^-1",
+     "(63*s^-3 + 18*s^-1 + 252*q + 72*q^2)/(-2 + 2*q)"),
+])
+def test_division_by_the_exact_inverse(x, y, want):
+    # each want was printed by the division that canonicalised num/den by gcd
+    x, y = evaluate(x), evaluate(y)
+    assert str(x / y) == want
+    assert (x / y) * y == x
 
 
 def test_q_int_products_do_not_multiply():
@@ -496,10 +521,8 @@ def _reduce_by_gcd(num, den):
     if not num[2]:
         return ZERO
     if den != (1,):
-        g = _ip_gcd(num[2], den)
-        if len(g) > 1:
-            num = _lp_make(num[0], num[1], list(_ip_divexact(num[2], g)))
-            den = _ip_divexact(den, g)
+        _, quo, den = _ip_gcd(num[2], den)
+        num = _lp_make(num[0], num[1], list(quo))
     return Scalar(num, den)
 
 
@@ -535,7 +558,7 @@ def test_gcd_doubles_the_width_until_its_candidate_divides(monkeypatch):
     b = _ip_mul(G, (ap[0] + M,) + ap[1:])
     widths = []
     monkeypatch.setattr(scalar, "_ip_pack", lambda p, w: widths.append(w) or _ip_pack(p, w))
-    assert _ip_gcd(a, b) == G
+    assert _ip_gcd(a, b)[0] == G
     assert widths == [w, w, 2 * w, 2 * w, 4 * w, 4 * w]
 
 

@@ -4,10 +4,11 @@ Each case applies + - * / to two random Laurent rational functions in s
 (odd powers, negative valuations, rational coefficients) and compares the
 result with ``sympy.cancel`` of the same operation, brought to the form
 ``scalar.py`` stores.  The stored form is also checked against the
-canonical-form invariants directly, and ``_ip_gcd`` is compared with
-``sympy.gcd`` up to content and sign, and with sympy's primitive
-pseudo-remainder sequence (``dup_rr_prs_gcd``), an algorithm that shares
-nothing with its integer gcds.  sympy is an optional dependency: without
+canonical-form invariants directly, and the gcd ``_ip_gcd`` returns is
+compared with ``sympy.gcd`` up to content and sign, and with sympy's
+primitive pseudo-remainder sequence (``dup_rr_prs_gcd``), an algorithm that
+shares nothing with its integer gcds; the quotients it returns must
+multiply back to its inputs.  sympy is an optional dependency: without
 it the module is skipped.
 """
 
@@ -156,6 +157,14 @@ def primitive_positive(p):
                            .all_coeffs()]))
 
 
+def gcd_of(a, b):
+    """The gcd ``_ip_gcd`` returns, once its quotients multiply back to a
+    and b."""
+    g, qa, qb = _ip_gcd(a, b)
+    assert _ip_mul(g, qa) == a and _ip_mul(g, qb) == b, (a, b)
+    return g
+
+
 def test_ip_gcd_matches_sympy_gcd():
     rng = random.Random(SEED)
     for _ in range(GCD_CASES):
@@ -166,7 +175,7 @@ def test_ip_gcd_matches_sympy_gcd():
             list(reversed(random_int_poly(rng, rng.randint(0, 3)))), s)
         ia = tuple(reversed([int(c) for c in a.all_coeffs()]))
         ib = tuple(reversed([int(c) for c in b.all_coeffs()]))
-        assert _ip_gcd(ia, ib) == primitive_positive(sympy.gcd(a, b)), (ia, ib)
+        assert gcd_of(ia, ib) == primitive_positive(sympy.gcd(a, b)), (ia, ib)
 
 
 def prs_gcd(a, b):
@@ -192,7 +201,7 @@ def test_ip_gcd_matches_the_prs_on_cyclotomic_products():
     rng = random.Random(SEED)
     for _ in range(GCD_CASES):
         a, b = cyclotomic_product(rng), cyclotomic_product(rng)
-        assert _ip_gcd(a, b) == prs_gcd(a, b), (a, b)
+        assert gcd_of(a, b) == prs_gcd(a, b), (a, b)
 
 
 def test_ip_gcd_matches_the_prs_on_dense_pairs():
@@ -203,7 +212,7 @@ def test_ip_gcd_matches_the_prs_on_dense_pairs():
         g = random_int_poly(rng, rng.randint(0, 20), bound)
         a = _ip_mul(g, random_int_poly(rng, rng.randint(0, 40), bound))
         b = _ip_mul(g, random_int_poly(rng, rng.randint(0, 40), bound))
-        assert _ip_gcd(a, b) == prs_gcd(a, b), (a, b)
+        assert gcd_of(a, b) == prs_gcd(a, b), (a, b)
 
 
 def test_ip_gcd_matches_the_prs_on_the_adversarial_family():
@@ -217,4 +226,4 @@ def test_ip_gcd_matches_the_prs_on_the_adversarial_family():
         w = (2 * max(map(abs, a)) + 1).bit_length()
         m = reduce(mul, [(1 << (w << i)) - 1 for i in range(n)])
         b = _ip_mul(g, (ap[0] + m,) + ap[1:])
-        assert _ip_gcd(a, b) == prs_gcd(a, b) == prs_gcd(g, g), (a, b)
+        assert gcd_of(a, b) == prs_gcd(a, b) == prs_gcd(g, g), (a, b)
