@@ -6,8 +6,11 @@ Besides Scalar, one data shape is used: ``QSeries``, the ``Series`` of
 class fixes the variable to q, as ``Series`` fixes T.  It holds ``int``
 coefficients where they are integral and inherits every kernel
 (multiply, unit division, powering) and its constructor from
-``Series``; ``QSeries.from_scalar`` expands a Scalar living in q by that
-unit division, numerator over denominator.  A rectangular (t-order,
+``Series``.  Its product clears each factor's denominators and makes one
+``scalar._ip_mul`` call, which packs above its crossover; its quotient,
+exponential and reversion sum ``int`` and ``Fraction`` products.
+``QSeries.from_scalar`` expands a Scalar living in q by that unit
+division, numerator over denominator.  A rectangular (t-order,
 q-order) truncation, such as the infinite Pochhammer product, is a plain
 tuple of QSeries indexed by t-degree, all at one q-order.  It is the one
 (t, q) type of the package: ``lambda_ring.lambda_t`` returns its Witt
@@ -19,10 +22,10 @@ each factor (1 + c*t*q^n)^m updates in place (``_row_product``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import add, mul, sub
 
-from .scalar import Scalar, ONE, Q
+from .scalar import Scalar, ONE, Q, _ip_mul
 from .series import Series
 
 __all__ = [
@@ -87,6 +90,23 @@ def _sum_of_products(xs, ys):
     return sum(map(mul, xs, ys))
 
 
+def _packed_mullow(xs, ys, n: int) -> list:
+    """The coefficients 0..n of a product of exact rational sequences,
+    ``QSeries._mullow``: each side, times the lcm of its denominators, is
+    an integer polynomial, and the two are multiplied by one ``_ip_mul``."""
+    a, da = _cleared(xs[: n + 1])
+    b, db = _cleared(ys[: n + 1])
+    out = _ip_mul(a, b)[: n + 1]
+    d = da * db
+    return out if d == 1 else [Fraction(c, d) for c in out]
+
+
+def _cleared(cs) -> tuple:
+    """(p, d): the integers p = d * cs, d the lcm of the denominators."""
+    d = lcm(*[c.denominator for c in cs])
+    return (cs, 1) if d == 1 else ([c.numerator * (d // c.denominator) for c in cs], d)
+
+
 def _exact(c):
     """An exact rational coefficient: an int when integral, else a Fraction."""
     if type(c) is int:
@@ -111,6 +131,7 @@ class QSeries(Series):
     _ZERO = 0
     _ONE = Fraction(1)          # in Q, so that 1 / c is exact, never a float
     _dot = staticmethod(_sum_of_products)
+    _mullow = staticmethod(_packed_mullow)
     _VAR = "q"
     _TERM = "{c}*{v}^{k}"
 

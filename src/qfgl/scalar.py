@@ -25,14 +25,17 @@ sees a whole old tuple or a whole new one, never one width's integer
 under another width; ``==``, ``hash``, ``num`` and ``den`` never read it.
 
 Each polynomial job has one kernel: ``_ip_mul`` is the one convolution,
-``_ip_stretch`` the one substitution x -> x**k, which the Adams
-operation ``adams`` applies, and ``_dot`` the one sum of products of
-Scalars, which every ``series.Series`` convolution and each coefficient
-of a ``series.BiSeries`` product or quotient reads; it multiplies
-polynomials as packed big integers (``_ip_pack``, ``_ip_unpack``), and the
-gcd ``_ip_gcd`` reads the same kernels, one integer gcd per try, and returns
-its quotients, so ``_reduce`` is the one canonicaliser (``/`` multiplies by
-an exact inverse).  ``Scalar.eval_s`` is the one evaluation.  The
+which packs both factors into one integer product above its crossover
+and which every ``qcomb.QSeries`` product reads, ``_ip_stretch`` the one
+substitution x -> x**k, which the Adams operation ``adams`` applies, and
+``_dot`` the one sum of products of Scalars, which every
+``series.Series`` convolution and each coefficient of a
+``series.BiSeries`` product or quotient reads; it multiplies polynomials
+as packed big integers (``_ip_pack``, ``_ip_unpack``, which go through
+bytes above theirs), and the gcd ``_ip_gcd`` reads the same kernels, one
+integer gcd per try, and returns its quotients, so ``_reduce`` is the one
+canonicaliser (``/`` multiplies by an exact inverse, and ``ONE / x`` is
+that inverse).  ``Scalar.eval_s`` is the one evaluation.  The
 q-expansion of a Scalar is ``qcomb.QSeries.from_scalar``, which divides
 the numerator by the denominator with the unit division of
 ``series.Series``.
@@ -167,12 +170,36 @@ def _lp_eval(a, x: Fraction) -> Fraction:
 # integer polynomials as bare tuples (implicit valuation 0), used for the
 # denominator and for gcd extraction
 
+# the measured crossovers: up to this many coefficients in the shorter
+# factor ``_ip_mul`` runs the schoolbook loop, and up to this many bits
+# ``_ip_pack`` and ``_ip_unpack`` shift instead of going through bytes
+_MUL_SCHOOLBOOK = 8
+_BYTE_ROUTE_BITS = 4096
+
+
 def _ip_mul(a, b):
+    """The product of two integer polynomials, len(a) + len(b) - 1
+    coefficients, lowest first.
+
+    Above ``_MUL_SCHOOLBOOK`` coefficients in the shorter factor it is one
+    integer product by Kronecker substitution (A. Schoenhage, EUROCAM 1982;
+    D. Harvey, J. Symbolic Comput. 44, 2009): both factors are packed at
+    2**w, with |a| the largest absolute coefficient of a and w =
+    bits(|a| * |b| * min(len a, len b)) + 1 rounded up to whole bytes, so
+    every coefficient of the product lies in [-2**(w-1), 2**(w-1)) and is
+    one signed digit of the integer product.
+    """
     if a == (1,):
         return b
     if b == (1,):
         return a
-    out = [0] * (len(a) + len(b) - 1)
+    n = len(a) + len(b) - 1
+    m = min(len(a), len(b))
+    if m > _MUL_SCHOOLBOOK:
+        w = ((max(map(abs, a)) * max(map(abs, b)) * m).bit_length() + 8) & -8
+        out = _ip_unpack(_ip_pack(a, w) * _ip_pack(b, w), w)
+        return tuple(out + [0] * (n - len(out)))
+    out = [0] * n
     for i, c in enumerate(a):
         if c:
             for j, d in enumerate(b):
@@ -189,7 +216,21 @@ def _ip_stretch(p, k: int):
 
 
 def _ip_pack(p, w: int) -> int:
-    """p(2**w): the coefficients of p as the base-2**w digits of one integer."""
+    """p(2**w): the coefficients of p as the base-2**w digits of one integer.
+
+    Past ``_BYTE_ROUTE_BITS`` bits at a whole-byte w, when every coefficient
+    lies in [-2**(w-1), 2**(w-1)), in linear time: each coefficient plus
+    2**(w-1) is written as w/8 bytes, and the bytes are read as one integer
+    less the biases.  Otherwise, as for the gcd's larger coefficients, by
+    Horner's rule, whose shifts grow with the result.
+    """
+    if len(p) * w > _BYTE_ROUTE_BITS and not w & 7:
+        half = 1 << (w - 1)
+        if -half <= min(p) and max(p) < half:
+            nb = w >> 3
+            raw = b"".join([(c + half).to_bytes(nb, "little") for c in p])
+            bias = half.to_bytes(nb, "little") * len(p)
+            return int.from_bytes(raw, "little") - int.from_bytes(bias, "little")
     out = 0
     for c in reversed(p):
         out = (out << w) + c
@@ -199,7 +240,24 @@ def _ip_pack(p, w: int) -> int:
 def _ip_unpack(n: int, w: int) -> list:
     """The signed base-2**w digits of n, lowest first, each in
     [-2**(w-1), 2**(w-1)): the coefficients of p when n = p(2**w) and each
-    is less than 2**(w-1) in absolute value."""
+    is less than 2**(w-1) in absolute value.
+
+    Past ``_BYTE_ROUTE_BITS`` bits at a whole-byte w, in linear time: over
+    k digits, enough for n and a carry, each digit of n + bias, bias =
+    2**(w-1) * (1 + 2**w + ...), is the digit of n plus 2**(w-1), and
+    flipping its top bit gives the digit's two's complement in w/8 bytes.
+    Otherwise the digits are masked off one by one.
+    """
+    if n.bit_length() > _BYTE_ROUTE_BITS and not w & 7:
+        nb = w >> 3
+        k = n.bit_length() // w + 2
+        bias = int.from_bytes((1 << (w - 1)).to_bytes(nb, "little") * k, "little")
+        raw = ((n + bias) ^ bias).to_bytes(k * nb, "little")
+        out = [int.from_bytes(raw[i:i + nb], "little", signed=True)
+               for i in range(0, k * nb, nb)]
+        while not out[-1]:
+            out.pop()
+        return out
     mask = (1 << w) - 1
     half = 1 << (w - 1)
     out = []
@@ -374,21 +432,13 @@ class Scalar:
         return _reduce(_lp_mul(self.num, other.num), _ip_mul(self.den, other.den))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        # other = s**val * c*p / (d*den), p primitive with p[-1] > 0, has
-        # the inverse s**-val * d*den / (c*p), canonical with no gcd: p and
-        # den are coprime, and so are c and d
-        val, d, co = other.num
-        if not co:
-            raise ZeroDivisionError("scalar division by zero")
-        p = _ip_primitive(co)
-        c = co[-1] // p[-1]
-        d = d if c > 0 else -d
-        return self * Scalar((-val, abs(c), tuple(d * x for x in other.den)), p)
+        inverse = _inverse(other)
+        return inverse if self == ONE else self * inverse
 
     def __pow__(self, k: int) -> "Scalar":
         # num and den are coprime, and so are their powers: no gcd to run
         if k < 0:
-            return (ONE / self) ** -k
+            return _inverse(self) ** -k
         num = _power(Scalar(self.num, (1,)), k, ONE).num
         den = _power(Scalar((0, 1, self.den), (1,)), k, ONE).num[2]
         return Scalar(num, den)
@@ -421,6 +471,19 @@ class Scalar:
         if d == 0:
             raise ZeroDivisionError(f"pole at s = {x}")
         return _lp_eval(self.num, x) / d
+
+
+def _inverse(x: Scalar) -> Scalar:
+    """1 / x, canonical as built, with no gcd: x = s**val * c*p / (d*den),
+    p primitive with p[-1] > 0, has the inverse s**-val * d*den / (c*p),
+    and p and den are coprime, and so are c and d."""
+    val, d, co = x.num
+    if not co:
+        raise ZeroDivisionError("scalar division by zero")
+    p = _ip_primitive(co)
+    c = co[-1] // p[-1]
+    d = d if c > 0 else -d
+    return Scalar((-val, abs(c), tuple(d * e for e in x.den)), p)
 
 
 def _power(x, k: int, one):
@@ -521,13 +584,17 @@ def _reduce(num, den) -> Scalar:
     with positive leading coefficient: the one canonicaliser after a gcd.
 
     When den divides the numerator the gcd is den itself (Gauss's lemma),
-    so no gcd runs.  Dividing by a primitive factor of den keeps the
-    numerator's content and nonzero end coefficients: no renormalisation.
+    so no gcd runs.  A failing exact division runs its whole quotient
+    loop, so it is skipped when den(2) does not divide num(2), which
+    den | num needs when den(2) != 0.  Dividing by a primitive factor of
+    den keeps the numerator's content and nonzero end coefficients: no
+    renormalisation.
     """
     if not num[2]:
         return ZERO
     if den != (1,):
-        quo = _ip_divides(num[2], den)
+        d2 = _ip_pack(den, 1)
+        quo = None if d2 and _ip_pack(num[2], 1) % d2 else _ip_divides(num[2], den)
         if quo is not None:
             den = (1,)
         else:

@@ -44,15 +44,22 @@ def _as_scalar(c) -> Scalar:
     raise TypeError(f"cannot use {c!r} as a series coefficient")
 
 
+def _dot_mullow(xs, ys, n: int) -> list:
+    """The coefficients 0..n of a product of Scalar sequences, each one
+    ``_dot``, ``Series._mullow``."""
+    return [_dot(xs[: k + 1], ys[k::-1]) for k in range(n + 1)]
+
+
 class Series:
     """Dense truncated power series in one variable.
 
-    The coefficient ring is given by four class attributes: ``_coerce``
+    The coefficient ring is given by five class attributes: ``_coerce``
     maps an input coefficient into the ring, ``_ZERO`` and ``_ONE`` are
-    its identities, and ``_dot(xs, ys)`` is its sum of products, which
-    computes every coefficient of a product, a quotient, an exponential
-    and a reversion.  ``_ONE`` lies in a field, so that 1 / c stays
-    exact.  ``_VAR`` names the variable, for ``repr`` only.  A subclass
+    its identities, ``_dot(xs, ys)`` is its sum of products, which
+    computes every coefficient of a quotient, an exponential and a
+    reversion, and ``_mullow(xs, ys, n)`` gives the coefficients 0..n of
+    a product.  ``_ONE`` lies in a field, so that 1 / c stays exact.
+    ``_VAR`` names the variable, for ``repr`` only.  A subclass
     overrides these and inherits all arithmetic.
     """
 
@@ -61,6 +68,7 @@ class Series:
     _ZERO = ZERO
     _ONE = ONE
     _dot = staticmethod(_dot)
+    _mullow = staticmethod(_dot_mullow)
     _VAR = "T"
     _TERM = "({c})*{v}^{k}"
 
@@ -141,8 +149,7 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         n = self._common(other)
-        xs, ys, dot = self.coeffs, other.coeffs, self._dot
-        return self._new(n, [dot(xs[: k + 1], ys[k::-1]) for k in range(n + 1)])
+        return self._new(n, self._mullow(self.coeffs, other.coeffs, n))
 
     def __truediv__(self, other: "Series") -> "Series":
         n = self._common(other)

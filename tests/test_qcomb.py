@@ -6,7 +6,10 @@ expected values in the frozen assertions were produced by running these
 oracles first.
 """
 
+import random
+from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -16,6 +19,30 @@ from qfgl import (
     poch_finite, poch_inf_product, poch_inf_sum,
     euler_phi, discriminant,
 )
+
+
+# -- QSeries products: one packed integer product ----------------------------
+
+def _random_qseries(rng, order):
+    kind = rng.randrange(4)
+    coeffs = []
+    for _ in range(rng.randint(0, order + 1)):
+        c = rng.randint(-10 ** rng.randint(0, 30), 10 ** rng.randint(0, 30))
+        coeffs.append(Fraction(c, rng.randint(1, 12)) if kind == 0 or
+                      (kind == 1 and rng.random() < 0.2) else c)
+    return QSeries(order, coeffs)      # the missing top coefficients are zeros
+
+
+def test_qseries_product_equals_the_per_coefficient_sum():
+    rng = random.Random(1729)
+    for _ in range(300):
+        a = _random_qseries(rng, rng.randint(0, 120))
+        b = _random_qseries(rng, rng.choice([a.order, rng.randint(0, 120)]))
+        n = min(a.order, b.order)
+        want = [sum(map(mul, a.coeffs[: k + 1], b.coeffs[k::-1])) for k in range(n + 1)]
+        got = (a * b).coeffs
+        assert list(got) == want and (a * b).order == n
+        assert [type(c) for c in got] == [int if c == int(c) else Fraction for c in want]
 
 
 # -- brute-force polynomial oracle --------------------------------------------

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic, canonical forms and membership predicates."""
 
+import hashlib
 import sys
 import threading
 import time
@@ -15,7 +16,7 @@ from qfgl import (
 from qfgl.qcomb import q_int, q_fact
 from qfgl import scalar
 from qfgl.scalar import (
-    _dot, _ip_divides, _ip_gcd, _ip_mul, _ip_pack, _lp_make,
+    _dot, _ip_divides, _ip_gcd, _ip_mul, _ip_pack, _ip_unpack, _lp_make,
 )
 
 from conftest import random_scalar, random_q_poly
@@ -80,6 +81,16 @@ def test_division_and_powers(rng):
         assert a / a == ONE
         assert a ** 3 == a * a * a
         assert a ** -2 == ONE / (a * a)
+
+
+def test_inverse_and_negative_powers_run_no_gcd(monkeypatch):
+    x = evaluate("(1 + 3*q + q^5)/(1 + 7*q^2)")
+    want = [str(evaluate("(1 + 7*q^2)/(1 + 3*q + q^5)")),
+            str(evaluate("(1 + 7*q^2)^3/(1 + 3*q + q^5)^3"))]
+    calls = []
+    monkeypatch.setattr(scalar, "_ip_gcd", lambda a, b: calls.append(1))
+    assert [str(ONE / x), str(x ** -3)] == want
+    assert calls == []
 
 
 def test_division_by_zero():
@@ -515,6 +526,78 @@ def test_dot_on_shared_scalars_in_four_threads(rng):
     assert wrong == []
 
 
+# -- the packed convolution and the byte route of its packing ---------------
+
+def _schoolbook_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return tuple(out)
+
+
+def _random_int_poly(rng, n, bits):
+    """n coefficients of up to ``bits`` bits, both signs, with a run of
+    zeros at either end now and then, or all zero."""
+    p = [rng.randint(-(1 << bits), 1 << bits) for _ in range(n)]
+    kind, k = rng.randrange(6), rng.randint(0, n)
+    if kind == 0:
+        p = [0] * n
+    elif kind == 1:
+        p[:k] = [0] * k
+    elif kind == 2:
+        p[n - k:] = [0] * k
+    return tuple(p)
+
+
+def test_ip_mul_equals_the_schoolbook_sum_on_both_sides_of_the_crossover(rng):
+    for _ in range(300):
+        bits = rng.choice([0, 1, 3, 30, 64, 200, 500])
+        la = rng.choice([1, 2, scalar._MUL_SCHOOLBOOK, scalar._MUL_SCHOOLBOOK + 1,
+                         rng.randint(1, 200)])
+        a = _random_int_poly(rng, la, bits)
+        b = _random_int_poly(rng, rng.randint(1, 200), rng.choice([0, 3, bits]))
+        want = _schoolbook_mul(a, b)
+        assert _ip_mul(a, b) == want == _ip_mul(b, a), (a, b)
+
+
+def test_pack_and_unpack_round_trip_on_both_routes_at_the_extreme_digits(rng):
+    for w in (8, 16, 64, 200, 13):
+        half = 1 << (w - 1)
+        edge = (-half, half - 1)
+        short = scalar._BYTE_ROUTE_BITS // w    # the shift route; one more is bytes
+        for n in (1, 2, short, short + 1, short + 40):
+            for _ in range(4):
+                p = [rng.choice(edge + (0, rng.randint(-half, half - 1))) for _ in range(n)]
+                p[-1] = rng.choice(edge)
+                x = _ip_pack(p, w)
+                assert x == sum(c << (w * i) for i, c in enumerate(p)), (w, n)
+                assert _ip_unpack(x, w) == p, (w, n)
+
+
+def test_byte_unpack_equals_the_mask_loop(rng, monkeypatch):
+    cases = []
+    for _ in range(300):
+        w = rng.choice([8, 16, 24, 64, 200])
+        k = rng.randint(1, 3 * scalar._BYTE_ROUTE_BITS // w)
+        n = rng.choice([rng.getrandbits(w * k), (1 << (w * k - 1)) - 1,
+                        -(1 << (w * k - 1)), rng.getrandbits(w * k) << w])
+        cases.append((rng.choice([-1, 1]) * n, w))
+    fast = [_ip_unpack(n, w) for n, w in cases]
+    monkeypatch.setattr(scalar, "_BYTE_ROUTE_BITS", 1 << 60)
+    assert fast == [_ip_unpack(n, w) for n, w in cases]
+
+
+def test_pack_of_coefficients_past_half_the_base_is_still_p_at_two_to_the_w(rng):
+    # the gcd packs its larger input at a width set by the smaller one
+    w = 64
+    n = scalar._BYTE_ROUTE_BITS // w + 10
+    for top in (1 << (w - 1), 1 << w, 1 << (3 * w)):
+        p = [rng.randint(-top, top) for _ in range(n)]
+        p[rng.randrange(n)] = rng.choice([top, -top - 1])
+        assert _ip_pack(p, w) == sum(c << (w * i) for i, c in enumerate(p))
+
+
 # -- reduction: the exact quotient when the denominator divides ------------
 
 def _reduce_by_gcd(num, den):
@@ -542,6 +625,31 @@ def test_reduce_equals_the_gcd_route(rng, monkeypatch):
     for g, w in zip(got, want):
         assert all(u is v is None or _same(u, v) for u, v in zip(g, w))
     assert exact.count(True) > 100 and exact.count(False) > 100
+
+
+def test_a_failing_exact_division_is_refused_at_s_equal_two(rng):
+    # den = q + 10**200 has a unit leading coefficient, so the quotient
+    # loop of the exact-division test ran to its end before it failed
+    x = Scalar.from_q_coeffs([rng.randint(-9, 9) for _ in range(499)] + [rng.randint(1, 9)])
+    d = Q + Scalar.from_int(10 ** 200)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        r = x / d
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.02
+    assert r * d == x and r.den == (10 ** 200, 0, 1)
+    # the canonical string the division printed before the test at s = 2
+    assert hashlib.sha256(str(r).encode()).hexdigest() == \
+        "5dbf1f4c739110c5c2e496ee8ab30e3e2597aa63eb220f9abd8a34fef2a9a113"
+
+
+def test_exact_division_by_a_denominator_with_a_root_at_two():
+    two = Scalar.from_int(2)
+    for den in (S - two, Q - two * two, (S - two) * (Q + ONE)):
+        for num in (S + two, Q ** 3 - S, ONE):
+            assert (num * den) / den == num
+            assert (num / den) * den == num
 
 
 # -- the polynomial gcd: one integer gcd per try -------------------------------

@@ -8,8 +8,10 @@ canonical-form invariants directly, and the gcd ``_ip_gcd`` returns is
 compared with ``sympy.gcd`` up to content and sign, and with sympy's
 primitive pseudo-remainder sequence (``dup_rr_prs_gcd``), an algorithm that
 shares nothing with its integer gcds; the quotients it returns must
-multiply back to its inputs.  sympy is an optional dependency: without
-it the module is skipped.
+multiply back to its inputs.  The convolution ``_ip_mul`` is compared
+with sympy's dense product ``dup_mul`` on both sides of its packing
+crossover.  sympy is an optional dependency: without it the module is
+skipped.
 """
 
 import random
@@ -22,11 +24,12 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from sympy.polys.densearith import dup_mul
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_rr_prs_gcd
 
 from qfgl import Scalar, ZERO
-from qfgl.scalar import _ip_gcd, _ip_mul
+from qfgl.scalar import _MUL_SCHOOLBOOK, _ip_gcd, _ip_mul
 
 SEED = 1729
 PAIRS = 64          # per operation, so 256 arithmetic cases in all
@@ -227,3 +230,16 @@ def test_ip_gcd_matches_the_prs_on_the_adversarial_family():
         m = reduce(mul, [(1 << (w << i)) - 1 for i in range(n)])
         b = _ip_mul(g, (ap[0] + m,) + ap[1:])
         assert gcd_of(a, b) == prs_gcd(a, b) == prs_gcd(g, g), (a, b)
+
+
+def test_ip_mul_matches_sympy_dup_mul():
+    rng = random.Random(SEED)
+    for _ in range(200):
+        bits = rng.choice([1, 8, 64, 300])
+        a, b = ([rng.randint(-(1 << bits), 1 << bits) for _ in range(rng.choice(
+                     [1, _MUL_SCHOOLBOOK, _MUL_SCHOOLBOOK + 1, rng.randint(1, 150)]))]
+                for _ in range(2))
+        a[-1] = a[-1] or 1
+        b[-1] = b[-1] or -1
+        want = dup_mul([ZZ(c) for c in reversed(a)], [ZZ(c) for c in reversed(b)], ZZ)
+        assert _ip_mul(tuple(a), tuple(b)) == tuple(int(c) for c in reversed(want)), (a, b)
