@@ -93,10 +93,11 @@ def _sum_of_products(xs, ys):
 def _packed_mullow(xs, ys, n: int) -> list:
     """The coefficients 0..n of a product of exact rational sequences,
     ``QSeries._mullow``: each side, times the lcm of its denominators, is
-    an integer polynomial, and the two are multiplied by one ``_ip_mul``."""
+    an integer polynomial, and one ``_ip_mul`` returns the lowest n + 1
+    coefficients of their product."""
     a, da = _cleared(xs[: n + 1])
     b, db = _cleared(ys[: n + 1])
-    out = _ip_mul(a, b)[: n + 1]
+    out = _ip_mul(a, b, n + 1)
     d = da * db
     return out if d == 1 else [Fraction(c, d) for c in out]
 

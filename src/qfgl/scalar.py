@@ -34,8 +34,9 @@ substitution x -> x**k, which the Adams operation ``adams`` applies, and
 as packed big integers (``_ip_pack``, ``_ip_unpack``, which go through
 bytes above theirs), and the gcd ``_ip_gcd`` reads the same kernels, one
 integer gcd per try, and returns its quotients, so ``_reduce`` is the one
-canonicaliser (``/`` multiplies by an exact inverse, and ``ONE / x`` is
-that inverse).  ``Scalar.eval_s`` is the one evaluation.  The
+canonicaliser after a gcd.  ``adams``, like ``ONE / x``, is canonical as
+built, with no gcd (``/`` multiplies by that exact inverse).
+``Scalar.eval_s`` is the one evaluation.  The
 q-expansion of a Scalar is ``qcomb.QSeries.from_scalar``, which divides
 the numerator by the denominator with the unit division of
 ``series.Series``.
@@ -72,8 +73,8 @@ _LP_ZERO = (0, 1, ())
 _LP_ONE = (0, 1, (1,))
 
 
-def _content(coeffs) -> int:
-    g = 0
+def _content(coeffs, g: int = 0) -> int:
+    """gcd(g, *coeffs), stopping at the first 1."""
     for c in coeffs:
         g = gcd(g, c)
         if g == 1:
@@ -93,8 +94,7 @@ def _lp_make(val: int, den: int, coeffs) -> tuple:
         return _LP_ZERO
     coeffs = coeffs[lo:hi]
     val += lo
-    g = _content(coeffs)
-    g = gcd(g, den)
+    g = _content(coeffs, den)
     if g > 1:
         coeffs = [c // g for c in coeffs]
         den //= g
@@ -138,17 +138,6 @@ def _lp_mul(a, b):
     return _lp_make(av + bv, ad * bd, _ip_mul(ac, bc))
 
 
-def _lp_mul_int_poly(a, p):
-    """Multiply an LP by a primitive integer polynomial with p(0) != 0.
-
-    By Gauss's lemma the content does not change: no renormalisation.
-    """
-    if p == (1,) or _lp_is_zero(a):
-        return a
-    av, ad, ac = a
-    return (av, ad, _ip_mul(ac, p))
-
-
 def _lp_even(a) -> bool:
     av, _, ac = a
     return all(c == 0 or (av + i) % 2 == 0 for i, c in enumerate(ac))
@@ -177,9 +166,9 @@ _MUL_SCHOOLBOOK = 8
 _BYTE_ROUTE_BITS = 4096
 
 
-def _ip_mul(a, b):
-    """The product of two integer polynomials, len(a) + len(b) - 1
-    coefficients, lowest first.
+def _ip_mul(a, b, n=None):
+    """The lowest n coefficients of the product of two integer polynomials,
+    lowest first; all len(a) + len(b) - 1 of them when n is None.
 
     Above ``_MUL_SCHOOLBOOK`` coefficients in the shorter factor it is one
     integer product by Kronecker substitution (A. Schoenhage, EUROCAM 1982;
@@ -187,22 +176,28 @@ def _ip_mul(a, b):
     2**w, with |a| the largest absolute coefficient of a and w =
     bits(|a| * |b| * min(len a, len b)) + 1 rounded up to whole bytes, so
     every coefficient of the product lies in [-2**(w-1), 2**(w-1)) and is
-    one signed digit of the integer product.
+    one signed digit of the integer product.  Its residue mod 2**(w*n) has
+    the same signed digits below n, and at most a carry digit at n, so
+    only that residue is unpacked.
     """
     if a == (1,):
-        return b
+        return b[:n]
     if b == (1,):
-        return a
-    n = len(a) + len(b) - 1
+        return a[:n]
+    full = len(a) + len(b) - 1
+    n = full if n is None else min(n, full)
     m = min(len(a), len(b))
     if m > _MUL_SCHOOLBOOK:
         w = ((max(map(abs, a)) * max(map(abs, b)) * m).bit_length() + 8) & -8
-        out = _ip_unpack(_ip_pack(a, w) * _ip_pack(b, w), w)
+        prod = _ip_pack(a, w) * _ip_pack(b, w)
+        if n < full:
+            prod &= (1 << (w * n)) - 1
+        out = _ip_unpack(prod, w)[:n]
         return tuple(out + [0] * (n - len(out)))
     out = [0] * n
-    for i, c in enumerate(a):
+    for i, c in enumerate(a[:n]):
         if c:
-            for j, d in enumerate(b):
+            for j, d in enumerate(b[:n - i]):
                 out[i + j] += c * d
     return tuple(out)
 
@@ -394,30 +389,19 @@ class Scalar:
         """True when every s-exponent of num and den is even."""
         return _lp_even(self.num) and _lp_even((0, 1, self.den))
 
-    def is_constant(self) -> bool:
-        return self.den == (1,) and (self.is_zero() or
-                                     (self.num[0] == 0 and len(self.num[2]) == 1))
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("scalar is not a rational constant")
-        if self.is_zero():
-            return Fraction(0)
-        return Fraction(self.num[2][0], self.num[1])
-
     def as_int(self) -> int:
-        x = self.as_fraction()
-        if x.denominator != 1:
+        val, d, co = self.num
+        if self.den != (1,) or d != 1 or len(co) > 1 or co and val:
             raise ValueError("scalar is not an integer")
-        return x.numerator
+        return co[0] if co else 0
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
         if self.den == other.den:
             return _reduce(_lp_add(self.num, other.num), self.den)
-        num = _lp_add(_lp_mul_int_poly(self.num, other.den),
-                      _lp_mul_int_poly(other.num, self.den))
+        num = _lp_add(_lp_mul(self.num, (0, 1, other.den)),
+                      _lp_mul(other.num, (0, 1, self.den)))
         return _reduce(num, _ip_mul(self.den, other.den))
 
     def __neg__(self) -> "Scalar":
@@ -759,11 +743,13 @@ def membership(a: Scalar) -> RingMembership:
 
 def adams(a: Scalar, k: int) -> Scalar:
     """psi^k: substitute q -> q**k (s -> s**k on even exponents); a ring
-    endomorphism, exact on scalars."""
+    endomorphism, exact on scalars, and canonical as built: a common root
+    r of the stretched num and den would make r**k a common root of num
+    and den, and stretching keeps den primitive, with a positive leading
+    and a nonzero constant coefficient, and keeps num's content."""
     if not a.lives_in_q():
         raise ValueError("Adams substitution requires an element living in q")
     if k < 1:
         raise ValueError("Adams index must be a positive integer")
     nval, nden, nco = a.num
-    num = (nval * k, nden, _ip_stretch(nco, k))
-    return _reduce(num, _ip_stretch(a.den, k))
+    return Scalar((nval * k, nden, _ip_stretch(nco, k)), _ip_stretch(a.den, k))

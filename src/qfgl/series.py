@@ -119,9 +119,6 @@ class Series:
         return (type(self) is type(other) and self.order == other.order
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
     def __repr__(self):
         terms = [self._TERM.format(c=c, v=self._VAR, k=k)
                  for k, c in enumerate(self.coeffs) if c]
@@ -342,11 +339,6 @@ class BiSeries:
             return NotImplemented
         return (self.nvars == other.nvars and self.order == other.order
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, self.order,
-                     tuple(sorted(self.terms.items(),
-                                  key=lambda kv: kv[0]))))
 
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))

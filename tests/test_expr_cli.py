@@ -148,6 +148,19 @@ def test_cli_eval_bad_expression(capsys):
         assert "error" in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    # the span of 2 is 0, so only the digit bound of the power refuses it
+    (("eval", "2^20000"), "longer than 4300 digits"),
+    (("eval", "qint(1/2)"), "qint needs an integer argument"),
+    (("eval", "adams(q, 0)"), "Adams index must be a positive integer"),
+    (("expand", "lambda_t", "--element", "1/q"), "pole at q = 0"),
+])
+def test_cli_refusals_name_their_reason(capsys, argv, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and reason in err
+
+
 def test_cli_expand_json_schema(capsys):
     code, out, _ = run_cli(capsys, "expand", "log_chi", "--order", "5",
                            "--format", "json")

@@ -89,6 +89,15 @@ def test_lambda_needs_integral_expansion():
         lambda_t(Scalar.from_fraction(Fraction(1, 2)), 3, 6)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: elementary_symmetric_oracle(-1, 5),
+    lambda: lambda_k_closed(0, 5),
+], ids=["elementary_symmetric_oracle", "lambda_k_closed"])
+def test_indices_out_of_range_are_refused(call):
+    with pytest.raises(ValueError, match="index must be >= "):
+        call()
+
+
 def test_lambda_of_geometric_is_pochhammer():
     w = negate_t(lambda_t(geom(), 8, 30))
     P = poch_inf_product(8, 30)

@@ -147,6 +147,19 @@ def test_q_binom_range_check():
         q_binom(3, 5)
 
 
+@pytest.mark.parametrize("call, error, reason", [
+    (lambda: q_fact(-1), ValueError, "index must be >= 0"),
+    (lambda: QSeries(5, (1,)).shift(-1), ValueError, "nonnegative power"),
+    (lambda: poch_finite(-1, 5), ValueError, "length must be >= 0"),
+    (lambda: euler_phi(0), ValueError, "q-order must be >= 1"),
+    (lambda: discriminant(0), ValueError, "q-order must be >= 1"),
+    (lambda: QSeries.from_scalar(ONE / Q, 5), ZeroDivisionError, "pole at q = 0"),
+], ids=["q_fact", "shift", "poch_finite", "euler_phi", "discriminant", "from_scalar"])
+def test_guards_refuse_what_has_no_value(call, error, reason):
+    with pytest.raises(error, match=reason):
+        call()
+
+
 # -- Pochhammer symbols -----------------------------------------------------------
 
 def test_poch_empty():

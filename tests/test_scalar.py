@@ -98,6 +98,33 @@ def test_division_by_zero():
         ONE / ZERO
 
 
+def test_a_product_whose_contents_and_denominators_cancel_normalises():
+    frac = Scalar.from_fraction
+    x = (frac(Fraction(2, 3)) * Q) * (frac(Fraction(3, 2)) * Q)
+    assert x == Q ** 2 and x.num == (4, 1, (1,))
+    y = (frac(Fraction(4, 9)) * Q) * frac(Fraction(3, 2))
+    assert y == frac(Fraction(2, 3)) * Q and y.num == (2, 3, (2,))
+    # the content scan starts from the denominator; at 1 it stops there
+    assert _lp_make(0, 6, [4, 10]) == (0, 3, (2, 5))
+    assert _lp_make(1, 1, [0, 4, 6, 0]) == (2, 1, (4, 6))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("0", 0), ("-7", -7), ("1/2", None), ("q", None), ("s", None), ("1/(1+q)", None),
+])
+def test_as_int(text, want):
+    x = evaluate(text)
+    if want is None:
+        with pytest.raises(ValueError):
+            x.as_int()
+    else:
+        assert x.as_int() == want
+
+
+def test_comparison_with_an_int_is_false():
+    assert not Scalar.from_int(3) == 3 and Scalar.from_int(3) != 3
+
+
 def test_s_squares_to_q():
     assert S * S == Q
     assert S ** 2 == Q
@@ -180,6 +207,11 @@ def test_cromulence_closed_under_ring_ops(rng):
         b = random_cromulent()
         assert membership(a + b).in_cromulent
         assert membership(a * b).in_cromulent
+
+
+def test_cromulent_refuses_a_monic_denominator_with_no_cyclotomic_factor():
+    # monic with constant term 1, so only the search over Phi_d refuses it
+    assert not membership(evaluate("1/(1 + 3*q + q^2)")).in_cromulent
 
 
 def test_cromulent_catches_isolated_cyclotomic_factor():
@@ -265,6 +297,25 @@ def test_adams_substitute_preserves_canonical_form():
     a = (ONE + Q) / (ONE - Q ** 2)
     assert a == ONE / (ONE - Q)
     assert adams(a, 3) == ONE / (ONE - Q ** 3)
+
+
+def test_adams_runs_no_gcd_and_no_exact_division(monkeypatch):
+    x = evaluate("(1 + 2*q)/(1 - q + 3*q^2)")
+    want = [evaluate(f"(1 + 2*q^{k})/(1 - q^{k} + 3*q^{2 * k})") for k in range(1, 7)]
+    calls = []
+    for name in ("_ip_gcd", "_ip_divides"):
+        true = getattr(scalar, name)
+        monkeypatch.setattr(scalar, name,
+                            lambda a, b, true=true: calls.append(1) or true(a, b))
+    got = [adams(x, k) for k in range(1, 7)]
+    assert calls == []
+    assert got == want
+    assert str(got[2]) == "(1 + 2*q^3)/(1 - q^3 + 3*q^6)"
+
+
+def test_adams_index_must_be_positive():
+    with pytest.raises(ValueError, match="positive"):
+        adams(Q, 0)
 
 
 # -- printing ----------------------------------------------------------------
@@ -559,6 +610,25 @@ def test_ip_mul_equals_the_schoolbook_sum_on_both_sides_of_the_crossover(rng):
         b = _random_int_poly(rng, rng.randint(1, 200), rng.choice([0, 3, bits]))
         want = _schoolbook_mul(a, b)
         assert _ip_mul(a, b) == want == _ip_mul(b, a), (a, b)
+
+
+@pytest.mark.parametrize("byte_route", [False, True])
+def test_ip_mul_cut_at_n_is_the_full_product_cut(rng, monkeypatch, byte_route):
+    # at 0 bits every whole-byte packing goes through bytes; at 2**60 none does
+    monkeypatch.setattr(scalar, "_BYTE_ROUTE_BITS", 0 if byte_route else 1 << 60)
+    for _ in range(150):
+        bits = rng.choice([0, 1, 3, 30, 64, 200, 500])
+        la = rng.choice([1, 2, scalar._MUL_SCHOOLBOOK, scalar._MUL_SCHOOLBOOK + 1,
+                         rng.randint(1, 120)])
+        a = _random_int_poly(rng, la, bits)
+        b = _random_int_poly(rng, rng.randint(1, 120), rng.choice([0, 3, bits]))
+        full = _ip_mul(a, b)
+        for n in (0, 1, rng.randint(0, len(full)), len(full) - 1, len(full), len(full) + 2):
+            assert _ip_mul(a, b, n) == full[:n], (a, b, n)
+    # every digit of c*(1 + x + ... + x**9) times -c*(1 + ... + x**9) is
+    # negative, so the residue below the cut carries into the digit at it
+    for c in (1, 1 << 600):
+        assert _ip_mul((c,) * 10, (-c,) * 10, 5) == tuple(-c * c * k for k in range(1, 6))
 
 
 def test_pack_and_unpack_round_trip_on_both_routes_at_the_extreme_digits(rng):

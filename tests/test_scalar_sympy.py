@@ -126,6 +126,16 @@ def assert_canonical(a: Scalar):
     assert common.degree() == 0
 
 
+def assert_matches_sympy(op, a, ea, b, eb):
+    """``a op b`` is canonical and equals sympy's cancelled fraction."""
+    got = OPS[op](a, b)
+    assert_canonical(got)
+    num, den = as_sympy(got)
+    want_num, want_den = sympy_canonical(*as_fraction(op, ea, eb))
+    assert den == want_den, (op, str(a), str(b))
+    assert sympy.expand(num - want_num) == 0, (op, str(a), str(b))
+
+
 @pytest.mark.parametrize("op", sorted(OPS))
 def test_arithmetic_matches_sympy_cancel(op):
     rng = random.Random(SEED)
@@ -138,12 +148,21 @@ def test_arithmetic_matches_sympy_cancel(op):
             with pytest.raises(ZeroDivisionError):
                 a / b
             continue
-        got = OPS[op](a, b)
-        assert_canonical(got)
-        num, den = as_sympy(got)
-        want_num, want_den = sympy_canonical(*as_fraction(op, ea, eb))
-        assert den == want_den, (op, str(a), str(b))
-        assert sympy.expand(num - want_num) == 0, (op, str(a), str(b))
+        assert_matches_sympy(op, a, ea, b, eb)
+
+
+def test_sums_over_unequal_polynomial_denominators_match_sympy_cancel():
+    # Scalar.__add__ multiplies each numerator by the other denominator
+    rng = random.Random(SEED + 1)
+    pool = [p for p in (random_laurent(rng) for _ in range(6)) if not p[0].is_zero()]
+    cases = 0
+    while cases < PAIRS:
+        (a, ea), (b, eb) = random_rational(rng, pool), random_rational(rng, pool)
+        if a.den == b.den or (1,) in (a.den, b.den):
+            continue
+        cases += 1
+        assert_matches_sympy("+", a, ea, b, eb)
+        assert_matches_sympy("-", a, ea, b, eb)
 
 
 def random_int_poly(rng, deg, bound=5):

@@ -104,6 +104,27 @@ def test_division_requires_unit(one, non_unit):
         non_unit ** -1
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: Series(-1), ValueError),
+    (lambda: Series(3, (ONE,))[4], IndexError),
+    (lambda: Series(2, ("x",)), TypeError),
+    (lambda: BiSeries.constant(2, 3, ONE) / BiSeries.generator(2, 3, 0), ZeroDivisionError),
+], ids=["negative order", "past the order", "foreign coefficient", "bivariate non-unit"])
+def test_guards_refuse_what_has_no_value(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_a_fraction_coefficient_becomes_a_scalar():
+    assert Series(2, (Fraction(1, 2),))[0] == Scalar.from_fraction(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("value", [one_series(2), QSeries(2, (1,)), BiSeries.constant(2, 2, ONE)],
+                         ids=["Series", "QSeries", "BiSeries"])
+def test_comparison_with_an_int_is_false(value):
+    assert not value == 3 and value != 3
+
+
 def test_integral_qseries_keep_int_storage(rng):
     for _ in range(20):
         f, g = random_qseries(rng), random_qseries(rng)

@@ -103,6 +103,17 @@ def test_cg_unit():
     assert cg_tensor(SL2Rep.irrep(0), r) == r
 
 
+def test_negative_highest_weights_are_refused():
+    with pytest.raises(ValueError, match=">= 0"):
+        SL2Rep({-1: 1})
+
+
+@pytest.mark.parametrize("value", [HodgePoly({(0, 0): 3}), SL2Rep({0: 3})],
+                         ids=["HodgePoly", "SL2Rep"])
+def test_comparison_with_an_int_is_false(value):
+    assert not value == 3 and value != 3
+
+
 def test_characters():
     assert character(SL2Rep.irrep(1)) == S + ONE / S
     assert character(SL2Rep({2: 1, 0: 1})) \
