@@ -380,7 +380,7 @@ def _run_diagram(args) -> int:
 def _table_family(name, first=0):
     """The rows k, name(k) for k from ``first`` to --max of an eval builtin,
     once its value at --max is within the budget that eval holds it to."""
-    fn, _, size = _BUILTINS[name]
+    fn, _, size, _ = _BUILTINS[name]
     def rows(m):
         _check_size(f"{name}({m})", size(m))
         return [(k, canonical_str(fn(k))) for k in range(first, m + 1)]

@@ -55,16 +55,20 @@ class EvalError(ValueError):
     pass
 
 
-# name -> (function, argument kinds, s-degree span of its value): a kind is
-# "s" for a scalar or "i" for an integer; the span, a function of the
-# arguments, bounds the value's size before it is computed
-_BUILTINS = {"qint": (q_int, "i", lambda k: 2 * (k - 1)),
-             "qfact": (q_fact, "i", lambda k: k * (k - 1)),
+# name -> (function, argument kinds, s-degree span of its value, domain):
+# a kind is "s" for a scalar or "i" for an integer; the span, a function of
+# the arguments, bounds the value's size before it is computed; the domain
+# is what a refusal by the function says the builtin needs
+_BUILTINS = {"qint": (q_int, "i", lambda k: 2 * (k - 1), "qint(k) needs k >= 0"),
+             "qfact": (q_fact, "i", lambda k: k * (k - 1), "qfact(k) needs k >= 0"),
              # the span of the q_fact(n) it divides
-             "qbinom": (q_binom, "ii", lambda n, k: n * (n - 1)),
+             "qbinom": (q_binom, "ii", lambda n, k: n * (n - 1),
+                        "qbinom(n, k) needs 0 <= k <= n"),
              # 2*phi(d) at most
-             "cyclotomic": (cyclotomic, "i", lambda d: 2 * (d - 1)),
-             "adams": (adams, "si", lambda e, k: abs(k) * _s_span(e))}
+             "cyclotomic": (cyclotomic, "i", lambda d: 2 * (d - 1),
+                            "cyclotomic(d) needs d >= 1"),
+             "adams": (adams, "si", lambda e, k: abs(k) * _s_span(e),
+                       "adams(x, k) needs x living in q and k >= 1")}
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv}
@@ -277,13 +281,14 @@ def _power(base: Scalar, k: int) -> Scalar:
 
 def _call(name: str, args: list) -> Scalar:
     """The builtin ``name`` at ``args``, within the budgets."""
-    fn, kinds, span = _BUILTINS[name]
+    fn, kinds, span, domain = _BUILTINS[name]
+    vals = [v if k == "s" else _int_arg(name, v) for v, k in zip(args, kinds)]
+    _check_size(f"the value of {name}", span(*vals))
     try:
-        vals = [v if k == "s" else _int_arg(name, v) for v, k in zip(args, kinds)]
-        _check_size(f"the value of {name}", span(*vals))
-        return _check_digits(f"the value of {name}", fn(*vals))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise EvalError(str(exc)) from None
+        value = fn(*vals)
+    except ValueError:
+        raise EvalError(domain) from None
+    return _check_digits(f"the value of {name}", value)
 
 
 def evaluate(text: str) -> Scalar:

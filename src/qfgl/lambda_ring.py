@@ -47,9 +47,10 @@ def lambda_t(a: Scalar, t_order: int, q_order: int) -> tuple:
 
     The q-expansion coefficients a_n of ``a`` must be integers.  The
     product is cut at factor index q_order, which is exact at this
-    q-precision.  It runs on integer rows, one per t-degree, that each
-    factor (1 + t q^n)^(a_n) multiplies in place; a negative a_n divides.
-    Returned as the tuple of the t^0 .. t^t_order coefficients.
+    q-precision.  It runs on packed rows, one integer per t-degree holding
+    its q-coefficients as digits (``qcomb._row_product``), that each factor
+    (1 + t q^n)^(a_n) multiplies; a negative a_n divides.  Returned as the
+    tuple of the t^0 .. t^t_order coefficients.
     """
     expansion = QSeries.from_scalar(a, q_order)
     if not expansion.is_integral():

@@ -10,22 +10,26 @@ coefficients where they are integral and inherits every kernel
 ``scalar._ip_mul`` call, which packs above its crossover; its quotient,
 exponential and reversion sum ``int`` and ``Fraction`` products.
 ``QSeries.from_scalar`` expands a Scalar living in q by that unit
-division, numerator over denominator.  A rectangular (t-order,
-q-order) truncation, such as the infinite Pochhammer product, is a plain
-tuple of QSeries indexed by t-degree, all at one q-order.  It is the one
-(t, q) type of the package: ``lambda_ring.lambda_t`` returns its Witt
-elements as this tuple, and ``cli`` prints it.  Such a product is
-computed on integer rows, one list of q-coefficients per t-degree, that
-each factor (1 + c*t*q^n)^m updates in place (``_row_product``).
+division, numerator over denominator; the division's dot products stop
+at the divisor's last nonzero term.  A rectangular (t-order, q-order)
+truncation, such as the infinite Pochhammer product, is a plain tuple of
+QSeries indexed by t-degree, all at one q-order.  It is the one (t, q)
+type of the package: ``lambda_ring.lambda_t`` returns its Witt elements
+as this tuple, and ``cli`` prints it.  Such a product is computed on
+packed rows (``_row_product``): each t-row is one integer holding its
+q-coefficients as base-2**w digits, w proven wide enough for the final
+coefficients (``_row_width``), and each factor (1 + c*t*q^n)^m adds
+shifted multiples of the rows below to each row, modulo 2**(w*(q_order+1)).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from itertools import repeat
+from math import comb, fsum, inf, isqrt, lcm, log, log1p, log2
 from operator import add, mul, sub
 
-from .scalar import Scalar, ONE, Q, _ip_mul
+from .scalar import Scalar, ONE, Q, _ip_mul, _ip_unpack
 from .series import Series
 
 __all__ = [
@@ -170,50 +174,76 @@ class QSeries(Series):
 
 
 # ---------------------------------------------------------------------------
-# (t, q) truncations as integer rows, one list of q-coefficients per t-degree
+# (t, q) truncations as packed integer rows, one integer per t-degree
 
-def _times_power(rows: list, tops: list, n: int, c: int, m: int) -> None:
-    """Multiply the t-series held in ``rows`` by (1 + c*t*q^n)^m, in place.
+def _row_width(t_order: int, q_order: int, factors: list) -> int:
+    """A whole-byte w with every coefficient of the product of (1 + c*t*q^n)^m,
+    cut at t^t_order and q^q_order, below 2**(w-1) in absolute value.
 
-    rows[j] is the list of q-coefficients of t^j; all rows have one
-    length, the q-truncation.  Entries of rows[j] past q-degree tops[j]
-    are zero (tops[j] = -1 for a zero row), so a pass maps only up to
-    that bound and raises it.  The t^i coefficient of the factor is
-    binom(m, i) c^i q^(n*i) for every integer m, so a negative m divides.
-    Walking j downward, rows[j] reads only rows below it, which still
-    hold their old values.  One pass costs O(t * q) per nonzero term of
-    the factor, whatever the size of m.
+    Each is at most that of P, the product of (1 + |c| t q^n)^m, m > 0, and
+    (1 - |c| t q^n)^m, m < 0: at most comb(M + T, T) C^T, M = sum |m| and
+    C = max |c|, and at most Cauchy's P(1, r) / r^q_order, 0 < r < 1, where
+    r = 1 / (1 + 2^v) walks from 1/2 by steps of 1, then 1/2, in v while
+    that falls (log P(1, e^u) - q_order u is convex in u).  A float term of
+    log P is exact to a relative 2^-30 while |c| r^n <= 1 - 2^-20 at m < 0,
+    a point past that counting as divergent, so 2^-20 more covers it; an
+    int too large for a float leaves the closed form.
     """
-    width = len(rows[0])
-    terms = [1]
-    for i in range(1, len(rows)):
-        b = terms[-1] * (m - i + 1) * c // i    # exact: i divides it
-        if not b or n * i >= width:
-            break
-        terms.append(b)
-    for j in range(len(rows) - 1, 0, -1):
-        dst = rows[j]
-        for i in range(1, min(j + 1, len(terms))):
-            b, s = terms[i], n * i
-            hi = min(tops[j - i] + s + 1, width)
-            if hi > s:
-                dst[s:hi] = map(add, dst[s:hi], [b * x for x in rows[j - i][: hi - s]])
-                tops[j] = max(tops[j], hi - 1)
+    bits = (comb(sum(abs(m) for _, _, m in factors) + t_order, t_order)
+            * max((abs(c) for _, c, _ in factors), default=1) ** t_order).bit_length()
+    ns, ms = [n for n, _, _ in factors], [m for _, _, m in factors]
+    cs = [abs(c) if m > 0 else -abs(c) for _, c, m in factors]
+
+    def cauchy(v: float) -> float:
+        r = 1 / (1 + 2.0 ** v)
+        xs = list(map(mul, cs, map(pow, repeat(r), ns)))
+        if min(xs, default=0) < 2.0 ** -20 - 1:
+            return inf
+        return fsum(map(mul, ms, map(log1p, xs))) / log(2) - q_order * log2(r)
+
+    try:
+        v, best = 0, cauchy(0)
+        for step in (-1, 1, -0.5, 0.5):
+            while (f := cauchy(v + step)) < best:
+                v, best = v + step, f
+        bits = min(bits, int(best * (1 + 2.0 ** -20)) + 1)
+    except OverflowError:
+        pass
+    return (bits + 8) & -8
 
 
 def _row_product(t_order: int, q_order: int, factors) -> tuple:
-    """The product of (1 + c*t*q^n)^m over (n, c, m) in ``factors``.
+    """The product of (1 + c*t*q^n)^m over (n, c, m) in ``factors``, as the
+    tuple of its t^0 .. t^t_order coefficients, each a QSeries.
 
-    Computed on integer rows by ``_times_power``, with the bound of each
-    row's nonzero q-degrees, and returned as the tuple of its
-    t^0 .. t^t_order coefficients, each a QSeries.
+    Row j is one integer, its q-coefficients the base-2**w digits: q -> 2**w
+    is a ring homomorphism from Z[q]/(q^N), N = q_order + 1, onto the
+    integers mod 2**(w*N), so each step runs on residues.  The factor's t^i
+    term is binom(m, i) c^i q^(n*i) for every integer m; row j gains it
+    times the old row j - i, cut first to the digits the shift keeps.  Only
+    the final coefficients need fit in w - 1 bits (``_row_width``): each
+    row's signed residue is then p(2**w) itself, unpacked once.
     """
-    rows = [[0] * (q_order + 1) for _ in range(t_order + 1)]
-    rows[0][0] = 1
-    tops = [0] + [-1] * t_order
+    factors = [f for f in factors if f[0] <= q_order]
+    w = _row_width(t_order, q_order, factors)
+    size = w * (q_order + 1)
+    mask, top = (1 << size) - 1, 1 << (size - 1)
+    rows = [1] + [0] * t_order
     for n, c, m in factors:
-        _times_power(rows, tops, n, c, m)
-    return tuple(QSeries(q_order, r) for r in rows)
+        old, b = rows[:], 1
+        for i in range(1, t_order + 1):
+            b = b * (m - i + 1) * c // i    # exact: i divides it
+            shift = w * n * i
+            if not b or shift >= size:
+                break
+            low = 0     # made once, if a row has digits the shift drops
+            for j in range(i, t_order + 1):
+                x = old[j - i]
+                if x.bit_length() > size - shift:
+                    x &= low or (low := mask >> shift)
+                rows[j] += b * x << shift
+        rows = [r & mask if r < 0 or r.bit_length() > size else r for r in rows]
+    return tuple(QSeries(q_order, _ip_unpack((r ^ top) - top, w)) for r in rows)
 
 
 def poch_finite(n: int, q_order: int) -> tuple:

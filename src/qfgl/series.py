@@ -150,15 +150,18 @@ class Series:
 
     def __truediv__(self, other: "Series") -> "Series":
         n = self._common(other)
-        ds = other.coeffs
+        ds = other.coeffs[: n + 1]
         if not ds[0]:
             raise ZeroDivisionError(
                 "series division needs an invertible constant term")
         inv0 = self._coerce(self._ONE / ds[0])
         dot = self._dot
+        d = max(i for i, c in enumerate(ds) if c)
         out = []
+        # coefficient k reads out[k - 1] .. out[k - d], the divisor past
+        # its last nonzero term d adding nothing
         for k in range(n + 1):
-            out.append((self.coeffs[k] - dot(ds[1 : k + 1], out[::-1])) * inv0)
+            out.append((self.coeffs[k] - dot(ds[1 : d + 1], out[: -d - 1 : -1])) * inv0)
         return self._new(n, out)
 
     def scale(self, c) -> "Series":

@@ -104,9 +104,9 @@ def test_eval_is_one_pass(monkeypatch):
     assert err.value.pos == 12
     # a character outside the grammar is refused before anything is computed
     calls = []
-    fn, kinds, span = expr._BUILTINS["qfact"]
+    fn, kinds, span, domain = expr._BUILTINS["qfact"]
     monkeypatch.setitem(expr._BUILTINS, "qfact",
-                        (lambda k: calls.append(k) or fn(k), kinds, span))
+                        (lambda k: calls.append(k) or fn(k), kinds, span, domain))
     with pytest.raises(ParseError) as err:
         evaluate("qfact(32)*$")
     assert err.value.pos == 10 and calls == []
@@ -152,8 +152,13 @@ def test_cli_eval_bad_expression(capsys):
     # the span of 2 is 0, so only the digit bound of the power refuses it
     (("eval", "2^20000"), "longer than 4300 digits"),
     (("eval", "qint(1/2)"), "qint needs an integer argument"),
-    (("eval", "adams(q, 0)"), "Adams index must be a positive integer"),
+    (("eval", "adams(q, 0)"), "adams(x, k) needs x living in q and k >= 1"),
     (("expand", "lambda_t", "--element", "1/q"), "pole at q = 0"),
+    (("eval", "qint(-3)"), "qint(k) needs k >= 0"),
+    (("eval", "qfact(-1)"), "qfact(k) needs k >= 0"),
+    (("eval", "qbinom(2, 5)"), "qbinom(n, k) needs 0 <= k <= n"),
+    (("eval", "cyclotomic(0)"), "cyclotomic(d) needs d >= 1"),
+    (("eval", "adams(s, 2)"), "adams(x, k) needs x living in q and k >= 1"),
 ])
 def test_cli_refusals_name_their_reason(capsys, argv, reason):
     code, out, err = run_cli(capsys, *argv)

@@ -8,8 +8,8 @@ oracles first.
 
 import random
 from fractions import Fraction
-from math import gcd
-from operator import mul
+from math import comb, gcd, log2
+from operator import add, mul
 
 import pytest
 
@@ -19,6 +19,7 @@ from qfgl import (
     poch_finite, poch_inf_product, poch_inf_sum,
     euler_phi, discriminant,
 )
+from qfgl.qcomb import _row_product, _row_width
 
 
 # -- QSeries products: one packed integer product ----------------------------
@@ -43,6 +44,34 @@ def test_qseries_product_equals_the_per_coefficient_sum():
         got = (a * b).coeffs
         assert list(got) == want and (a * b).order == n
         assert [type(c) for c in got] == [int if c == int(c) else Fraction for c in want]
+
+
+def _schoolbook_quotient(a, d, order):
+    """a / d to q^order, one coefficient at a time over every earlier one."""
+    a = list(a) + [0] * (order + 1 - len(a))
+    d = list(d) + [0] * (order + 1 - len(d))
+    out = []
+    for k in range(order + 1):
+        out.append((a[k] - sum(d[i] * out[k - i] for i in range(1, k + 1))) / Fraction(d[0]))
+    return out
+
+
+@pytest.mark.parametrize("divisor", [
+    (1, -3, 0, 0, 0),                   # trailing zeros: the dot stops at q^1
+    (3, 0, 2, 0, 0, 0, 0, 0),
+    (Fraction(-2, 5),),                 # a constant divides every coefficient alone
+    (7,),
+    tuple(range(1, 40)),                # longer than the quotient's order
+    (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5),
+], ids=["trailing zeros", "even trailing zeros", "fraction constant", "int constant",
+        "longer than the order", "last term past the order"])
+def test_qseries_quotient_equals_the_schoolbook_loop(divisor):
+    rng = random.Random(1729)
+    for order in (0, 1, 2, 5, 20):
+        a = _random_qseries(rng, order)
+        got = a / QSeries(max(order, len(divisor) - 1), divisor)
+        assert got.order == order
+        assert list(got.coeffs) == _schoolbook_quotient(a.coeffs, divisor[: order + 1], order)
 
 
 # -- brute-force polynomial oracle --------------------------------------------
@@ -215,6 +244,85 @@ def test_infinite_product_rows_past_the_truncation_are_zero():
     for nt, nq in ((8, 20), (12, 10), (3, 0)):
         uncut = poch_finite(nq + 1, nq) + (QSeries(nq),) * nt
         assert poch_inf_product(nt, nq) == uncut[:nt + 1]
+
+
+# -- (t, q) row products: packed rows against the list kernel -------------------------
+
+def _list_row_product(t_order, q_order, factors):
+    """The list kernel the packed rows replaced, kept as their oracle: one
+    list of q-coefficients per t-degree, and each factor's t^i term
+    binom(m, i) c^i q^(n*i) added to row j from row j - i, j walking down."""
+    rows = [[1] + [0] * q_order] + [[0] * (q_order + 1) for _ in range(t_order)]
+    for n, c, m in factors:
+        terms = [1]
+        for i in range(1, t_order + 1):
+            b = terms[-1] * (m - i + 1) * c // i
+            if not b or n * i > q_order:
+                break
+            terms.append(b)
+        for j in range(t_order, 0, -1):
+            for i in range(1, min(j + 1, len(terms))):
+                s = n * i
+                rows[j][s:] = map(add, rows[j][s:],
+                                  [terms[i] * x for x in rows[j - i][: q_order + 1 - s]])
+    return tuple(QSeries(q_order, r) for r in rows)
+
+
+def test_row_product_equals_the_list_kernel():
+    rng = random.Random(1729)
+    cs = (1, -1, 2, -2, 3, 24, 10 ** 6)
+    for _ in range(1500):
+        t_order, q_order = rng.randint(0, 9), rng.randint(0, 90)
+        factors = []
+        for _ in range(rng.randint(0, 6)):
+            m = rng.choice((1, -1, 2, 7, 40, -40, 2 ** rng.randint(3, 70), -10 ** 30))
+            factors.append((rng.randint(0, q_order + 3), rng.choice(cs), m))
+        assert (_row_product(t_order, q_order, factors)
+                == _list_row_product(t_order, q_order, factors)), (t_order, q_order, factors)
+
+
+def _closed_form_bits(t_order, factors):
+    big_m = sum(abs(m) for _, _, m in factors)
+    big_c = max(abs(c) for _, c, _ in factors)
+    return (comb(big_m + t_order, t_order) * big_c ** t_order).bit_length()
+
+
+def test_row_width_closed_form():
+    # at n = 0 the Cauchy bound P(1, r) = 3^(10^30) is useless, and
+    # comb(M + T, T) C^T is within one percent of binom(M, T) C^T
+    t_order, q_order, factors = 9, 20, [(0, 2, 10 ** 30), (3, -1, 1)]
+    w = _row_width(t_order, q_order, factors)
+    assert w == (_closed_form_bits(t_order, factors) + 8) & -8
+    got = _row_product(t_order, q_order, factors)
+    assert got == _list_row_product(t_order, q_order, factors)
+    assert max(abs(c) for r in got for c in r.coeffs).bit_length() > w - 9
+
+
+def test_row_width_cauchy_near_one():
+    # (t; q)_infinity: any r <= 1/2 pays r^-q_order >= 2^300, so a width
+    # below 300 bits, and below the closed form, comes from r near 1
+    t_order, q_order = 24, 300
+    factors = [(n, -1, 1) for n in range(q_order + 1)]
+    w = _row_width(t_order, q_order, factors)
+    assert w < min(300, _closed_form_bits(t_order, factors) // 2)
+    assert _row_product(t_order, q_order, factors) == poch_inf_product(t_order, q_order)
+    assert poch_inf_product(t_order, q_order) == _list_row_product(t_order, q_order, factors)
+
+
+def test_row_width_cauchy_below_one_half():
+    # lambda_t(1/(1-3q)): every r >= 1/2 has P(1, r) >= P(1, 1/2), so a
+    # width below log2 P(1, 1/2) comes from r < 1/2
+    t_order, q_order = 10, 60
+    factors = [(n, 1, 3 ** n) for n in range(q_order + 1)]
+    w = _row_width(t_order, q_order, factors)
+    at_half = sum(m * log2(1 + 2.0 ** -n) for n, _, m in factors)
+    assert w < min(at_half, _closed_form_bits(t_order, factors) // 4)
+    assert _row_product(t_order, q_order, factors) == _list_row_product(t_order, q_order, factors)
+
+
+def test_row_width_survives_ints_too_large_for_a_float():
+    factors = [(1, 10 ** 400, 1), (2, 1, 10 ** 400), (0, 1, -1)]
+    assert _row_product(3, 5, factors) == _list_row_product(3, 5, factors)
 
 
 # -- Euler function and discriminant ------------------------------------------------
