@@ -12,6 +12,15 @@ from qfgl import (
     cartier_check, q_int,
 )
 
+
+def show(rep):
+    """Each check of a report, then where the routes of a declared
+    discrepancy first differ."""
+    for c in rep.checks:
+        print(c)
+        if c.detail is not None:
+            print("   ", c.detail)
+
 print("The basic Moebius pair")
 print("----------------------")
 m, minv = q_mobius(), q_mobius_inv()
@@ -51,7 +60,7 @@ print("expanding exp(log X + log Y):")
 G = f_chi_from_log(6)
 print("  coefficient of XY:", G.series.coeff(1, 1))
 print("adjudication of which closed form the transport matches:")
-print(proposition_check(8))
+show(proposition_check(8))
 print("the minus form is itself a law:",
       verify_fgl(f_chi_derived_closed(8), 8).all_passed)
 print()
@@ -68,4 +77,4 @@ print("  i(T) =", repr(iota))
 print()
 
 print("Exponent adjudication in the exponential-character identity")
-print(cartier_check(4, 6))
+show(cartier_check(4, 6))

@@ -5,8 +5,17 @@ from qfgl import (
     ONE, Q,
     adams, lambda_t, witt_add,
     newton_adams_from_lambda, lambda_k_closed,
-    thom_class, discriminant_limit, euler_phi, QSeries,
+    thom_class, discriminant_limit, euler_phi, QSeries, q_fact,
 )
+
+
+def show(rep):
+    """Each check of a report, then where the routes of a declared
+    discrepancy first differ."""
+    for c in rep.checks:
+        print(c)
+        if c.detail is not None:
+            print("   ", c.detail)
 
 geom = ONE / (ONE - Q)
 
@@ -41,9 +50,9 @@ print()
 
 print("Closed form of lambda^k(1/(1-q)): exponent adjudication")
 for k in (1, 2, 3):
-    rep = lambda_k_closed(k, 20)
-    print(f"  k={k}: selected exponent variant = {rep.selected};"
-          f" corrected closed form = {rep.corrected}")
+    corrected = Q ** (k * (k - 1) // 2) / (q_fact(k) * (ONE - Q) ** k)
+    print(f"  k={k}: corrected closed form = {corrected}")
+    show(lambda_k_closed(k, 20))
 print()
 
 print("The Thom class is the Euler function")
@@ -51,4 +60,4 @@ print("  matches to order 30:", thom_class(30) == euler_phi(30))
 print()
 
 print("The discriminant limit, both readings")
-print(discriminant_limit(12))
+show(discriminant_limit(12))

@@ -40,8 +40,8 @@ from .lambda_ring import (
     lambda_t, negate_t, newton_adams_from_lambda, lambda_k_closed,
     thom_class, discriminant_limit,
 )
-from .varieties import Variety, diagram_check, load_catalog
-from .report import Check, VerificationReport
+from .varieties import Variety, diagram_routes, diagram_check, load_catalog
+from .report import Check, VerificationReport, compare
 from .expr import MAX_SIZE, evaluate, _check_digits, _check_size, _BUILTINS
 
 DEFAULT_ORDER = 10
@@ -155,17 +155,14 @@ def _run_expand(args) -> int:
 def _suite_lemma21(args) -> VerificationReport:
     m1, m2 = q_mobius(), q_mobius_inv()
     target = scalar_matrix(ONE - Q)
-    checks = [
-        Check("forward composition equals (1-q) times the identity", None,
-              mob_mul(m1, m2) == target),
-        Check("reverse composition equals (1-q) times the identity", None,
-              mob_mul(m2, m1) == target),
-        Check("determinant of the q-Moebius matrix equals 1-q", None,
-              mob_det(m1) == ONE - Q),
-        Check("determinant of the companion matrix equals 1-q", None,
-              mob_det(m2) == ONE - Q),
-    ]
-    return VerificationReport(tuple(checks))
+    return VerificationReport((
+        compare("forward composition equals (1-q) times the identity", None,
+                mob_mul(m1, m2), target),
+        compare("reverse composition equals (1-q) times the identity", None,
+                mob_mul(m2, m1), target),
+        compare("determinant of the q-Moebius matrix equals 1-q", None, mob_det(m1), ONE - Q),
+        compare("determinant of the companion matrix equals 1-q", None, mob_det(m2), ONE - Q),
+    ))
 
 
 def _suite_fgl_axioms(args) -> VerificationReport:
@@ -187,28 +184,21 @@ def _cp_images(what: str, m: int) -> list:
 
 
 def _suite_mishchenko(args) -> VerificationReport:
-    checks = []
-    for n, img in enumerate(_cp_images("verify mishchenko", args.order)):
-        checks.append(Check(f"CP^{n} image equals the (n+1)-st q-integer", None,
-                            img == q_int(n + 1)))
-        checks.append(Check(f"CP^{n} image at q = 1 equals {n + 1}", None, img.eval_s(1) == n + 1))
-    return VerificationReport(tuple(checks))
+    return VerificationReport(tuple(
+        c for n, img in enumerate(_cp_images("verify mishchenko", args.order)) for c in (
+            compare(f"CP^{n} image equals the (n+1)-st q-integer", None, img, q_int(n + 1)),
+            compare(f"CP^{n} image at q = 1 equals {n + 1}", None, img.eval_s(1), n + 1))))
 
 
 def _suite_adams(args) -> VerificationReport:
-    checks = []
     geom = ONE / (ONE - Q)
-    for k in range(1, 11):
-        checks.append(Check(f"psi^{k} of 1/(1-q) equals 1/(1-q^{k})", None,
-                            adams(geom, k) == ONE / (ONE - Q ** k)))
-    w = lambda_t(geom, 8, args.q_order)
-    psis = newton_adams_from_lambda(w, 8)
-    for k, psi in enumerate(psis, start=1):
-        expected = QSeries.from_scalar(ONE / (ONE - Q ** k), args.q_order)
-        checks.append(Check(
-            f"Newton-extracted psi^{k} matches the Adams substitution",
-            args.q_order, psi == expected))
-    return VerificationReport(tuple(checks))
+    psis = newton_adams_from_lambda(lambda_t(geom, 8, args.q_order), 8)
+    return VerificationReport(tuple(
+        [compare(f"psi^{k} of 1/(1-q) equals 1/(1-q^{k})", None,
+                 adams(geom, k), ONE / (ONE - Q ** k)) for k in range(1, 11)]
+        + [compare(f"Newton-extracted psi^{k} matches the Adams substitution", args.q_order,
+                   psi, QSeries.from_scalar(ONE / (ONE - Q ** k), args.q_order))
+           for k, psi in enumerate(psis, start=1)]))
 
 
 def _suite_pochhammer(args) -> VerificationReport:
@@ -219,54 +209,27 @@ def _suite_pochhammer(args) -> VerificationReport:
     route, ``poch_inf_sum`` on the Scalar closed form, shares no code
     with that kernel: it is the independent oracle of both routes.
     """
-    P = poch_inf_product(args.t_order, args.q_order)
-    Ssum = poch_inf_sum(args.t_order, args.q_order)
-    checks = [Check("product route equals summation route",
-                    (args.t_order, args.q_order), P == Ssum)]
-    w = lambda_t(ONE / (ONE - Q), args.t_order, args.q_order)
-    checks.append(Check("lambda route matches the product route",
-                        (args.t_order, args.q_order), negate_t(w) == P))
-    return VerificationReport(tuple(checks))
+    t, n = args.t_order, args.q_order
+    P = poch_inf_product(t, n)
+    return VerificationReport((
+        compare("product route equals summation route", (t, n), P, poch_inf_sum(t, n)),
+        compare("lambda route matches the product route", (t, n),
+                negate_t(lambda_t(ONE / (ONE - Q), t, n)), P),
+    ))
 
 
 def _suite_lambda_k(args) -> VerificationReport:
-    checks = []
-    for k in range(1, 9):
-        rep = lambda_k_closed(k, max(args.q_order, 20))
-        checks.append(Check(
-            f"k={k}: all routes select the exponent binom(k,2)", None,
-            rep.selected == "binom(k,2)"))
-        # lambda_k_closed may raise the order; compare at the one it used
-        printed_q = QSeries.from_scalar(rep.printed, rep.q_order_used)
-        checks.append(Check(
-            f"k={k}: the k(k+1)/2 exponent variant disagrees", None,
-            printed_q != rep.oracle))
-    return VerificationReport(tuple(checks))
+    return VerificationReport(tuple(
+        c for k in range(1, 9) for c in lambda_k_closed(k, max(args.q_order, 20)).checks))
 
 
 def _suite_cartier(args) -> VerificationReport:
-    # the failures these checks expect first show at t^2 T^2
-    rep = cartier_check(max(args.t_order, 2), max(args.order, 2))
-    expected_pass = "exponential-character identity [1-exp(-u), c=(1-q)^-1]"
-    checks = []
-    for c in rep.checks:
-        should_pass = c.name == expected_pass
-        ok = c.passed == should_pass
-        verdict = "holds" if should_pass else "fails as expected"
-        checks.append(Check(f"{c.name} {verdict}", c.order, ok, c.detail if not ok else None))
-    return VerificationReport(tuple(checks))
+    # the declared discrepancies first show at t^2 T^2
+    return cartier_check(max(args.t_order, 2), max(args.order, 2))
 
 
 def _suite_exercise32(args) -> VerificationReport:
-    rep = discriminant_limit(max(args.q_order, 12))
-    # reading (a) vanishes, so it cannot match the discriminant
-    expected_fail = "reading (a) matches the discriminant"
-    checks = []
-    for c in rep.checks:
-        should_fail = c.name == expected_fail
-        suffix = " (expected not to match)" if should_fail else ""
-        checks.append(Check(c.name + suffix, c.order, c.passed != should_fail))
-    return VerificationReport(tuple(checks))
+    return discriminant_limit(max(args.q_order, 12))
 
 
 def _hold_diagrams(varieties) -> None:
@@ -286,21 +249,13 @@ def _suite_diagram(args, entries=None) -> VerificationReport:
         entries = [("", Variety(dims)) for dims in itertools.product(range(5), repeat=3)]
     _hold_diagrams([v for _, v in entries])
     return VerificationReport(tuple(
-        Check(f"{prefix}diagram commutes on {v}", None, diagram_check(v).all_passed)
+        compare(f"{prefix}diagram commutes on {v}", None, *(x for _, x in diagram_routes(v)))
         for prefix, v in entries))
 
 
 def _suite_proposition(args) -> VerificationReport:
-    # the plus form first differs at total degree 2
-    order = max(args.order, 2)
-    plus, minus = proposition_check(order).checks
-    checks = [
-        Check("exp/log transport matches the minus closed form", order,
-              minus.passed),
-        Check("exp/log transport differs from the plus closed form "
-              "(recorded discrepancy)", order, not plus.passed),
-    ]
-    return VerificationReport(tuple(checks))
+    # the declared discrepancy first shows at total degree 2
+    return proposition_check(max(args.order, 2))
 
 
 def _suite_selftest_fail(args) -> VerificationReport:
@@ -336,7 +291,7 @@ def _emit_report(rep: VerificationReport, name: str, args) -> int:
             "checks": [{"name": c.name,
                         "order": c.order,
                         "pass": c.passed,
-                        "detail": c.detail} for c in rep.checks],
+                        "detail": None if c.passed else c.detail} for c in rep.checks],
             "passed": rep.all_passed,
         }
         print(json.dumps(payload, indent=2))

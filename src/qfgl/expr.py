@@ -283,6 +283,9 @@ def _call(name: str, args: list) -> Scalar:
     """The builtin ``name`` at ``args``, within the budgets."""
     fn, kinds, span, domain = _BUILTINS[name]
     vals = [v if k == "s" else _int_arg(name, v) for v, k in zip(args, kinds)]
+    # no builtin takes a negative integer, whose span may exceed the budget
+    if any(k == "i" and v < 0 for v, k in zip(vals, kinds)):
+        raise EvalError(domain)
     _check_size(f"the value of {name}", span(*vals))
     try:
         value = fn(*vals)

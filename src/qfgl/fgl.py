@@ -31,7 +31,7 @@ from .scalar import Scalar, ZERO, ONE, Q, S, _dot
 # bi_compose has no caller here; perfbench's tracer test checks this by-name copy
 from .series import Series, BiSeries, log1, exp0, bi_compose, _powers
 from .mobius import q_mobius, q_mobius_inv, mob_apply, mob_det
-from .report import Check, VerificationReport
+from .report import VerificationReport, compare
 
 __all__ = [
     "FormalGroupLaw",
@@ -193,22 +193,19 @@ def proposition_check(order: int) -> VerificationReport:
     """Adjudicate which closed form the exp/log transport yields.
 
     Expands exp(log X + log Y) as a bivariate series and compares it,
-    coefficient by coefficient, against the two candidate closed forms:
-    the one with +(1+q)XY over 1 + qXY and the one with -(1+q)XY over
-    1 - qXY.  Exactly one candidate matches (the minus form); the plus
-    form fails already at the XY coefficient.
+    coefficient by coefficient, against the two candidate closed forms.
+    It matches the one with -(1+q)XY over 1 - qXY; the one with +(1+q)XY
+    over 1 + qXY is a declared discrepancy, which first shows at XY, so
+    an order below 2 cannot see it.
     """
     transported = f_chi_from_log(order).series
-    checks = []
-    for name, law in (("transport = plus form (X+Y+(1+q)XY)/(1+qXY)",
-                       f_chi_closed(order)),
-                      ("transport = minus form (X+Y-(1+q)XY)/(1-qXY)",
-                       f_chi_derived_closed(order))):
-        diff_key = _first_difference(transported, law.series)
-        checks.append(Check(name, order, diff_key is None,
-                            None if diff_key is None else
-                            f"first failing coefficient {diff_key}"))
-    return VerificationReport(tuple(checks))
+    return VerificationReport((
+        compare("exp/log transport matches the minus closed form", order,
+                transported, f_chi_derived_closed(order).series),
+        compare("exp/log transport differs from the plus closed form "
+                "(recorded discrepancy)", order,
+                transported, f_chi_closed(order).series, differ=True),
+    ))
 
 
 def drinfeld_form(order: int) -> FormalGroupLaw:
@@ -239,23 +236,15 @@ def _combine(terms: dict, xs: list, ys: list) -> Series | BiSeries:
     return acc
 
 
-def _first_difference(a: BiSeries, b: BiSeries):
-    """The first monomial, by total degree and then exponents, where a and
-    b differ; None when they agree."""
-    diff = (a - b).terms
-    return min(diff, key=lambda k: (sum(k), k)) if diff else None
-
-
-def _assoc_generic(F: FormalGroupLaw, order: int):
-    """Compare F(F(X,Y),Z) with F(X,F(Y,Z)) by truncated substitution."""
+def _assoc_generic(F: FormalGroupLaw, order: int) -> tuple:
+    """F(F(X,Y),Z) and F(X,F(Y,Z)), by truncated substitution."""
     X, Y, Z = (BiSeries.generator(3, order, k) for k in range(3))
-    left = fgl_eval(F, fgl_eval(F, X, Y), Z)
-    right = fgl_eval(F, X, fgl_eval(F, Y, Z))
-    return _first_difference(left, right)
+    return fgl_eval(F, fgl_eval(F, X, Y), Z), fgl_eval(F, X, fgl_eval(F, Y, Z))
 
 
-def _assoc_closed(closed):
-    """Exact associativity of a closed rational law by cross-multiplying.
+def _assoc_closed(closed) -> tuple:
+    """The two sides N1*D2 and N2*D1 of exact associativity of a closed
+    rational law, by cross-multiplying.
 
     F = P/R.  Clearing denominators writes each association order as
     N/D with polynomials N and D, so associativity is the polynomial
@@ -283,7 +272,7 @@ def _assoc_closed(closed):
     # right: P and R at (X, F(Y,Z)), cleared by B^dv
     xs, ys = X, cleared(Y, Z, dv)
     n2, d2 = _combine(P, xs, ys), _combine(R, xs, ys)
-    return _first_difference(n1 * d2, n2 * d1)
+    return n1 * d2, n2 * d1
 
 
 # ---------------------------------------------------------------------------
@@ -303,33 +292,21 @@ def verify_fgl(F: FormalGroupLaw, order: int, assoc: str = "auto") -> Verificati
     if F.series.order < order:
         raise ValueError("law not expanded far enough for the requested order")
     Fs = F.series.truncate(order)
-    checks = []
-
-    on_x = {(i, j): c for (i, j), c in Fs.terms.items() if j == 0}
-    on_y = {(i, j): c for (i, j), c in Fs.terms.items() if i == 0}
-    swapped = {(j, i): c for (i, j), c in Fs.terms.items()}
-    for name, lhs, rhs in (
-            ("unit F(X,0) = X", BiSeries(2, order, on_x), BiSeries.generator(2, order, 0)),
-            ("unit F(0,Y) = Y", BiSeries(2, order, on_y), BiSeries.generator(2, order, 1)),
-            ("commutativity F(X,Y) = F(Y,X)", Fs, BiSeries(2, order, swapped))):
-        bad = _first_difference(lhs, rhs)
-        checks.append(Check(name, order, bad is None,
-                            None if bad is None else f"first failing coefficient {bad}"))
-
-    use_closed = (assoc == "closed") or (assoc == "auto" and F.closed is not None)
-    if use_closed:
+    on_x = BiSeries(2, order, {(i, j): c for (i, j), c in Fs.terms.items() if j == 0})
+    on_y = BiSeries(2, order, {(i, j): c for (i, j), c in Fs.terms.items() if i == 0})
+    swapped = BiSeries(2, order, {(j, i): c for (i, j), c in Fs.terms.items()})
+    if assoc == "closed" or (assoc == "auto" and F.closed is not None):
         if F.closed is None:
             raise ValueError("no closed form available for the closed route")
-        bad = _assoc_closed(F.closed)
-        name = "associativity (exact, closed form)"
+        name, routes = "associativity (exact, closed form)", _assoc_closed(F.closed)
     else:
-        bad = _assoc_generic(F, order)
-        name = "associativity (truncated substitution)"
-    checks.append(Check(name, order, bad is None,
-                        None if bad is None else
-                        f"first failing monomial {bad}, total degree {sum(bad)}"))
-
-    return VerificationReport(tuple(checks))
+        name, routes = "associativity (truncated substitution)", _assoc_generic(F, order)
+    return VerificationReport((
+        compare("unit F(X,0) = X", order, on_x, BiSeries.generator(2, order, 0)),
+        compare("unit F(0,Y) = Y", order, on_y, BiSeries.generator(2, order, 1)),
+        compare("commutativity F(X,Y) = F(Y,X)", order, Fs, swapped),
+        compare(name, order, *routes),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +396,15 @@ def cartier_check(t_order: int, x_order: int) -> VerificationReport:
     det^{-1} * log U, which forces e^(t*log) = U^(det^{-1} t}); the check
     expands both sides per t-degree for the two exponent candidates
     c = det and c = det^{-1}, under both readings of the left-hand
-    exponential (1 - e^{-u} and e^{u} - 1), and reports which combination
-    holds coefficientwise.  The sides share no computation: the left reads
-    ``log_chi``, the right only binomials, Stirling numbers and powers of
-    1 - q (``_log_u_powers``).  Both sides of the t^k comparison are
-    multiplied by k! det^k, and under the minus reading by (-1)^(k+1): a
-    nonzero factor on both sides moves neither an equality nor a first
-    failure, and leaves polynomials, c * det = det^2 or 1, with no gcd.
+    exponential (1 - e^{-u} and e^{u} - 1).  Only c = det^{-1} under the
+    minus reading holds; the other three are declared discrepancies, which
+    first show at t^1 T^1 (c = det) and t^2 T^2.  The sides share no
+    computation: the left reads ``log_chi``, the right only binomials,
+    Stirling numbers and powers of 1 - q (``_log_u_powers``).  Both sides
+    of the t^k comparison are multiplied by k! det^k, and under the minus
+    reading by (-1)^(k+1): a nonzero factor on both sides moves neither an
+    equality nor a first difference, and leaves polynomials, c * det =
+    det^2 or 1, with no gcd.
     """
     det = mob_det(q_mobius())
     lg_pow = _powers(log_chi(x_order).scale(det), t_order)
@@ -433,14 +412,12 @@ def cartier_check(t_order: int, x_order: int) -> VerificationReport:
     checks = []
     for rname, minus_reading in (("1-exp(-u)", True), ("exp(u)-1", False)):
         for cname, c_det in (("c=1-q", det * det), ("c=(1-q)^-1", ONE)):
-            detail = None
-            for k in range(1, t_order + 1):
-                sign = ONE if minus_reading else Scalar.from_int((-1) ** (k + 1))
-                diff = lg_pow[k] - L_pow[k].scale(sign * c_det ** k)
-                if not diff.is_zero():
-                    j = next(i for i, v in enumerate(diff.coeffs) if v)
-                    detail = f"first failing coefficient t^{k} T^{j}"
-                    break
-            checks.append(Check(f"exponential-character identity [{rname}, {cname}]",
-                                (t_order, x_order), detail is None, detail))
+            holds = minus_reading and c_det == ONE
+            # read up to its first difference; t^0 is 1 on both sides, for 0 = 0
+            right = (L_pow[k].scale((ONE if minus_reading or k % 2 else -ONE) * c_det ** k)
+                     if k else L_pow[0] for k in range(t_order + 1))
+            checks.append(compare(
+                f"exponential-character identity [{rname}, {cname}] "
+                + ("holds" if holds else "fails as expected"),
+                (t_order, x_order), lg_pow, right, differ=not holds))
     return VerificationReport(tuple(checks))

@@ -18,13 +18,12 @@ conventions are made through ``negate_t``.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from operator import add
 
 from .scalar import Scalar, ZERO, ONE, Q
 from .mobius import Mobius, mob_apply_scalar
 from .qcomb import QSeries, q_fact, euler_phi, discriminant, _row_product, _top_row
-from .report import Check, VerificationReport
+from .report import VerificationReport, compare
 
 __all__ = [
     "lambda_t",
@@ -32,7 +31,6 @@ __all__ = [
     "witt_add",
     "newton_adams_from_lambda",
     "lambda_k_closed",
-    "LambdaKReport",
     "elementary_symmetric_oracle",
     "thom_class",
     "discriminant_limit",
@@ -113,44 +111,34 @@ def elementary_symmetric_oracle(k: int, q_order: int) -> QSeries:
     return QSeries(q_order, e[k])
 
 
-class LambdaKReport(namedtuple(
-        "LambdaKReport",
-        "k printed corrected witt_route oracle selected q_order_used")):
-    """Adjudication of the closed form of lambda^k((1-q)^{-1}).
+def _lambda_k_form(k: int, exponent: int) -> Scalar:
+    """q^exponent / ([k]_q! (1-q)^k), the closed form of lambda^k((1-q)^{-1})
+    at the exponent printed, k(k+1)/2, or at the corrected one, k(k-1)/2."""
+    return Scalar.q_power(exponent) / (q_fact(k) * (ONE - Q) ** k)
 
-    ``printed`` carries the exponent k(k+1)/2, ``corrected`` the binomial
-    exponent k(k-1)/2; ``witt_route`` is the t^k coefficient of the total
-    lambda operation and ``oracle`` the elementary-symmetric value, both
-    expanded to ``q_order_used``, which is raised beyond the requested
-    order when needed so the two exponent variants stay distinguishable
-    (their q-valuations are k(k-1)/2 and k(k+1)/2).  ``selected`` names
-    the exponent variant all routes agree on.
+
+def lambda_k_closed(k: int, q_order: int) -> VerificationReport:
+    """Adjudicate the closed form of lambda^k((1-q)^{-1}).
+
+    The t^k row of the total lambda operation, the elementary-symmetric
+    oracle and the closed form with the corrected exponent k(k-1)/2 agree;
+    the closed form with the printed exponent k(k+1)/2 is a declared
+    discrepancy.  All four are expanded to one q-order, raised beyond
+    ``q_order`` when needed so that the two exponent variants stay
+    distinguishable: their q-valuations are k(k-1)/2 and k(k+1)/2.
     """
-
-    __slots__ = ()
-
-
-def lambda_k_closed(k: int, q_order: int) -> LambdaKReport:
     if k < 1:
         raise ValueError("index must be >= 1")
     p = max(q_order, k * (k + 1) // 2 + 2)
-    one_minus_q = ONE - Q
-    base = q_fact(k) * one_minus_q ** k
-    printed = Scalar.q_power(k * (k + 1) // 2) / base
-    corrected = Scalar.q_power(k * (k - 1) // 2) / base
-    witt_route = lambda_t(ONE / one_minus_q, k, p)[k]
     oracle = elementary_symmetric_oracle(k, p)
-    printed_q = QSeries.from_scalar(printed, p)
-    corrected_q = QSeries.from_scalar(corrected, p)
-    if witt_route == oracle == corrected_q:
-        selected = "binom(k,2)"
-    elif witt_route == oracle == printed_q:
-        selected = "k(k+1)/2"
-    else:
-        selected = "none"
-    return LambdaKReport(k=k, printed=printed, corrected=corrected,
-                         witt_route=witt_route, oracle=oracle,
-                         selected=selected, q_order_used=p)
+    return VerificationReport((
+        compare(f"k={k}: all routes select the exponent binom(k,2)", None,
+                lambda_t(ONE / (ONE - Q), k, p)[k], oracle,
+                QSeries.from_scalar(_lambda_k_form(k, k * (k - 1) // 2), p)),
+        compare(f"k={k}: the k(k+1)/2 exponent variant disagrees", None,
+                QSeries.from_scalar(_lambda_k_form(k, k * (k + 1) // 2), p), oracle,
+                differ=True),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -185,24 +173,15 @@ def discriminant_limit(q_order: int) -> VerificationReport:
     the first factor being (1-t)^24; the split keeps ``lambda_t`` at
     t-order 24 instead of q_order + 24.  Two limit readings are compared
     against the discriminant: (a) direct substitution t = 1 in both
-    factors, through ``lambda_t`` of the constant 24, which vanishes, and
-    (b) dropping the first factor, which lands exactly on q times the
-    24th power of the Euler function.
+    factors, through ``lambda_t`` of the constant 24, which vanishes, a
+    declared discrepancy, and (b) dropping the first factor, which lands
+    exactly on q times the 24th power of the Euler function.
 
     Reading (b) raises the pentagonal product ``euler_phi`` to the 24th
     power, a route genuinely different from ``discriminant()``, which
     uses Jacobi's identity for phi^3.
     """
-    m = Mobius(ZERO, Scalar.from_int(24), -ONE, ONE)
-    mapped = mob_apply_scalar(m, Q)
-    target = Scalar.from_int(24) / (ONE - Q)
-    checks = [Check("Moebius step: matrix applied to q equals 24/(1-q)",
-                    None, mapped == target)]
-
-    exp = QSeries.from_scalar(mapped, q_order)
-    all_24 = all(c == 24 for c in exp.coeffs)
-    checks.append(Check("expansion coefficients all equal 24", q_order, all_24))
-
+    mapped = mob_apply_scalar(Mobius(ZERO, Scalar.from_int(24), -ONE, ONE), Q)
     delta = discriminant(q_order)
     # prod_{n>=1} (1 - q^n)^24: lambda_{-t}(24q/(1-q)) at t = 1
     dropped = euler_phi(q_order) ** 24
@@ -211,15 +190,16 @@ def discriminant_limit(q_order: int) -> VerificationReport:
     # are constants, so q-order 0 holds all of them
     at_1 = _at_t_equals_1(lambda_t(Scalar.from_int(24), 24, 0))
     candidate_a = dropped.scale(at_1[0]).shift(1)
-    checks.append(Check("reading (a): direct t = 1 vanishes identically",
-                        q_order, candidate_a.is_zero()))
-    checks.append(Check("reading (a) matches the discriminant", q_order,
-                        candidate_a == delta,
-                        None if candidate_a == delta else
-                        "identically zero, cannot equal the discriminant"))
-
-    # (b) drop the (1 - t)^24 factor, then t = 1
-    checks.append(Check("reading (b): q * (dropped-factor product at t = 1) "
-                        "equals the discriminant", q_order,
-                        dropped.shift(1) == delta))
-    return VerificationReport(tuple(checks))
+    return VerificationReport((
+        compare("Moebius step: matrix applied to q equals 24/(1-q)", None,
+                mapped, Scalar.from_int(24) / (ONE - Q)),
+        compare("expansion coefficients all equal 24", q_order,
+                QSeries.from_scalar(mapped, q_order), QSeries(q_order, [24] * (q_order + 1))),
+        compare("reading (a): direct t = 1 vanishes identically", q_order,
+                candidate_a, QSeries(q_order)),
+        compare("reading (a) matches the discriminant (expected not to match)", q_order,
+                candidate_a, delta, differ=True),
+        # (b) drop the (1 - t)^24 factor, then t = 1
+        compare("reading (b): q * (dropped-factor product at t = 1) "
+                "equals the discriminant", q_order, dropped.shift(1), delta),
+    ))

@@ -13,10 +13,11 @@ decomposed back by first differences of its weight multiplicities.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import prod
 
 from .scalar import Scalar, ZERO, ONE
 from .fgl import cp_image
-from .report import Check, VerificationReport
+from .report import VerificationReport, compare
 
 __all__ = [
     "Variety",
@@ -30,6 +31,7 @@ __all__ = [
     "character",
     "decompose_character",
     "qdim_normalized",
+    "diagram_routes",
     "diagram_check",
     "load_catalog",
 ]
@@ -233,25 +235,24 @@ def rep_of_variety(v: Variety) -> SL2Rep:
 # ---------------------------------------------------------------------------
 # the commutative-diagram check
 
-def diagram_check(v: Variety) -> VerificationReport:
-    """Three independent routes to the same element of Z[q].
+def diagram_routes(v: Variety) -> list:
+    """Three independent routes to the same element of Z[q], by name.
 
     (1) Hodge polynomial with YZ -> q, (2) top-weight normalized
     character of the Lefschetz representation, (3) product of the
     orientation images of the factors read off the group-law logarithm.
     """
-    via_log = ONE
-    for n in v.factors:
-        via_log = via_log * cp_image(n)
-    routes = [("Hodge", yz_to_q(hodge(v))),
-              ("representation", qdim_normalized(rep_of_variety(v))),
-              ("orientation", via_log)]
-    checks = []
-    # each route against the next, the last against the first
-    for (a, x), (b, y) in zip(routes, routes[1:] + routes[:1]):
-        checks.append(Check(f"{v}: {a} route equals {b} route", None, x == y,
-                            None if x == y else f"{x} != {y}"))
-    return VerificationReport(tuple(checks))
+    return [("Hodge", yz_to_q(hodge(v))),
+            ("representation", qdim_normalized(rep_of_variety(v))),
+            ("orientation", prod(map(cp_image, v.factors), start=ONE))]
+
+
+def diagram_check(v: Variety) -> VerificationReport:
+    """Each route of ``diagram_routes`` against the next, the last against the first."""
+    routes = diagram_routes(v)
+    return VerificationReport(tuple(
+        compare(f"{v}: {a} route equals {b} route", None, x, y)
+        for (a, x), (b, y) in zip(routes, routes[1:] + routes[:1])))
 
 
 def load_catalog(path) -> list:

@@ -159,6 +159,10 @@ def test_cli_eval_bad_expression(capsys):
     (("eval", "qbinom(2, 5)"), "qbinom(n, k) needs 0 <= k <= n"),
     (("eval", "cyclotomic(0)"), "cyclotomic(d) needs d >= 1"),
     (("eval", "adams(s, 2)"), "adams(x, k) needs x living in q and k >= 1"),
+    # a negative argument is refused by its domain before its size is weighed
+    (("eval", "qfact(-40)"), "qfact(k) needs k >= 0"),
+    (("eval", "qbinom(-40, 2)"), "qbinom(n, k) needs 0 <= k <= n"),
+    (("eval", "adams(1+q, -1000000000)"), "adams(x, k) needs x living in q and k >= 1"),
 ])
 def test_cli_refusals_name_their_reason(capsys, argv, reason):
     code, out, err = run_cli(capsys, *argv)
@@ -237,18 +241,19 @@ def test_cli_verify_suites_pass(capsys):
 def test_cli_lambda_k_compares_at_the_order_it_used(capsys, monkeypatch):
     # with the printed exponent replaced by the corrected one, every
     # "disagrees" check must fail: two series of different orders are
-    # unequal whatever their coefficients, so the suite must compare at
-    # the order lambda_k_closed used, which exceeds 10 for k = 6, 7, 8
-    def printed_is_corrected(k, q_order):
-        rep = qfgl.lambda_k_closed(k, q_order)
-        return rep._replace(printed=rep.corrected)
-    monkeypatch.setattr(qfgl.cli, "lambda_k_closed", printed_is_corrected)
+    # unequal whatever their coefficients, so both variants must be compared
+    # at the order lambda_k_closed used, which exceeds 10 for k = 6, 7, 8
+    true_form = qfgl.lambda_ring._lambda_k_form
+    monkeypatch.setattr(qfgl.lambda_ring, "_lambda_k_form",
+                        lambda k, exponent: true_form(k, k * (k - 1) // 2))
     code, out, _ = run_cli(capsys, "verify", "lambda-k", "--q-order", "10",
                            "--format", "json")
     assert code == 1
     disagree = [c for c in json.loads(out)["checks"] if "disagrees" in c["name"]]
     assert len(disagree) == 8
     assert not any(c["pass"] for c in disagree)
+    assert [c["detail"] for c in disagree] == [
+        f"the routes agree through q^{max(20, k * (k + 1) // 2 + 2)}" for k in range(1, 9)]
 
 
 def test_cli_verify_fgl_axioms(capsys):

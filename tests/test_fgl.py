@@ -228,11 +228,14 @@ def test_transport_differs_from_plus_closed_form():
 
 
 def test_proposition_adjudication_pattern():
+    # the transport matches the minus form and differs from the plus form,
+    # first at XY: the declared discrepancy passes and records where
     rep = proposition_check(10)
-    outcomes = {c.name: c.passed for c in rep.checks}
+    outcomes = {c.name: (c.passed, c.detail) for c in rep.checks}
     assert outcomes == {
-        "transport = plus form (X+Y+(1+q)XY)/(1+qXY)": False,
-        "transport = minus form (X+Y-(1+q)XY)/(1-qXY)": True,
+        "exp/log transport matches the minus closed form": (True, None),
+        "exp/log transport differs from the plus closed form (recorded discrepancy)":
+            (True, "first difference at XY: -1 - q != 1 + q"),
     }
 
 
@@ -263,7 +266,7 @@ def test_non_law_fails_associativity_at_degree_four():
     by_name = {c.name: c for c in rep.checks}
     assoc = by_name["associativity (truncated substitution)"]
     assert not assoc.passed
-    assert "total degree 4" in assoc.detail
+    assert assoc.detail == "first difference at XYZ^2: 2 != 0"   # total degree 4
     assert by_name["unit F(X,0) = X"].passed
     assert by_name["commutativity F(X,Y) = F(Y,X)"].passed
 
@@ -278,7 +281,7 @@ def test_non_law_closed_form_fails_on_both_routes(assoc, name):
     bad = FormalGroupLaw(series=BiSeries(2, 6, closed[0]), closed=closed)
     by_name = {c.name: c for c in verify_fgl(bad, 6, assoc=assoc).checks}
     assert not by_name[name].passed
-    assert by_name[name].detail == "first failing monomial (1, 1, 2), total degree 4"
+    assert by_name[name].detail == "first difference at XYZ^2: 2 != 0"
     assert by_name["commutativity F(X,Y) = F(Y,X)"].passed
 
 
@@ -312,14 +315,14 @@ def test_verify_fgl_rejects_an_unknown_assoc():
 
 
 @pytest.mark.parametrize("terms, failing, detail", [
-    ({(0, 1): ONE}, "unit F(X,0) = X", "first failing coefficient (1, 0)"),
-    ({(1, 0): ONE}, "unit F(0,Y) = Y", "first failing coefficient (0, 1)"),
+    ({(0, 1): ONE}, "unit F(X,0) = X", "first difference at X: 0 != 1"),
+    ({(1, 0): ONE}, "unit F(0,Y) = Y", "first difference at Y: 0 != 1"),
     ({(1, 0): ONE, (0, 1): ONE, (3, 0): Q}, "unit F(X,0) = X",
-     "first failing coefficient (3, 0)"),
+     "first difference at X^3: q != 0"),
     ({(1, 0): Q, (0, 1): ONE, (2, 0): ONE}, "unit F(X,0) = X",
-     "first failing coefficient (1, 0)"),
+     "first difference at X: q != 1"),
     ({(0, 1): ONE, (2, 0): ONE}, "unit F(X,0) = X",
-     "first failing coefficient (1, 0)"),
+     "first difference at X: 0 != 1"),
 ], ids=["F=Y", "F=X", "extra-X^3", "wrong-X", "missing-X"])
 def test_unit_check_names_the_first_failing_coefficient(terms, failing, detail):
     F = FormalGroupLaw(series=BiSeries(2, 4, terms))
@@ -329,9 +332,9 @@ def test_unit_check_names_the_first_failing_coefficient(terms, failing, detail):
 
 
 @pytest.mark.parametrize("extra, detail", [
-    ({(2, 1): ONE, (1, 2): Q, (3, 1): ONE}, "first failing coefficient (1, 2)"),
+    ({(2, 1): ONE, (1, 2): Q, (3, 1): ONE}, "first difference at XY^2: q != 1"),
     # only one of (3, 1) and (1, 3) present: the smaller key is named
-    ({(3, 1): ONE}, "first failing coefficient (1, 3)"),
+    ({(3, 1): ONE}, "first difference at XY^3: 0 != 1"),
 ], ids=["both-present", "one-present"])
 def test_commutativity_check_names_the_first_failing_coefficient(extra, detail):
     F = FormalGroupLaw(series=BiSeries(2, 5, {(1, 0): ONE, (0, 1): ONE, **extra}))
@@ -415,38 +418,44 @@ def test_inverse_input_errors():
 # -- the exponential-character identity ---------------------------------------------------
 
 def test_cartier_adjudication_pinned():
+    # only [1-exp(-u), c=(1-q)^-1] holds; the other three are declared to
+    # fail, and do
     rep = cartier_check(6, 8)
-    outcomes = {c.name: c.passed for c in rep.checks}
-    assert outcomes == {
-        "exponential-character identity [1-exp(-u), c=1-q]": False,
-        "exponential-character identity [1-exp(-u), c=(1-q)^-1]": True,
-        "exponential-character identity [exp(u)-1, c=1-q]": False,
-        "exponential-character identity [exp(u)-1, c=(1-q)^-1]": False,
-    }
+    assert rep.all_passed
+    assert [c.name for c in rep.checks] == [
+        "exponential-character identity [1-exp(-u), c=1-q] fails as expected",
+        "exponential-character identity [1-exp(-u), c=(1-q)^-1] holds",
+        "exponential-character identity [exp(u)-1, c=1-q] fails as expected",
+        "exponential-character identity [exp(u)-1, c=(1-q)^-1] fails as expected",
+    ]
 
 
-# The CLI prints no detail for a check that fails as expected, so these
-# first failing coefficients are pinned here only.
+# The CLI prints no detail for a passing check, so where each declared
+# discrepancy first shows is pinned here only.
 @pytest.mark.parametrize("t_order, x_order", [(2, 2), (4, 6), (6, 8)],
                          ids=["2-2", "4-6", "6-8"])
-@pytest.mark.parametrize("combination, detail", [
-    ("1-exp(-u), c=1-q", "first failing coefficient t^1 T^1"),
-    ("exp(u)-1, c=1-q", "first failing coefficient t^1 T^1"),
-    ("exp(u)-1, c=(1-q)^-1", "first failing coefficient t^2 T^2"),
+@pytest.mark.parametrize("combination, where", [
+    ("1-exp(-u), c=1-q", "t^1 T^1"),
+    ("exp(u)-1, c=1-q", "t^1 T^1"),
+    ("exp(u)-1, c=(1-q)^-1", "t^2 T^2"),
 ], ids=["minus-det", "plus-det", "plus-inverse"])
-def test_cartier_printed_variant_fails_immediately(combination, detail,
+def test_cartier_printed_variant_fails_immediately(combination, where,
                                                    t_order, x_order):
     rep = cartier_check(t_order, x_order)
-    failing = {c.name: c.detail for c in rep.checks if not c.passed}
-    assert failing[f"exponential-character identity [{combination}]"] == detail
+    by_name = {c.name: c for c in rep.checks}
+    declared = by_name[f"exponential-character identity [{combination}] fails as expected"]
+    assert declared.passed
+    assert declared.detail.startswith(f"first difference at {where}: ")
 
 
 def test_cartier_sides_share_no_computation(monkeypatch):
-    # a wrong logarithm moves only the left side, so no candidate survives
+    # a wrong logarithm moves only the left side, so no candidate survives:
+    # the routes of every combination differ
     true_log1 = qfgl.fgl.log1
     monkeypatch.setattr(qfgl.fgl, "log1", lambda f: true_log1(f).scale(2))
     rep = cartier_check(4, 6)
-    assert not any(c.passed for c in rep.checks)
+    assert not rep.all_passed
+    assert all(c.detail.startswith("first difference at ") for c in rep.checks)
 
 
 def test_cartier_reads_the_right_side(monkeypatch):
@@ -462,8 +471,21 @@ def test_cartier_reads_the_right_side(monkeypatch):
     monkeypatch.setattr(qfgl.fgl, "_log_u_powers", wrong)
     rep = cartier_check(4, 6)
     failing = {c.name: c.detail for c in rep.checks if not c.passed}
-    assert (failing["exponential-character identity [1-exp(-u), c=(1-q)^-1]"]
-            == "first failing coefficient t^3 T^5")
+    assert failing["exponential-character identity [1-exp(-u), c=(1-q)^-1] holds"].startswith(
+        "first difference at t^3 T^5: ")
+
+
+def test_cartier_builds_no_right_row_past_the_first_difference(monkeypatch):
+    # one scaling for the left side, then one per right-side row compared:
+    # t^1 for each c = 1-q, t^1..t^6 for the combination that holds, and
+    # t^1, t^2 for [exp(u)-1, c=(1-q)^-1], whose t^2 row first differs
+    lg = log_chi(10)
+    monkeypatch.setattr(qfgl.fgl, "log_chi", lambda order: lg)
+    calls = []
+    true_scale = Series.scale
+    monkeypatch.setattr(Series, "scale", lambda f, c: calls.append(1) or true_scale(f, c))
+    assert cartier_check(6, 10).all_passed
+    assert len(calls) == 1 + 1 + 6 + 1 + 2
 
 
 def test_cartier_check_runs_no_gcd(monkeypatch):

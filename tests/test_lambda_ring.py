@@ -12,6 +12,7 @@ from qfgl import (
     newton_adams_from_lambda, lambda_k_closed, elementary_symmetric_oracle,
     thom_class, discriminant_limit,
 )
+from qfgl.lambda_ring import _lambda_k_form
 
 from conftest import random_scalar, random_virtual_rep
 
@@ -286,26 +287,30 @@ def test_oracle_is_a_shifted_gaussian_binomial():
 
 
 def test_lambda_k_exponent_variants_differ_at_k_1():
-    rep = lambda_k_closed(1, 20)
-    assert rep.printed == Q / (ONE - Q)
-    assert rep.corrected == ONE / (ONE - Q)
-    assert rep.oracle == QSeries.from_scalar(rep.corrected, 20)
+    printed, corrected = _lambda_k_form(1, 1), _lambda_k_form(1, 0)
+    assert printed == Q / (ONE - Q)
+    assert corrected == ONE / (ONE - Q)
+    assert elementary_symmetric_oracle(1, 20) == QSeries.from_scalar(corrected, 20)
+    disagrees = lambda_k_closed(1, 20).checks[1]
+    assert disagrees.passed and disagrees.detail == "first difference at q^0: 0 != 1"
 
 
 def test_lambda_k_adjudication():
     for k in range(1, 9):
-        rep = lambda_k_closed(k, 20)
-        assert rep.selected == "binom(k,2)", f"k = {k}"
-        assert rep.witt_route == rep.oracle
-        assert rep.oracle == QSeries.from_scalar(rep.corrected, rep.q_order_used)
-        # the printed exponent k(k+1)/2 never coincides with binom(k,2)
-        assert QSeries.from_scalar(rep.printed, rep.q_order_used) != rep.oracle
+        selects, disagrees = lambda_k_closed(k, 20).checks
+        # the Witt route, the oracle and the corrected closed form agree
+        assert selects.name == f"k={k}: all routes select the exponent binom(k,2)"
+        assert selects.passed, selects.detail
+        # the printed exponent k(k+1)/2 never coincides with binom(k,2): it
+        # misses the lowest term q^(k(k-1)/2) of the oracle
+        assert disagrees.name == f"k={k}: the k(k+1)/2 exponent variant disagrees"
+        assert disagrees.passed
+        assert disagrees.detail == f"first difference at q^{k * (k - 1) // 2}: 0 != 1"
 
 
 def test_lambda_k_route_equality_k3():
-    rep = lambda_k_closed(3, 20)
     w = lambda_t(geom(), 3, 20)
-    assert w[3] == rep.oracle
+    assert w[3] == elementary_symmetric_oracle(3, 20)
 
 
 # -- Thom class and the discriminant limit ----------------------------------------------
@@ -322,10 +327,13 @@ def test_thom_class_unit():
 
 def test_discriminant_limit_adjudication():
     rep = discriminant_limit(12)
-    by_name = {c.name: c.passed for c in rep.checks}
-    assert by_name["Moebius step: matrix applied to q equals 24/(1-q)"]
-    assert by_name["expansion coefficients all equal 24"]
-    assert by_name["reading (a): direct t = 1 vanishes identically"]
-    assert not by_name["reading (a) matches the discriminant"]
+    assert rep.all_passed
+    by_name = {c.name: c.detail for c in rep.checks}
+    assert by_name["Moebius step: matrix applied to q equals 24/(1-q)"] is None
+    assert by_name["expansion coefficients all equal 24"] is None
+    assert by_name["reading (a): direct t = 1 vanishes identically"] is None
+    # reading (a) does not match: it vanishes, and the discriminant starts at q
+    assert (by_name["reading (a) matches the discriminant (expected not to match)"]
+            == "first difference at q^1: 0 != 1")
     assert by_name["reading (b): q * (dropped-factor product at t = 1) "
-                   "equals the discriminant"]
+                   "equals the discriminant"] is None
