@@ -23,7 +23,6 @@ arithmetic at a total degree no product can exceed.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import wraps
 from math import comb, factorial
 
@@ -372,8 +371,9 @@ def _log_u_powers(t_order: int, x_order: int) -> list:
     binomial series (log U)^k = k! sum_j s(j, k) (U - 1)^j / j!, s the signed
     Stirling numbers of the first kind (Comtet, *Advanced Combinatorics*,
     1974, ch. V).  With y = 1 - q, [T^n](U - 1)^j = y^j C(n-1, j-1), so each
-    coefficient is one ``_dot`` of rationals against powers of y.  They match
-    (det * log_chi)^k; ``cartier_check`` says why det^k moves no verdict.
+    coefficient is one ``_dot`` of integers against powers of y over n!,
+    which clears every j!.  They match (det * log_chi)^k; ``cartier_check``
+    says why det^k moves no verdict.
     """
     ys = _powers(ONE - Q, x_order)
     stirling = [[1]]                        # stirling[j][k] = s(j, k)
@@ -382,9 +382,9 @@ def _log_u_powers(t_order: int, x_order: int) -> list:
     out = [Series.constant(x_order, ONE)]
     for k in range(1, t_order + 1):
         out.append(Series(x_order, [
-            _dot([Scalar.from_fraction(Fraction(
-                factorial(k) * stirling[j][k] * comb(n - 1, j - 1), factorial(j)))
-                for j in range(k, n + 1)], ys[k:])
+            _dot([Scalar.from_int(factorial(k) * stirling[j][k] * comb(n - 1, j - 1)
+                                  * (factorial(n) // factorial(j)))
+                  for j in range(k, n + 1)], ys[k:]) / Scalar.from_int(factorial(n))
             for n in range(x_order + 1)]))
     return out
 

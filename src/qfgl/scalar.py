@@ -32,11 +32,12 @@ substitution x -> x**k, which the Adams operation ``adams`` applies, and
 ``series.Series`` convolution and each coefficient of a
 ``series.BiSeries`` product or quotient reads; it multiplies polynomials
 as packed big integers (``_ip_pack``, ``_ip_unpack``, which go through
-bytes above theirs), and the gcd ``_ip_gcd`` reads the same kernels, one
-integer gcd per try, and returns its quotients, so ``_reduce`` is the one
-canonicaliser after a gcd.  ``adams``, like ``ONE / x``, is canonical as
-built, with no gcd (``/`` multiplies by that exact inverse).
-``Scalar.eval_s`` is the one evaluation.  The
+bytes above theirs), in one walk over its pairs to gather them, one to
+size the width and one to pack and sum.  The gcd ``_ip_gcd`` reads the
+same kernels, one integer gcd per try, and returns its quotients, so
+``_reduce`` is the one canonicaliser after a gcd.  ``adams``, like
+``ONE / x``, is canonical as built, with no gcd (``/`` multiplies by
+that exact inverse).  ``Scalar.eval_s`` is the one evaluation.  The
 q-expansion of a Scalar is ``qcomb.QSeries.from_scalar``, which divides
 the numerator by the denominator with the unit division of
 ``series.Series``.
@@ -507,60 +508,62 @@ def _dot(xs, ys) -> Scalar:
     pairs) + 1 keeps every digit below 2**(w-1) in absolute value: none
     overflows, and the sum is exact.  w is rounded up to whole 64-bit
     words, so the successive dots of one convolution share it, and each
-    Scalar packs itself once for them (``_pack``).  A single such pair is
-    one ``_ip_mul``; any other pair is added through ``Scalar.__add__``.
+    Scalar packs itself once for them.  Its slot ``_packing`` holds (a
+    coefficient at an odd offset?, |A|, len A), filled in by its first
+    packed dot, then the stride, width and integer of its last packing,
+    with stride 0 before the first; a new packing replaces it whole.  One
+    loop gathers the pairs, one reads their slots for the stride and the
+    width, and one packs and sums.  A single such pair is one ``_ip_mul``
+    and fills no slot; any other pair is added through ``Scalar.__add__``.
     """
-    pairs = []
+    terms = []
     rest = ZERO
     for x, y in zip(xs, ys):
-        if not x.num[2] or not y.num[2]:
+        xn, yn = x.num, y.num
+        if not xn[2] or not yn[2]:
             continue
         if x.den != (1,) or y.den != (1,):
             rest = x * y if rest is ZERO else rest + x * y
-        else:
-            pairs.append((x, y))
-    if not pairs:
+            continue
+        terms.append((x, y, xn[0] + yn[0], xn[1] * yn[1]))
+    if not terms:
         return rest
-    if len(pairs) == 1:
-        [(x, y)] = pairs
-        num = _lp_mul(x.num, y.num)
+    if len(terms) == 1:
+        num = _lp_mul(terms[0][0].num, terms[0][1].num)
     else:
-        lo = min(x.num[0] + y.num[0] for x, y in pairs)
-        den = lcm(*[x.num[1] * y.num[1] for x, y in pairs])
-        terms = [(x.num[0] + y.num[0] - lo, den // (x.num[1] * y.num[1]),
-                  _shape(x), _shape(y)) for x, y in pairs]
-        step = 1 if any(v & 1 or sx[0] or sy[0] for v, _, sx, sy in terms) else 2
-        bound = max(m * sx[1] * sy[1] * min(sx[2], sy[2]) for _, m, sx, sy in terms)
-        w = (bound.bit_length() + len(pairs).bit_length() + 64) & -64
+        v0 = lo = terms[0][2]
+        den = lcm(*[t[3] for t in terms])
+        step, bound = 2, 0
+        for x, y, v, d in terms:
+            sx = x._packing
+            if sx is None:
+                ac = x.num[2]
+                sx = x._packing = (any(ac[1::2]), max(map(abs, ac)), len(ac), 0, 0, 0)
+            sy = y._packing                 # after x's, in case y is x
+            if sy is None:
+                ac = y.num[2]
+                sy = y._packing = (any(ac[1::2]), max(map(abs, ac)), len(ac), 0, 0, 0)
+            if (v - v0) & 1 or sx[0] or sy[0]:
+                step = 1
+            if v < lo:
+                lo = v
+            b = den // d * sx[1] * sy[1] * (sx[2] if sx[2] < sy[2] else sy[2])
+            if b > bound:
+                bound = b
+        w = (bound.bit_length() + len(terms).bit_length() + 64) & -64
         acc = 0
-        for (x, y), (v, m, _, _) in zip(pairs, terms):
-            acc += (_pack(x, step, w) * _pack(y, step, w) * m) << (w * (v // step))
+        for x, y, v, d in terms:
+            sx = x._packing
+            if sx[3] != step or sx[4] != w:
+                sx = x._packing = sx[:3] + (step, w, _ip_pack(x.num[2][::step], w))
+            sy = y._packing
+            if sy[3] != step or sy[4] != w:
+                sy = y._packing = sy[:3] + (step, w, _ip_pack(y.num[2][::step], w))
+            acc += (sx[5] * sy[5] * (den // d)) << (w * ((v - lo) // step))
         num = _lp_make(lo, den, _ip_stretch(_ip_unpack(acc, w), step))
     if not num[2]:
         return rest
     return Scalar(num, (1,)) + rest if rest else Scalar(num, (1,))
-
-
-def _shape(x: Scalar) -> tuple:
-    """The packing slot of a nonzero Scalar, filled in on first use: (a
-    coefficient at an odd offset?, the largest absolute coefficient, the
-    length, then the stride, width and integer of the last packing, with
-    stride 0 before the first)."""
-    slot = x._packing
-    if slot is None:
-        ac = x.num[2]
-        slot = x._packing = (any(ac[1::2]), max(map(abs, ac)), len(ac), 0, 0, 0)
-    return slot
-
-
-def _pack(x: Scalar, step: int, w: int) -> int:
-    """The numerator of x packed at this stride and width, from its slot
-    when the last packing had them; a new packing replaces the slot whole."""
-    slot = x._packing
-    if slot[3] != step or slot[4] != w:
-        slot = slot[:3] + (step, w, _ip_pack(x.num[2][::step], w))
-        x._packing = slot
-    return slot[5]
 
 
 def _reduce(num, den) -> Scalar:
