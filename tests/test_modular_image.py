@@ -120,9 +120,9 @@ def _series(rng, order: int, bits: int, parity: bool) -> Series:
 
 
 def _reversible(rng, order: int, bits: int, parity: bool) -> Series:
-    """f(0) = 0 and a monomial f'(0), whose inverse is one: a linear
-    coefficient with more terms makes the reversion's denominators its
-    powers, and the draw's cost their gcds."""
+    """f(0) = 0 and a monomial f'(0), whose inverse is a monomial too: with
+    more terms, the reversion's denominators are powers of f'(0), and its
+    gcds on them cost up to half a minute a draw."""
     lin = (Scalar.from_int(rng.choice((-3, -1, 1, 2))) / Scalar.from_int(rng.randint(1, 6))
            * S ** rng.choice((-4, -2, 0, 2) + ((-1, 1) if parity else ())))
     return Series(order, [ZERO, lin] + [_entry(rng, bits, parity) for _ in range(order - 1)])
