@@ -131,9 +131,11 @@ def _closed_form(a: Scalar, b: Scalar) -> tuple:
 
 
 def _closed_law(a: Scalar, b: Scalar, order: int) -> FormalGroupLaw:
-    """(X + Y + a XY)/(1 + b XY), expanded by total degree, with its closed form."""
-    closed = num, den = _closed_form(a, b)
-    return FormalGroupLaw(BiSeries(2, order, num) / BiSeries(2, order, den), closed)
+    """(X + Y + a XY)/(1 + b XY) with its closed form, expanded by total degree
+    as one product of the numerator with the geometric series sum_k (-b XY)^k."""
+    closed = num, _ = _closed_form(a, b)
+    geometric = {(k, k): (-b) ** k for k in range(order // 2 + 1)}
+    return FormalGroupLaw(BiSeries(2, order, num) * BiSeries(2, order, geometric), closed)
 
 
 def f_chi_closed(order: int) -> FormalGroupLaw:

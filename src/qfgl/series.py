@@ -268,14 +268,6 @@ def exp0(f: Series) -> Series:
 # ---------------------------------------------------------------------------
 # multivariate series, truncated by total degree
 
-def _monomials(nvars: int, d: int) -> list:
-    """Exponent tuples of total degree d in nvars variables, lexicographic."""
-    if nvars == 1:
-        return [(d,)]
-    return [(i,) + rest for i in range(d + 1)
-            for rest in _monomials(nvars - 1, d - i)]
-
-
 class BiSeries:
     """Sparse series in several variables, truncated by total degree.
 
@@ -288,11 +280,15 @@ class BiSeries:
     __slots__ = ("nvars", "order", "terms")
 
     def __init__(self, nvars: int, order: int, terms=None):
+        if nvars < 1 or order < 0:
+            raise ValueError("a multivariate series needs nvars >= 1 and order >= 0")
         self.nvars = nvars
         self.order = order
         clean = {}
         if terms:
             for e, c in terms.items():
+                if len(e) != nvars or min(e) < 0:
+                    raise ValueError(f"exponents {e} name no monomial in {nvars} variables")
                 c = _as_scalar(c)
                 if sum(e) <= order and not c.is_zero():
                     clean[e] = c
@@ -323,6 +319,8 @@ class BiSeries:
     # -- access ----------------------------------------------------------------
 
     def coeff(self, *exps) -> Scalar:
+        if len(exps) != self.nvars:
+            raise ValueError(f"{len(exps)} exponents for {self.nvars} variables")
         if sum(exps) > self.order:
             raise IndexError(f"degree ({','.join(map(str, exps))}) beyond "
                              f"computed total order {self.order}")
@@ -385,31 +383,6 @@ class BiSeries:
                     ys.append(c2)
         return BiSeries._build(self.nvars, n, {m: _dot(xs, ys)
                                                for m, (xs, ys) in pairs.items()})
-
-    def __truediv__(self, other: "BiSeries") -> "BiSeries":
-        n = self._common(other)
-        d0 = other.constant_term()
-        if d0.is_zero():
-            raise ZeroDivisionError(
-                "multivariate division needs an invertible constant term")
-        inv0 = ONE / d0
-        rest = [(e, c) for e, c in other.terms.items() if any(e)]
-        out: dict = {}
-        # solve by increasing total degree; out never holds a negative key
-        for d in range(n + 1):
-            for m in _monomials(self.nvars, d):
-                cs, rs = [], []
-                for e, c in rest:
-                    r = out.get(tuple(map(sub, m, e)))
-                    if r is not None:
-                        cs.append(c)
-                        rs.append(r)
-                acc = self.terms.get(m, ZERO)
-                if cs:
-                    acc = acc - _dot(cs, rs)
-                if not acc.is_zero():
-                    out[m] = acc * inv0
-        return BiSeries._build(self.nvars, n, out)
 
     def scale(self, c) -> "BiSeries":
         c = _as_scalar(c)

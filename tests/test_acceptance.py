@@ -132,8 +132,9 @@ def test_criterion_05_rescaled_symmetric_form():
     num, den = D.closed
     ok = num == {(1, 0): ONE, (0, 1): ONE, (1, 1): ONE / S + S}
     ok = ok and den == {(0, 0): ONE, (1, 1): ONE}
-    expanded = BiSeries(2, n, num) / BiSeries(2, n, den)
-    ok = ok and D.series == expanded
+    # the divisor has constant term 1, so multiplying back holds exactly
+    # when D.series is num/den to total degree n
+    ok = ok and D.series * BiSeries(2, n, den) == BiSeries(2, n, num)
     ok = ok and verify_fgl(D, n).all_passed
     announce("05 half-power rescaling gives the symmetric law over Q(s)", ok)
 

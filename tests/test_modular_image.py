@@ -2,9 +2,10 @@
 
 phi: Q(s) -> F_p sends s to a seeded random residue s0 modulo the prime
 p = 2**61 - 1.  It is a ring homomorphism wherever it is defined, so every
-operation must commute with it: phi(sum x*y) = sum phi(x)*phi(y), and the
+operation must commute with it: phi(sum x*y) = sum phi(x)*phi(y), the
 image of a series product or reversion is the product or reversion of the
-images.  A nonzero difference of degree D survives a random s0 with
+images, in one variable or several, and each closed law F = N/D
+satisfies phi(F) * phi(D) = phi(N) to its total order.  A nonzero difference of degree D survives a random s0 with
 probability at most D/p (J. T. Schwartz, J. ACM 27, 1980; R. Zippel,
 EUROSAM 1979).  The map reads only a Scalar's ``num`` and ``den`` and runs
 Horner's rule on Python integers modulo p; the series are multiplied and
@@ -16,9 +17,13 @@ The map cannot see a non-canonical form that has the right value;
 """
 
 import random
+from itertools import product
 from math import factorial
 
-from qfgl import Scalar, Series, ZERO, ONE, Q, S, reverse
+from qfgl import (
+    Scalar, Series, BiSeries, ZERO, ONE, Q, S, reverse,
+    f_chi_closed, f_chi_derived_closed, multiplicative_law, drinfeld_form,
+)
 from qfgl.scalar import _dot
 
 P = 2 ** 61 - 1
@@ -166,3 +171,67 @@ def test_series_product_and_reversion_commute_with_the_image():
         r = _reversible(rng, order, bits, parity)
         ri = [image(c, s0) for c in r.coeffs]
         assert [image(c, s0) for c in reverse(r).coeffs] == _mod_reverse(ri, order)
+
+
+def _mod_bimul(a: dict, b: dict, n: int) -> dict:
+    """The product of two exponent-keyed images up to total degree n, with
+    no key for a zero."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            m = tuple(i + j for i, j in zip(e1, e2))
+            if sum(m) <= n:
+                out[m] = (out.get(m, 0) + c1 * c2) % P
+    return {m: c for m, c in out.items() if c}
+
+
+def _image_terms(f: BiSeries, s0: int) -> dict:
+    return {e: image(c, s0) for e, c in f.terms.items()}
+
+
+def test_biseries_product_commutes_with_the_image():
+    rng = random.Random(SEED + 3)
+    s0 = rng.randrange(2, P - 1)
+    rest = 0
+    for case in range(30):
+        nvars = 2 + case % 2
+        order = rng.randint(0, 8 if nvars == 2 else 5)
+        bits = (case % 3) * 30 + 20
+        parity = case % 4 < 2
+        f, g = (BiSeries(nvars, order, {
+            e: _entry(rng, bits, parity) for e in product(range(order + 1), repeat=nvars)
+            if sum(e) <= order and rng.random() < density}) for density in (0.7, 0.5))
+        fi, gi = _image_terms(f, s0), _image_terms(g, s0)
+        assert _image_terms(f * g, s0) == _mod_bimul(fi, gi, order), case
+        assert _image_terms(f * f, s0) == _mod_bimul(fi, fi, order), case
+        rest += sum(c.den != (1,) for c in f.terms.values())
+    # rational functions reach ``_dot`` as pairs that it does not pack
+    assert rest
+
+
+# each closed law with its a and b in (X + Y + a XY)/(1 + b XY), written out
+# here rather than read from the law
+CLOSED_LAWS = (
+    (f_chi_closed, ONE + Q, Q),
+    (f_chi_derived_closed, -(ONE + Q), -Q),
+    (multiplicative_law, ONE, ZERO),
+    (drinfeld_form, ONE / S + S, ONE),
+)
+
+
+def test_closed_laws_multiply_back_under_the_image():
+    rng = random.Random(SEED + 4)
+    s0 = rng.randrange(2, P - 1)
+    # at an odd order the last term of the geometric series reaches the
+    # top degree through X and Y; at an even order it does not
+    for order in (21, 24):
+        for law, a, b in CLOSED_LAWS:
+            F = law(order).series
+            assert F.order == order
+            num = {(1, 0): 1, (0, 1): 1, (1, 1): image(a, s0)}
+            den = {(0, 0): 1, (1, 1): image(b, s0)}
+            back = _mod_bimul(_image_terms(F, s0), den, order)
+            for i in range(order + 1):
+                for j in range(order + 1 - i):
+                    assert back.get((i, j), 0) == num.get((i, j), 0) % P, \
+                        (law.__name__, order, i, j)

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
 
 import pytest
 
@@ -39,16 +38,6 @@ def test_basic_unit_series_expansion():
 def test_mul_unit():
     f = Series(5, [Q, ONE, Q + ONE, ZERO, Q ** 2, ONE])
     assert f * one_series(5) == f
-
-
-def test_bivariate_geometric_inverse():
-    # 1/(1 + qXY) to total order 4; checked by multiplying back
-    one = BiSeries.constant(2, 4, ONE)
-    den = BiSeries(2, 4, {(0, 0): ONE, (1, 1): Q})
-    f = one / den
-    assert f == BiSeries(2, 4,
-                         {(0, 0): ONE, (1, 1): -Q, (2, 2): Q ** 2})
-    assert f * den == one
 
 
 # One kernel serves both coefficient rings: Scalars of Q(s) in Series,
@@ -108,8 +97,14 @@ def test_division_requires_unit(one, non_unit):
     (lambda: Series(-1), ValueError),
     (lambda: Series(3, (ONE,))[4], IndexError),
     (lambda: Series(2, ("x",)), TypeError),
-    (lambda: BiSeries.constant(2, 3, ONE) / BiSeries.generator(2, 3, 0), ZeroDivisionError),
-], ids=["negative order", "past the order", "foreign coefficient", "bivariate non-unit"])
+    (lambda: BiSeries(2, -3), ValueError),
+    (lambda: BiSeries(0, 3), ValueError),
+    (lambda: BiSeries(2, 4, {(-1, 2): ONE}), ValueError),
+    (lambda: BiSeries(2, 4, {(1, 0, 0): ONE}), ValueError),
+    (lambda: BiSeries(2, 4, {(1, 0): ONE}).coeff(1), ValueError),
+], ids=["negative order", "past the order", "foreign coefficient",
+        "multivariate negative order", "multivariate no variables", "negative exponent",
+        "exponents of another arity", "coefficient of another arity"])
 def test_guards_refuse_what_has_no_value(call, error):
     with pytest.raises(error):
         call()
@@ -189,26 +184,9 @@ def test_mismatched_variables_raise():
             getattr(one_series(4), op)(QSeries(4, (1,)))
         with pytest.raises(ValueError):
             getattr(QSeries(4, (1,)), op)(one_series(4))
+    for op in ("__add__", "__sub__", "__mul__"):
         with pytest.raises(ValueError):
             getattr(BiSeries.constant(2, 4, ONE), op)(BiSeries.constant(3, 4, ONE))
-
-
-def test_trivariate_geometric_series():
-    # 1/(1 - X - Y - Z): the coefficient of X^i Y^j Z^k is a multinomial
-    xyz = 3
-    one = BiSeries.constant(xyz, 5, ONE)
-    den = one - sum((BiSeries.generator(xyz, 5, w) for w in range(3)),
-                    BiSeries(xyz, 5))
-    f = one / den
-    for i in range(6):
-        for j in range(6 - i):
-            for k in range(6 - i - j):
-                n = factorial(i + j + k) // (factorial(i) * factorial(j) * factorial(k))
-                assert f.coeff(i, j, k) == Scalar.from_int(n)
-    assert len(f.terms) == 56
-    assert f * den == one
-    with pytest.raises(IndexError):
-        f.coeff(2, 2, 2)
 
 
 # -- composition ---------------------------------------------------------------
@@ -420,7 +398,7 @@ def test_convolutions_equal_the_schoolbook(rng, n):
             assert reverse(Series(n, f)).coeffs == tuple(schoolbook_reverse(f))
 
 
-# -- BiSeries products and quotients against a term-by-term schoolbook ----------------
+# -- BiSeries products against a term-by-term schoolbook -----------------------------
 
 def schoolbook_bimul(a, b):
     n = min(a.order, b.order)
@@ -431,24 +409,6 @@ def schoolbook_bimul(a, b):
             if sum(key) <= n:
                 out[key] = out.get(key, ZERO) + c1 * c2
     return {k: c for k, c in out.items() if c}
-
-
-def schoolbook_bidiv(a, d):
-    """Solve q * d = a one monomial at a time, by increasing total degree."""
-    n = min(a.order, d.order)
-    inv0 = ONE / d.constant_term()
-    out = {}
-    for m in sorted(product(range(n + 1), repeat=a.nvars), key=sum):
-        if sum(m) > n:
-            continue
-        acc = a.terms.get(m, ZERO)
-        for e, c in d.terms.items():
-            r = out.get(tuple(i - j for i, j in zip(m, e)))
-            if any(e) and r is not None:
-                acc = acc - c * r
-        if acc:
-            out[m] = acc * inv0
-    return out
 
 
 def bi_coefficient(rng) -> Scalar:
@@ -481,9 +441,6 @@ def test_biseries_product_and_quotient_equal_the_schoolbook(rng, nvars, order):
         a = random_biseries(rng, nvars, order)
         b = random_biseries(rng, nvars, order, density=0.4)
         assert (a * b).terms == schoolbook_bimul(a, b)
-        d = b + BiSeries.constant(nvars, order, bi_coefficient(rng) or Q - S)
-        if d.constant_term():
-            assert (a / d).terms == schoolbook_bidiv(a, d)
 
 
 def test_biseries_sums_that_cancel_drop_their_monomial(rng):
@@ -496,7 +453,6 @@ def test_biseries_sums_that_cancel_drop_their_monomial(rng):
         assert prod.terms == schoolbook_bimul(x_plus_y, x_minus_y)
         assert prod.terms == {(2, 0): ONE, (0, 2): -ONE}
         d = random_biseries(rng, 3, 4) + BiSeries.constant(3, 4, c)
-        assert (d / d).terms == {(0, 0, 0): ONE}
         assert (d - d) * d == BiSeries(3, 4)
 
 
