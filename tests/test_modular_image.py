@@ -231,7 +231,4 @@ def test_closed_laws_multiply_back_under_the_image():
             num = {(1, 0): 1, (0, 1): 1, (1, 1): image(a, s0)}
             den = {(0, 0): 1, (1, 1): image(b, s0)}
             back = _mod_bimul(_image_terms(F, s0), den, order)
-            for i in range(order + 1):
-                for j in range(order + 1 - i):
-                    assert back.get((i, j), 0) == num.get((i, j), 0) % P, \
-                        (law.__name__, order, i, j)
+            assert back == {m: c for m, c in num.items() if c}, (law.__name__, order)
