@@ -9,6 +9,9 @@ Verbs:
   projective spaces (or a catalog of them via ``--catalog``).
 * ``table <name>``: tabulate a named family of exact quantities.
 
+A call is parsed by the parser of its verb alone.  Only a call that names
+no verb, or passes an argument that its verb does not take, builds the
+parser of every verb (``build_parser``), whose usage line names them all.
 Output is plain text or JSON (``--format``); diagnostics go to stderr.
 Exit codes: 0 success / all checks pass, 1 any failing check, 2 usage,
 evaluation or internal error.  Orders (of ``expand``, ``verify`` and
@@ -402,29 +405,42 @@ _VERBS = {
 }
 
 
-def build_parser(verb=None) -> argparse.ArgumentParser:
-    """The parser of every verb, or only of ``verb`` when it names one.
+def _fill(p, name: str) -> argparse.ArgumentParser:
+    """Give ``p`` the arguments of the verb ``name``."""
+    _, run, fill = _VERBS[name]
+    fill(p)
+    _add_common(p, run, name in ("expand", "verify", "diagram"))
+    return p
 
-    A parser of one verb parses that verb's calls as the full parser does,
-    and prints the same usage line, which names every verb.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb: ``main`` parses with it only a call that
+    names no verb, or passes an argument that its verb does not take."""
     ap = argparse.ArgumentParser(
         prog="qfgl",
         description="exact q-series and formal-group-law computations")
-    sub = ap.add_subparsers(dest="verb", required=True, metavar=(
-        "{" + ",".join(_VERBS) + "}" if verb in _VERBS else None))
-    for name in [verb] if verb in _VERBS else _VERBS:
-        help_, run, fill = _VERBS[name]
-        p = sub.add_parser(name, help=help_)
-        fill(p)
-        _add_common(p, run, name in ("expand", "verify", "diagram"))
+    sub = ap.add_subparsers(dest="verb", required=True)
+    for name, (help_, _, _) in _VERBS.items():
+        _fill(sub.add_parser(name, help=help_), name)
     return ap
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The arguments of ``argv``, parsed by the parser that ``build_parser``
+    adds for its verb, built alone; an argument that it leaves over goes on
+    to the full parser, which refuses it under the usage line of all verbs."""
+    if argv and argv[0] in _VERBS:
+        p = _fill(argparse.ArgumentParser(prog=f"qfgl {argv[0]}"), argv[0])
+        args, extras = p.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)

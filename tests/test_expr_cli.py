@@ -476,20 +476,27 @@ _VERB_ARGVS = (
 )
 _PARSER_ARGVS = [(verb, "-h") for verb, *_ in _VERB_ARGVS] + [
     argv for _, *argvs in _VERB_ARGVS for argv in argvs] + [
-    (), ("-h",), ("bogus",), ("ev", "1"), ("--format", "json", "eval", "q"),
-    ("eval", "1", "--bogus"), ("verify", "diagram", "--catalog", "x")]
+    (), ("-h",), ("--help",), ("bogus",), ("ev", "1"), ("--format", "json", "eval", "q"),
+    ("eval", "1", "--bogus"), ("verify", "diagram", "--catalog", "x"),
+    # arguments that the verb's parser leaves over, so that the full parser
+    # refuses them, and refusals and help of the verb's parser itself
+    ("table", "qint", "--t-order", "0"), ("expand", "log_chi", "-N", "3"),
+    ("expand", "log_chi", "extra"), ("eval", "1", "2"), ("table", "--bogus"),
+    ("expand", "--help"), ("eval", "--", "-1"), ("eval", "q", "--fo", "json"),
+    ("table", "qint", "--max=-1")]
 
 
 @pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=lambda a: " ".join(a) or "none")
 def test_cli_parser_of_one_verb_prints_as_the_parser_of_all(capsys, monkeypatch, argv):
-    """``main`` builds only the parser of the verb it runs: its exit code,
-    stdout and stderr are those of the parser of every verb, whatever the
-    terminal width that argparse wraps its help and usage lines to."""
+    """``main`` parses a call with its verb's parser alone: its exit code,
+    stdout and stderr are those of the parser of every verb run over the
+    whole argv, whatever the terminal width that argparse wraps its help
+    and usage lines to."""
     for columns in ("40", "80", "200"):
         monkeypatch.setenv("COLUMNS", columns)
         got = run_cli(capsys, *argv)
         with monkeypatch.context() as m:
-            m.setattr(qfgl.cli, "build_parser", lambda verb=None: build_parser())
+            m.setattr(qfgl.cli, "_parse", lambda argv: build_parser().parse_args(argv))
             assert got == run_cli(capsys, *argv), columns
 
 
@@ -504,11 +511,39 @@ def test_cli_eval_and_table_take_no_orders(capsys, argv):
 
 def test_cli_builds_one_parser_per_call(capsys, monkeypatch):
     built = []
-    monkeypatch.setattr(qfgl.cli, "build_parser",
-                        lambda verb=None, true=build_parser: built.append(verb) or true(verb))
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(capsys, "eval", "q") == (0, "q\n", "")
+    assert built == ["qfgl eval"]
+    built.clear()
+    code, out, err = run_cli(capsys, "table", "nope")
+    assert (code, out, built) == (2, "", ["qfgl table"])
+    assert "qfgl table: error: argument name: invalid choice" in err
+    built.clear()
+    # an argument that no verb takes: the verb's parser leaves it over, and
+    # the full parser refuses it
     code, out, err = run_cli(capsys, "eval", "1", "--bogus")
-    assert (code, out, built) == (2, "", ["eval"])
+    assert (code, out) == (2, "")
+    assert built == ["qfgl eval", "qfgl"] + [f"qfgl {verb}" for verb in qfgl.cli._VERBS]
     assert err.endswith("unrecognized arguments: --bogus\n")
+
+
+def test_cli_main_called_again_prints_as_a_fresh_process(capsys, monkeypatch):
+    """One process runs ``main`` on different verbs, options and usage
+    errors in turn; each call prints what ``python -m qfgl`` prints."""
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(qfgl.__file__).resolve().parents[1]))
+    for argv in (("eval", "qint(3)", "--format", "json"), ("table", "qint", "--max", "3"),
+                 ("eval", "q", "--bogus"), ("expand", "log_chi", "--order", "4"),
+                 ("table", "nope"), ("diagram", "1", "2", "--format", "json"),
+                 ("eval", "q")):
+        fresh = subprocess.run([sys.executable, "-m", "qfgl", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_cli_options_have_one_name_each(capsys):

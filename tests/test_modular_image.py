@@ -4,13 +4,15 @@ phi: Q(s) -> F_p sends s to a seeded random residue s0 modulo the prime
 p = 2**61 - 1.  It is a ring homomorphism wherever it is defined, so every
 operation must commute with it: phi(sum x*y) = sum phi(x)*phi(y), the
 image of a series product or reversion is the product or reversion of the
-images, in one variable or several, and each closed law F = N/D
-satisfies phi(F) * phi(D) = phi(N) to its total order.  A nonzero difference of degree D survives a random s0 with
-probability at most D/p (J. T. Schwartz, J. ACM 27, 1980; R. Zippel,
-EUROSAM 1979).  The map reads only a Scalar's ``num`` and ``den`` and runs
-Horner's rule on Python integers modulo p; the series are multiplied and
-reversed modulo p by the schoolbook loops below.  None of it shares code
-with the packing, the gcd or the canonicaliser.
+images, in one variable or several, so is the image of a quotient, an
+exponential or a logarithm, and each closed law F = N/D satisfies
+phi(F) * phi(D) = phi(N) to its total order.  A nonzero difference of
+degree D survives a random s0 with probability at most D/p (J. T.
+Schwartz, J. ACM 27, 1980; R. Zippel, EUROSAM 1979).  The map reads only
+a Scalar's ``num`` and ``den`` and runs Horner's rule on Python integers
+modulo p; the series are multiplied, divided, reversed and taken to
+their exponential and logarithm modulo p by the schoolbook loops below.
+None of it shares code with the packing, the gcd or the canonicaliser.
 
 The map cannot see a non-canonical form that has the right value;
 ``tests/test_scalar_sympy.py`` checks canonical forms.
@@ -21,7 +23,7 @@ from itertools import product
 from math import factorial
 
 from qfgl import (
-    Scalar, Series, BiSeries, ZERO, ONE, Q, S, reverse,
+    Scalar, Series, BiSeries, ZERO, ONE, Q, S, reverse, exp0, log1,
     f_chi_closed, f_chi_derived_closed, multiplicative_law, drinfeld_form,
 )
 from qfgl.scalar import _dot
@@ -124,13 +126,19 @@ def _series(rng, order: int, bits: int, parity: bool) -> Series:
     return Series(order, [_entry(rng, bits, parity) for _ in range(order + 1)])
 
 
+def _monomial(rng, parity: bool) -> Scalar:
+    """A monomial unit, whose inverse is a monomial too."""
+    return (Scalar.from_int(rng.choice((-3, -1, 1, 2))) / Scalar.from_int(rng.randint(1, 6))
+            * S ** rng.choice((-4, -2, 0, 2) + ((-1, 1) if parity else ())))
+
+
 def _reversible(rng, order: int, bits: int, parity: bool) -> Series:
-    """f(0) = 0 and a monomial f'(0), whose inverse is a monomial too: with
-    more terms, the reversion's denominators are powers of f'(0), and its
-    gcds on them cost up to half a minute a draw."""
-    lin = (Scalar.from_int(rng.choice((-3, -1, 1, 2))) / Scalar.from_int(rng.randint(1, 6))
-           * S ** rng.choice((-4, -2, 0, 2) + ((-1, 1) if parity else ())))
-    return Series(order, [ZERO, lin] + [_entry(rng, bits, parity) for _ in range(order - 1)])
+    """f(0) = 0 and a monomial f'(0): with more terms, the reversion's
+    denominators are powers of f'(0), and its gcds on them cost up to half
+    a minute a draw.  A divisor's constant term is a monomial for the same
+    reason."""
+    return Series(order, [ZERO, _monomial(rng, parity)]
+                  + [_entry(rng, bits, parity) for _ in range(order - 1)])
 
 
 def _mod_mullow(a, b, n: int) -> list:
@@ -171,6 +179,81 @@ def test_series_product_and_reversion_commute_with_the_image():
         r = _reversible(rng, order, bits, parity)
         ri = [image(c, s0) for c in r.coeffs]
         assert [image(c, s0) for c in reverse(r).coeffs] == _mod_reverse(ri, order)
+
+
+def _mod_div(a, b, n: int) -> list:
+    """a / b up to T**n, b(0) invertible: every term of b, zero or not,
+    enters each coefficient."""
+    inv0 = pow(b[0], -1, P)
+    out = []
+    for k in range(n + 1):
+        out.append((a[k] - sum(b[i] * out[k - i] for i in range(1, k + 1))) * inv0 % P)
+    return out
+
+
+def _mod_exp0(f, n: int) -> list:
+    """e = exp(f), f(0) = 0, from k e_k = sum i f_i e_(k-i)."""
+    e = [1]
+    for k in range(1, n + 1):
+        e.append(sum(i * f[i] * e[k - i] for i in range(1, k + 1)) * pow(k, -1, P) % P)
+    return e
+
+
+def _mod_log1(f, n: int) -> list:
+    """g = log(f), f(0) = 1, from f g' = f': k g_k = k f_k - sum i g_i f_(k-i)
+    over 0 < i < k, with no division by f."""
+    g = [0]
+    for k in range(1, n + 1):
+        g.append((k * f[k] - sum(i * g[i] * f[k - i] for i in range(1, k)))
+                 * pow(k, -1, P) % P)
+    return g
+
+
+def test_series_quotient_commutes_with_the_image(monkeypatch):
+    rng = random.Random(SEED + 5)
+    s0 = rng.randrange(2, P - 1)
+    reads = []
+    # the divisor's terms that each dot of the quotient reads
+    monkeypatch.setattr(Series, "_dot", staticmethod(lambda xs, ys: reads.append(xs) or _dot(xs, ys)))
+    lasts = set()
+    for case in range(60):
+        order = rng.randint(0, 10)
+        bits = (case % 3) * 30 + 20
+        parity = case % 2 == 0
+        f = _series(rng, order + rng.randint(0, 2), bits, parity)
+        # the divisor's last nonzero term sits anywhere from T**0 to past the
+        # quotient's order, with only zeros after it
+        last = rng.randint(0, order + 1)
+        g = Series(order + rng.randint(0, 2), [_monomial(rng, parity)] + [
+            _entry(rng, bits, parity) for _ in range(last - 1)] + [_monomial(rng, parity)][: last])
+        n = min(f.order, g.order)
+        fi, gi = ([image(c, s0) for c in h.coeffs] for h in (f, g))
+        reads.clear()
+        assert [image(c, s0) for c in (f / g).coeffs] == _mod_div(fi, gi, n), case
+        # the dots read the divisor's terms 1 .. its last nonzero one, and no
+        # further: a term past it changes no value, only these reads show it
+        stop = max(i for i, c in enumerate(g.coeffs[: n + 1]) if c)
+        assert reads == [g.coeffs[1: stop + 1]] * (n + 1), case
+        lasts.add((min(stop, 2), stop < n))
+    # a constant divisor, a divisor of one or more terms past T**0, each
+    # with zeros before the order and without
+    assert lasts == {(0, True), (0, False), (1, True), (1, False), (2, True), (2, False)}
+
+
+def test_exp_and_log_commute_with_the_image():
+    rng = random.Random(SEED + 6)
+    s0 = rng.randrange(2, P - 1)
+    for case in range(30):
+        order = rng.randint(1, 8)
+        bits = (case % 3) * 30 + 20
+        parity = case % 2 == 0
+        f = _series(rng, order, bits, parity)
+        f = Series(order, (ZERO,) + f.coeffs[1:])
+        fi = [image(c, s0) for c in f.coeffs]
+        assert [image(c, s0) for c in exp0(f).coeffs] == _mod_exp0(fi, order), case
+        u = f.add_scalar(ONE)
+        ui = [image(c, s0) for c in u.coeffs]
+        assert [image(c, s0) for c in log1(u).coeffs] == _mod_log1(ui, order), case
 
 
 def _mod_bimul(a: dict, b: dict, n: int) -> dict:
