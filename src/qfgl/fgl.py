@@ -26,7 +26,7 @@ from collections import namedtuple
 from functools import wraps
 from math import comb, factorial
 
-from .scalar import Scalar, ZERO, ONE, Q, S, _dot
+from .scalar import Scalar, ZERO, ONE, Q, S, _dot, _ip_stretch, _ip_unpack, _lp_make
 # bi_compose has no caller here; perfbench's tracer test checks this by-name copy
 from .series import Series, BiSeries, log1, exp0, bi_compose, _powers
 from .mobius import q_mobius, q_mobius_inv, mob_apply, mob_det
@@ -320,8 +320,11 @@ def fgl_inverse(F: FormalGroupLaw) -> Series:
     Starting from i = -(c10/c01) T, each step i <- i - F(T, i)/dF/dY(T, i)
     doubles the number of correct coefficients (Brent-Kung 1978).  F and
     dF/dY are evaluated together by Horner's rule in Y over the Y-slices
-    of the law.  Raises ValueError when c01, the coefficient of Y, is
-    zero.
+    of the law.  A step from i exact through T^old to T^prec divides
+    f = F(T, i) = O(T^(old+1)), so f/df through T^prec reads df only
+    through T^(prec-old-1): df is evaluated to that order alone, and the
+    division stops at its last term.  Raises ValueError when c01, the
+    coefficient of Y, is zero.
     """
     Fs = F.series
     order = Fs.order
@@ -335,14 +338,15 @@ def fgl_inverse(F: FormalGroupLaw) -> Series:
     iota = Series(order, (ZERO, -Fs.terms.get((1, 0), ZERO) / c01))
     prec = 1                                # iota is exact through T^prec
     while prec < order:
-        prec = min(2 * prec + 1, order)
+        old, prec = prec, min(2 * prec + 1, order)
         y = Series(prec, iota.coeffs)
         J = min(top, prec)                  # y^j = O(T^j): higher slices vanish
-        f, df = Series(prec, rows[J]), Series(prec)
+        # a sum or product has the lesser order, so df stays at prec - old - 1
+        f, df = Series(prec, rows[J]), Series(prec - old - 1)
         for j in range(J - 1, -1, -1):
             df = df * y + f
             f = f * y + Series(prec, rows[j])
-        iota = y - f / df
+        iota = y - f / Series(prec, df.coeffs)
     return iota
 
 
@@ -372,23 +376,32 @@ def _log_u_powers(t_order: int, x_order: int) -> list:
     """[1, log U, ..., (log U)^t_order] for U = (1 - qT)/(1 - T), by the
     binomial series (log U)^k = k! sum_j s(j, k) (U - 1)^j / j!, s the signed
     Stirling numbers of the first kind (Comtet, *Advanced Combinatorics*,
-    1974, ch. V).  With y = 1 - q, [T^n](U - 1)^j = y^j C(n-1, j-1), so each
-    coefficient is one ``_dot`` of integers against powers of y over n!,
-    which clears every j!.  They match (det * log_chi)^k; ``cartier_check``
-    says why det^k moves no verdict.
+    1974, ch. V).  With y = 1 - q, [T^n](U - 1)^j = y^j C(n-1, j-1), so
+    [T^n](log U)^k = sum_j c_j y^j / n!, c_j = k! s(j, k) C(n-1, j-1) n!/j!,
+    an integer.  Its numerator is one Horner evaluation at y = 1 - 2**w, by
+    Kronecker substitution: w is whole bytes with 2**(w-1) > sum_j |c_j| 2**j,
+    which bounds every q-coefficient of sum_j c_j (1 - q)^j, so they are the
+    signed base-2**w digits of the value.  They match (det * log_chi)^k;
+    ``cartier_check`` says why det^k moves no verdict.
     """
-    ys = _powers(ONE - Q, x_order)
     stirling = [[1]]                        # stirling[j][k] = s(j, k)
     for j in range(x_order):                # s(j+1, k) = s(j, k-1) - j s(j, k)
         stirling.append([a - j * b for a, b in zip([0] + stirling[-1], stirling[-1] + [0])])
-    out = [Series.constant(x_order, ONE)]
-    for k in range(1, t_order + 1):
-        out.append(Series(x_order, [
-            _dot([Scalar.from_int(factorial(k) * stirling[j][k] * comb(n - 1, j - 1)
-                                  * (factorial(n) // factorial(j)))
-                  for j in range(k, n + 1)], ys[k:]) / Scalar.from_int(factorial(n))
-            for n in range(x_order + 1)]))
-    return out
+    fact = [factorial(n) for n in range(x_order + 1)]
+
+    def coefficient(k: int, n: int) -> Scalar:
+        cs = [fact[k] * stirling[j][k] * comb(n - 1, j - 1) * (fact[n] // fact[j])
+              for j in range(k, n + 1)]     # cs[j - k] = c_j
+        w = (sum(abs(c) << j for j, c in enumerate(cs, k)).bit_length() + 8) & -8
+        y, acc = 1 - (1 << w), 0
+        for c in reversed(cs):
+            acc = acc * y + c
+        num = _lp_make(0, fact[n], _ip_stretch(_ip_unpack(acc * y ** k, w), 2))
+        return Scalar(num, (1,)) if num[2] else ZERO
+
+    return [Series.constant(x_order, ONE)] + [
+        Series(x_order, [coefficient(k, n) for n in range(x_order + 1)])
+        for k in range(1, t_order + 1)]
 
 
 def cartier_check(t_order: int, x_order: int) -> VerificationReport:

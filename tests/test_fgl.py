@@ -382,10 +382,11 @@ def test_inverse_of_multiplicative_law():
 
 
 def test_inverse_of_q_law_closed_form():
-    # -T/(1 +- (1+q)T), solved from the closed numerators; the small orders
-    # end the Newton doubling early, and a law expanded past the wanted
-    # order gives the same inverse there
-    for n, law_order in ((1, 1), (2, 2), (3, 3), (5, 5), (10, 10), (20, 20), (20, 24)):
+    # -T/(1 +- (1+q)T), solved from the closed numerators.  Every order ends
+    # the Newton doubling at another last step, one of them adding a single
+    # coefficient, whose derivative is read to order 0 (orders 2, 4, 8, 16
+    # and 32); a law expanded past the wanted order gives the same inverse
+    for n, law_order in [(n, n) for n in range(1, 41)] + [(20, 24)]:
         for make, sign in ((f_chi_closed, ONE), (f_chi_derived_closed, -ONE)):
             expected = (-T(n)) / Series(n, (ONE, sign * (ONE + Q)))
             assert fgl_inverse(make(law_order)).truncate(n) == expected
@@ -398,6 +399,9 @@ def test_inverse_composes_to_zero():
             F = make(n)
             iota = fgl_inverse(F)
             assert fgl_eval(F, T(n), iota).is_zero()
+    # a law with no closed form, and an odd order past the last doubling
+    for F in (f_chi_from_log(14), drinfeld_form(33)):
+        assert fgl_eval(F, T(F.series.order), fgl_inverse(F)).is_zero()
 
 
 def test_eval_stops_at_the_order_of_the_law():
@@ -511,6 +515,10 @@ def test_log_chi_runs_no_gcd(monkeypatch):
 
 
 def test_log_u_powers_match_the_logarithm():
-    for t_order, x_order in ((1, 1), (3, 5), (6, 8), (8, 12)):
+    # (8, 24) is the benchmark's shape, (0, 4) has no power past the
+    # constant, (10, 3) powers that vanish to the order, and (3, 40) the
+    # widest Horner values
+    for t_order, x_order in ((1, 1), (3, 5), (6, 8), (8, 12), (8, 24), (0, 4), (10, 3),
+                             (3, 40)):
         assert _log_u_powers(t_order, x_order) == _powers(log1(qmob_series(x_order)),
                                                           t_order)

@@ -5,12 +5,13 @@ p = 2**61 - 1.  It is a ring homomorphism wherever it is defined, so every
 operation must commute with it: phi(sum x*y) = sum phi(x)*phi(y), the
 image of a series product or reversion is the product or reversion of the
 images, in one variable or several, so is the image of a quotient, an
-exponential or a logarithm, and each closed law F = N/D satisfies
-phi(F) * phi(D) = phi(N) to its total order.  A nonzero difference of
-degree D survives a random s0 with probability at most D/p (J. T.
-Schwartz, J. ACM 27, 1980; R. Zippel, EUROSAM 1979).  The map reads only
-a Scalar's ``num`` and ``den`` and runs Horner's rule on Python integers
-modulo p; the series are multiplied, divided, reversed and taken to
+exponential or a logarithm, each closed law F = N/D satisfies
+phi(F) * phi(D) = phi(N) to its total order, and each coefficient of a
+power of log((1 - qT)/(1 - T)) maps to its binomial sum.  A nonzero
+difference of degree D survives a random s0 with probability at most D/p
+(J. T. Schwartz, J. ACM 27, 1980; R. Zippel, EUROSAM 1979).  The map
+reads only a Scalar's ``num`` and ``den`` and runs Horner's rule on Python
+integers modulo p; the series are multiplied, divided, reversed and taken to
 their exponential and logarithm modulo p by the schoolbook loops below.
 None of it shares code with the packing, the gcd or the canonicaliser.
 
@@ -20,12 +21,13 @@ The map cannot see a non-canonical form that has the right value;
 
 import random
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 from qfgl import (
     Scalar, Series, BiSeries, ZERO, ONE, Q, S, reverse, exp0, log1,
     f_chi_closed, f_chi_derived_closed, multiplicative_law, drinfeld_form,
 )
+from qfgl.fgl import _log_u_powers
 from qfgl.scalar import _dot
 
 P = 2 ** 61 - 1
@@ -315,3 +317,30 @@ def test_closed_laws_multiply_back_under_the_image():
             den = {(0, 0): 1, (1, 1): image(b, s0)}
             back = _mod_bimul(_image_terms(F, s0), den, order)
             assert back == {m: c for m, c in num.items() if c}, (law.__name__, order)
+
+
+def test_log_u_powers_commute_with_the_image():
+    # [T^n](log U)^k = sum_j c_j (1 - q)^j / n!, c_j = k! s(j, k) C(n-1, j-1) n!/j!,
+    # summed here modulo P with each s(j, k) read off the falling factorial
+    # x(x-1)...(x-j+1); a Horner value too narrow for its digits would carry
+    # into the next q-coefficient, and the image would differ.  (3, 40) and
+    # (12, 60) have the widest values, (8, 24) is the benchmark's shape.
+    rng = random.Random(SEED + 7)
+    s0 = rng.randrange(2, P - 1)
+    y = (1 - s0 * s0) % P
+    for t_order, x_order in ((8, 24), (3, 40), (12, 60)):
+        falling = [[1]]                     # falling[j][k] = s(j, k)
+        for j in range(x_order):
+            poly = [0] * (j + 2)
+            for k, c in enumerate(falling[j]):
+                poly[k + 1] += c
+                poly[k] -= j * c
+            falling.append(poly)
+        powers = _log_u_powers(t_order, x_order)
+        for k in range(1, t_order + 1):
+            for n in range(x_order + 1):
+                total = sum(factorial(k) * falling[j][k] * comb(n - 1, j - 1)
+                            * factorial(n) // factorial(j) * pow(y, j, P)
+                            for j in range(k, n + 1))
+                want = total * pow(factorial(n), -1, P) % P
+                assert image(powers[k][n], s0) == want, (t_order, x_order, k, n)
