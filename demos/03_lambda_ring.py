@@ -9,10 +9,10 @@ from qfgl import (
 )
 
 
-def show(rep):
-    """Each check of a report, then where the routes of a declared
-    discrepancy first differ."""
-    for c in rep.checks:
+def show(checks):
+    """Each check, then where the routes of a declared discrepancy first
+    differ."""
+    for c in checks:
         print(c)
         if c.detail is not None:
             print("   ", c.detail)
@@ -49,10 +49,11 @@ print("  psi^2 from the log-derivative:",
 print()
 
 print("Closed form of lambda^k(1/(1-q)): exponent adjudication")
+checks = lambda_k_closed(3, 20).checks
 for k in (1, 2, 3):
     corrected = Q ** (k * (k - 1) // 2) / (q_fact(k) * (ONE - Q) ** k)
     print(f"  k={k}: corrected closed form = {corrected}")
-    show(lambda_k_closed(k, 20))
+    show(checks[2 * k - 2: 2 * k])
 print()
 
 print("The Thom class is the Euler function")
@@ -60,4 +61,4 @@ print("  matches to order 30:", thom_class(30) == euler_phi(30))
 print()
 
 print("The discriminant limit, both readings")
-show(discriminant_limit(12))
+show(discriminant_limit(12).checks)

@@ -22,7 +22,7 @@ from operator import add
 
 from .scalar import Scalar, ZERO, ONE, Q
 from .mobius import Mobius, mob_apply_scalar
-from .qcomb import QSeries, q_fact, euler_phi, discriminant, _row_product, _top_row
+from .qcomb import QSeries, poch_inf_sum, euler_phi, discriminant, _row_product, _top_row
 from .report import VerificationReport, compare
 
 __all__ = [
@@ -95,50 +95,49 @@ def newton_adams_from_lambda(w: tuple, K: int) -> list:
 # ---------------------------------------------------------------------------
 # closed form of lambda^k applied to 1/(1-q)
 
-def elementary_symmetric_oracle(k: int, q_order: int) -> QSeries:
-    """e_k(1, q, q^2, ..., q^q_order), by the variable-by-variable recursion.
+def elementary_symmetric_oracle(K: int, q_order: int) -> tuple:
+    """e_0 .. e_K of (1, q, q^2, ..., q^q_order), by the variable-by-variable
+    recursion, as a tuple indexed by k.
 
     Independent of the series machinery: it adds integer lists shifted by
-    single monomials, and only the result becomes a QSeries.
+    single monomials, and only the results become QSeries.
     """
-    if k < 0:
+    if K < 0:
         raise ValueError("index must be >= 0")
     # e[j] after absorbing variables q^0 .. q^m; j walks down, so e[j - 1] is still old
-    e = [[1] + [0] * q_order] + [[0] * (q_order + 1) for _ in range(k)]
+    e = [[1] + [0] * q_order] + [[0] * (q_order + 1) for _ in range(K)]
     for m in range(q_order + 1):
-        for j in range(min(k, m + 1), 0, -1):
+        for j in range(min(K, m + 1), 0, -1):
             e[j][m:] = map(add, e[j][m:], e[j - 1])
-    return QSeries(q_order, e[k])
+    return tuple(QSeries(q_order, row) for row in e)
 
 
-def _lambda_k_form(k: int, exponent: int) -> Scalar:
-    """q^exponent / ([k]_q! (1-q)^k), the closed form of lambda^k((1-q)^{-1})
-    at the exponent printed, k(k+1)/2, or at the corrected one, k(k-1)/2."""
-    return Scalar.q_power(exponent) / (q_fact(k) * (ONE - Q) ** k)
+def lambda_k_closed(K: int, q_order: int) -> VerificationReport:
+    """Adjudicate the closed form of lambda^k((1-q)^{-1}), k = 1..K.
 
-
-def lambda_k_closed(k: int, q_order: int) -> VerificationReport:
-    """Adjudicate the closed form of lambda^k((1-q)^{-1}).
-
-    The t^k row of the total lambda operation, the elementary-symmetric
-    oracle and the closed form with the corrected exponent k(k-1)/2 agree;
-    the closed form with the printed exponent k(k+1)/2 is a declared
-    discrepancy.  All four are expanded to one q-order, raised beyond
-    ``q_order`` when needed so that the two exponent variants stay
-    distinguishable: their q-valuations are k(k-1)/2 and k(k+1)/2.
+    For each k the t^k row of the total lambda operation, the oracle's
+    e_k and the Euler term q^(k(k-1)/2) / ((1-q)^k [k]_q!), read off
+    ``poch_inf_sum``, agree; that term times q^k, the printed exponent
+    k(k+1)/2, is a declared discrepancy.  Each route is computed once, at
+    the q-order of k = K; the checks of k compare at
+    max(q_order, k(k+1)/2 + 2), where the q-valuations k(k-1)/2 and
+    k(k+1)/2 of the two variants both show.
     """
-    if k < 1:
+    if K < 1:
         raise ValueError("index must be >= 1")
-    p = max(q_order, k * (k + 1) // 2 + 2)
-    oracle = elementary_symmetric_oracle(k, p)
-    return VerificationReport((
-        compare(f"k={k}: all routes select the exponent binom(k,2)", None,
-                lambda_t(ONE / (ONE - Q), k, p)[k], oracle,
-                QSeries.from_scalar(_lambda_k_form(k, k * (k - 1) // 2), p)),
-        compare(f"k={k}: the k(k+1)/2 exponent variant disagrees", None,
-                QSeries.from_scalar(_lambda_k_form(k, k * (k + 1) // 2), p), oracle,
-                differ=True),
-    ))
+    top = max(q_order, K * (K + 1) // 2 + 2)
+    witt, oracle = lambda_t(ONE / (ONE - Q), K, top), elementary_symmetric_oracle(K, top)
+    euler = negate_t(poch_inf_sum(K, top))
+    checks = []
+    for k in range(1, K + 1):
+        p = max(q_order, k * (k + 1) // 2 + 2)
+        e, form = oracle[k].truncate(p), euler[k].truncate(p)
+        checks += (
+            compare(f"k={k}: all routes select the exponent binom(k,2)", None,
+                    witt[k].truncate(p), e, form),
+            compare(f"k={k}: the k(k+1)/2 exponent variant disagrees", None,
+                    form.shift(k), e, differ=True))
+    return VerificationReport(tuple(checks))
 
 
 # ---------------------------------------------------------------------------

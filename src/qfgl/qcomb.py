@@ -279,18 +279,16 @@ def poch_inf_product(t_order: int, q_order: int) -> tuple:
 def poch_inf_sum(t_order: int, q_order: int) -> tuple:
     """(t; q)_infinity via the summation formula.
 
-    The t^k coefficient is (-1)^k q^(k(k-1)/2) / ((1-q)^k [k]_q!), taken
-    with the binomial exponent k(k-1)/2; each coefficient is a Scalar
-    expanded to the q-truncation.  This closed form shares no code with
-    the row kernel, so it is the independent oracle of the product route
-    and of the lambda route.
+    The t^k coefficient is the Euler term (-1)^k q^(k(k-1)/2) / ((1-q)^k [k]_q!),
+    a Scalar expanded to the q-truncation; its denominator is the running
+    product of (q - 1) [j]_q over j <= k.  This closed form shares no code
+    with the row kernel, so it is the independent oracle of the product
+    route and of the lambda route.
     """
-    one_minus_q = ONE - Q
-    rows = []
-    for k in range(t_order + 1):
-        num = Scalar.from_int((-1) ** k) * Scalar.q_power(k * (k - 1) // 2)
-        den = q_fact(k) * one_minus_q ** k
-        rows.append(QSeries.from_scalar(num / den, q_order))
+    rows, den = [QSeries(q_order, (1,))], ONE
+    for k in range(1, t_order + 1):
+        den = den * (Q - ONE) * q_int(k)
+        rows.append(QSeries.from_scalar(Scalar.q_power(k * (k - 1) // 2) / den, q_order))
     return tuple(rows)
 
 

@@ -15,7 +15,7 @@ import qfgl
 
 from qfgl import (
     Scalar, ZERO, ONE, Q, S, canonical_str, cyclotomic,
-    q_int, q_fact, q_binom,
+    QSeries, q_int, q_fact, q_binom,
     evaluate, ParseError, EvalError,
 )
 from qfgl import expr
@@ -239,13 +239,12 @@ def test_cli_verify_suites_pass(capsys):
 
 
 def test_cli_lambda_k_compares_at_the_order_it_used(capsys, monkeypatch):
-    # with the printed exponent replaced by the corrected one, every
+    # with the printed variant made the corrected one (the shift by q^k
+    # returns its input), every
     # "disagrees" check must fail: two series of different orders are
     # unequal whatever their coefficients, so both variants must be compared
     # at the order lambda_k_closed used, which exceeds 10 for k = 6, 7, 8
-    true_form = qfgl.lambda_ring._lambda_k_form
-    monkeypatch.setattr(qfgl.lambda_ring, "_lambda_k_form",
-                        lambda k, exponent: true_form(k, k * (k - 1) // 2))
+    monkeypatch.setattr(QSeries, "shift", lambda self, k: self)
     code, out, _ = run_cli(capsys, "verify", "lambda-k", "--q-order", "10",
                            "--format", "json")
     assert code == 1
@@ -254,6 +253,19 @@ def test_cli_lambda_k_compares_at_the_order_it_used(capsys, monkeypatch):
     assert not any(c["pass"] for c in disagree)
     assert [c["detail"] for c in disagree] == [
         f"the routes agree through q^{max(20, k * (k + 1) // 2 + 2)}" for k in range(1, 9)]
+
+
+def test_cli_lambda_k_computes_each_route_once(capsys, monkeypatch):
+    # the eight values of k read one Witt element and one oracle table
+    calls = []
+    for name in ("lambda_t", "elementary_symmetric_oracle"):
+        def counted(*args, _f=getattr(qfgl.lambda_ring, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(qfgl.lambda_ring, name, counted)
+    code, out, _ = run_cli(capsys, "verify", "lambda-k")
+    assert code == 0, out
+    assert sorted(calls) == ["elementary_symmetric_oracle", "lambda_t"]
 
 
 def test_cli_verify_fgl_axioms(capsys):

@@ -12,7 +12,6 @@ from qfgl import (
     newton_adams_from_lambda, lambda_k_closed, elementary_symmetric_oracle,
     thom_class, discriminant_limit,
 )
-from qfgl.lambda_ring import _lambda_k_form
 
 from conftest import random_scalar, random_virtual_rep
 
@@ -271,9 +270,9 @@ def test_ghost_range_check():
 
 def test_oracle_is_elementary_symmetric():
     # e_1 = 1 + q + q^2 + ..., e_2 = q * prod of two geometric factors
-    e1 = elementary_symmetric_oracle(1, 20)
+    e0, e1, e2 = elementary_symmetric_oracle(2, 20)
+    assert e0 == QSeries(20, (1,))
     assert e1 == QSeries.from_scalar(geom(), 20)
-    e2 = elementary_symmetric_oracle(2, 20)
     expected = Q / ((ONE - Q) * (ONE - Q ** 2))
     assert e2 == QSeries.from_scalar(expected, 20)
 
@@ -281,23 +280,30 @@ def test_oracle_is_elementary_symmetric():
 def test_oracle_is_a_shifted_gaussian_binomial():
     # e_k(1, q, ..., q^N) = q^(k(k-1)/2) [N+1 choose k]_q, zero for k > N + 1
     for N in (0, 1, 5, 20, 40, 57):
-        for k in range(10):
+        rows = elementary_symmetric_oracle(9, N)
+        assert len(rows) == 10
+        for k, row in enumerate(rows):
             expected = Q ** (k * (k - 1) // 2) * q_binom(N + 1, k) if k <= N + 1 else ZERO
-            assert elementary_symmetric_oracle(k, N) == QSeries.from_scalar(expected, N)
+            assert row == QSeries.from_scalar(expected, N)
 
 
 def test_lambda_k_exponent_variants_differ_at_k_1():
-    printed, corrected = _lambda_k_form(1, 1), _lambda_k_form(1, 0)
-    assert printed == Q / (ONE - Q)
-    assert corrected == ONE / (ONE - Q)
-    assert elementary_symmetric_oracle(1, 20) == QSeries.from_scalar(corrected, 20)
-    disagrees = lambda_k_closed(1, 20).checks[1]
+    # the corrected form is the Euler term of poch_inf_sum, the printed one
+    # that term times q^k
+    corrected = negate_t(poch_inf_sum(1, 20))[1]
+    assert corrected == QSeries.from_scalar(ONE / (ONE - Q), 20)
+    assert corrected.shift(1) == QSeries.from_scalar(Q / (ONE - Q), 20)
+    assert elementary_symmetric_oracle(1, 20)[1] == corrected
+    selects, disagrees = lambda_k_closed(1, 20).checks
+    assert selects.passed
     assert disagrees.passed and disagrees.detail == "first difference at q^0: 0 != 1"
 
 
 def test_lambda_k_adjudication():
+    checks = lambda_k_closed(8, 20).checks
+    assert len(checks) == 16
     for k in range(1, 9):
-        selects, disagrees = lambda_k_closed(k, 20).checks
+        selects, disagrees = checks[2 * k - 2: 2 * k]
         # the Witt route, the oracle and the corrected closed form agree
         assert selects.name == f"k={k}: all routes select the exponent binom(k,2)"
         assert selects.passed, selects.detail
@@ -310,7 +316,7 @@ def test_lambda_k_adjudication():
 
 def test_lambda_k_route_equality_k3():
     w = lambda_t(geom(), 3, 20)
-    assert w[3] == elementary_symmetric_oracle(3, 20)
+    assert w[3] == elementary_symmetric_oracle(3, 20)[3]
 
 
 # -- Thom class and the discriminant limit ----------------------------------------------

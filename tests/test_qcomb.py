@@ -234,6 +234,19 @@ def test_sum_equals_product():
     assert poch_inf_sum(8, 30) == poch_inf_product(8, 30)
 
 
+def test_sum_rows_match_the_euler_term_built_per_row():
+    # the running product of (q - 1) [k]_q against the per-row closed form
+    # q^(k(k-1)/2) / ([k]_q! (1-q)^k), its factorial built afresh each time
+    for t in range(13):
+        for n in (0, 1, 7, 40):
+            rows = poch_inf_sum(t, n)
+            assert len(rows) == t + 1
+            for k, row in enumerate(rows):
+                term = Scalar.from_int((-1) ** k) * Q ** (k * (k - 1) // 2) \
+                    / (q_fact(k) * (ONE - Q) ** k)
+                assert row == QSeries.from_scalar(term, n)
+
+
 def test_infinite_product_rows_past_the_truncation_are_zero():
     # the t^k row starts at q^(k(k-1)/2), so at q-order 1000 the rows
     # t^0 .. t^45 are the nonzero ones (45*44/2 = 990 < 1035 = 46*45/2)

@@ -194,10 +194,11 @@ MUTATIONS = [
     ("pochhammer-identity", (qfgl.cli, "lambda_t"), _row_bumped(3, (0,) * 4 + (1,)),
      r"lambda route", r"first difference at t\^3 q\^4: "),
     ("lambda-k", (qfgl.lambda_ring, "elementary_symmetric_oracle"),
-     lambda f: _plus_term(f, (0,) * 10 + (1,)),
+     lambda f: lambda K, n: tuple(r + QSeries(n, (0,) * 10 + (1,)) if k else r
+                                  for k, r in enumerate(f(K, n))),
      r"all routes select", r"routes 1 and 2: first difference at q\^10: "),
-    ("lambda-k", (qfgl.lambda_ring, "_lambda_k_form"),
-     lambda f: lambda k, e: f(k, k * (k - 1) // 2),
+    # the printed variant is the corrected Euler term times q^k
+    ("lambda-k", (QSeries, "shift"), lambda f: lambda self, k: self,
      r"disagrees", r"the routes agree through q\^\d+"),
     ("cartier", (qfgl.fgl, "_log_u_powers"), _cartier_row_bumped,
      r"holds", r"first difference at t\^3 T\^5: "),
