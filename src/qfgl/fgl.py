@@ -34,7 +34,6 @@ from .report import VerificationReport, compare
 
 __all__ = [
     "FormalGroupLaw",
-    "qmob_series",
     "log_chi",
     "exp_chi",
     "f_chi_closed",
@@ -53,11 +52,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # the logarithm / exponential pair
-
-def qmob_series(order: int) -> Series:
-    """(1 - q*T)/(1 - T) as a series: 1 + (1-q)T + (1-q)T^2 + ..."""
-    return mob_apply(q_mobius(), Series.generator(order))
-
 
 # the longest expansion so far of each function under _expanded_once
 _EXPANSIONS: dict = {}
@@ -83,10 +77,11 @@ def _expanded_once(expand):
 
 @_expanded_once
 def log_chi(order: int) -> Series:
-    """det^{-1} * log of the basic unit series; equals sum [k]_q T^k / k.
-    Its [T^k] does not depend on ``order``, so it is expanded once."""
+    """det^{-1} * log of the basic unit series (1 - q*T)/(1 - T); equals
+    sum [k]_q T^k / k.  Its [T^k] does not depend on ``order``, so it is
+    expanded once."""
     det_inv = ONE / mob_det(q_mobius())
-    return log1(qmob_series(order)).scale(det_inv)
+    return log1(mob_apply(q_mobius(), Series.generator(order))).scale(det_inv)
 
 
 @_expanded_once
@@ -283,22 +278,20 @@ def verify_fgl(F: FormalGroupLaw, order: int, assoc: str = "auto") -> Verificati
     """Check unit, commutativity and associativity to total degree ``order``.
 
     ``assoc`` picks the associativity route: "generic" (truncated
-    trivariate substitution), "closed" (exact cross-multiplied rational
-    identity, requires the closed form) or "auto" (closed when present).
+    trivariate substitution) or "auto" (the exact cross-multiplied
+    rational identity when the law carries its closed form, else generic).
     Failures become report entries; another ``assoc``, a law expanded to less
     than ``order`` or, on the generic route, one with a constant term raises ValueError.
     """
-    if assoc not in ("auto", "generic", "closed"):
-        raise ValueError(f"assoc must be 'auto', 'generic' or 'closed', not {assoc!r}")
+    if assoc not in ("auto", "generic"):
+        raise ValueError(f"assoc must be 'auto' or 'generic', not {assoc!r}")
     if F.series.order < order:
         raise ValueError("law not expanded far enough for the requested order")
     Fs = F.series.truncate(order)
     on_x = BiSeries(2, order, {(i, j): c for (i, j), c in Fs.terms.items() if j == 0})
     on_y = BiSeries(2, order, {(i, j): c for (i, j), c in Fs.terms.items() if i == 0})
     swapped = BiSeries(2, order, {(j, i): c for (i, j), c in Fs.terms.items()})
-    if assoc == "closed" or (assoc == "auto" and F.closed is not None):
-        if F.closed is None:
-            raise ValueError("no closed form available for the closed route")
+    if assoc == "auto" and F.closed is not None:
         name, routes = "associativity (exact, closed form)", _assoc_closed(F.closed)
     else:
         name, routes = "associativity (truncated substitution)", _assoc_generic(F, order)

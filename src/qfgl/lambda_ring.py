@@ -73,18 +73,17 @@ def witt_add(a: tuple, b: tuple) -> tuple:
     return tuple(rows)
 
 
-def newton_adams_from_lambda(w: tuple, K: int) -> list:
-    """psi^1..psi^K, the ghost components, by Newton's identities.
+def newton_adams_from_lambda(w: tuple) -> list:
+    """psi^1..psi^K, the ghost components, by Newton's identities, where
+    K = len(w) - 1 is the t-order of ``w``.
 
     With u = lambda_(-t) = prod (1 - t x_j), the power sums p_k = psi^k
     satisfy -t u'/u = sum_k p_k t^k, that is
     p_k = -k u_k - sum_(0<i<k) u_i p_(k-i): the division of -u' by u.
     """
-    if K >= len(w):
-        raise ValueError("not enough t-precision for the requested Adams range")
     u = negate_t(w)
     p = []                              # p[k - 1] = p_k
-    for k in range(1, K + 1):
+    for k in range(1, len(w)):
         acc = u[k].scale(-k)
         for i in range(1, k):
             acc = acc - u[i] * p[k - i - 1]

@@ -168,10 +168,6 @@ class QSeries(Series):
             raise ValueError("shift must be by a nonnegative power")
         return QSeries(self.order, (0,) * k + self.coeffs)
 
-    def to_scalar(self) -> Scalar:
-        """The truncation read back as a polynomial in q."""
-        return Scalar.from_q_coeffs(self.coeffs)
-
 
 # ---------------------------------------------------------------------------
 # (t, q) truncations as packed integer rows, one integer per t-degree

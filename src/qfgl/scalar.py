@@ -30,7 +30,7 @@ and which every ``qcomb.QSeries`` product reads, ``_ip_stretch`` the one
 substitution x -> x**k, which the Adams operation ``adams`` applies, and
 ``_dot`` the one sum of products of Scalars, which every
 ``series.Series`` convolution and each coefficient of a
-``series.BiSeries`` product or quotient reads; it multiplies polynomials
+``series.BiSeries`` product reads; it multiplies polynomials
 as packed big integers (``_ip_pack``, ``_ip_unpack``, which go through
 bytes above theirs), in one walk over its pairs to gather them, one to
 size the width and one to pack and sum.  The gcd ``_ip_gcd`` reads the
@@ -102,14 +102,10 @@ def _lp_make(val: int, den: int, coeffs) -> tuple:
     return (val, den, tuple(coeffs))
 
 
-def _lp_is_zero(a) -> bool:
-    return not a[2]
-
-
 def _lp_add(a, b):
-    if _lp_is_zero(a):
+    if not a[2]:
         return b
-    if _lp_is_zero(b):
+    if not b[2]:
         return a
     av, ad, ac = a
     bv, bd, bc = b
@@ -126,13 +122,8 @@ def _lp_add(a, b):
     return _lp_make(val, den, out)
 
 
-def _lp_neg(a):
-    av, ad, ac = a
-    return (av, ad, tuple(-c for c in ac))
-
-
 def _lp_mul(a, b):
-    if _lp_is_zero(a) or _lp_is_zero(b):
+    if not a[2] or not b[2]:
         return _LP_ZERO
     av, ad, ac = a
     bv, bd, bc = b
@@ -408,7 +399,8 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         if self.is_zero():
             return self
-        return Scalar(_lp_neg(self.num), self.den)
+        val, d, co = self.num
+        return Scalar((val, d, tuple(-c for c in co)), self.den)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)

@@ -110,9 +110,6 @@ class Series:
             return self
         return self._new(order, self.coeffs[: order + 1])
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented

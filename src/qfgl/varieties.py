@@ -154,14 +154,6 @@ class SL2Rep:
     def irrep(n: int) -> "SL2Rep":
         return SL2Rep({n: 1})
 
-    def is_effective(self) -> bool:
-        return all(c > 0 for c in self.mult.values())
-
-    def top_weight(self) -> int:
-        if not self.mult:
-            raise ValueError("the zero representation has no top weight")
-        return max(self.mult)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SL2Rep):
             return NotImplemented
@@ -219,9 +211,11 @@ def qdim_normalized(r: SL2Rep) -> Scalar:
     normalization is the unique shift making the projective-space diagram
     commute on products.
     """
-    if not r.is_effective():
+    if not all(c > 0 for c in r.mult.values()):
         raise ValueError("normalization needs an effective element")
-    return Scalar.s_power(r.top_weight()) * character(r)
+    if not r.mult:
+        raise ValueError("the zero representation has no top weight")
+    return Scalar.s_power(max(r.mult)) * character(r)
 
 
 def rep_of_variety(v: Variety) -> SL2Rep:

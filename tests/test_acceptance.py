@@ -182,7 +182,7 @@ def test_criterion_09_adams_operations():
     geom = ONE / (ONE - Q)
     ok = all(adams(geom, k) == ONE / (ONE - Q ** k) for k in range(1, 11))
     w = lambda_t(geom, 10, 30)
-    psis = newton_adams_from_lambda(w, 10)
+    psis = newton_adams_from_lambda(w)
     ok = ok and all(
         psi == QSeries.from_scalar(ONE / (ONE - Q ** k), 30)
         for k, psi in enumerate(psis, start=1))
@@ -298,7 +298,7 @@ def test_criterion_12_randomized_property_suites():
     for _ in range(50):  # lambda/psi Newton consistency
         a = Scalar.from_q_coeffs(random_virtual_rep(rng))
         w = lambda_t(a, nt, nq)
-        psis = newton_adams_from_lambda(w, nt)
+        psis = newton_adams_from_lambda(w)
         ok = ok and all(psi == QSeries.from_scalar(adams(a, k), nq)
                         for k, psi in enumerate(psis, start=1))
 

@@ -243,7 +243,7 @@ def test_cli_lambda_k_compares_at_the_order_it_used(capsys, monkeypatch):
     # returns its input), every
     # "disagrees" check must fail: two series of different orders are
     # unequal whatever their coefficients, so both variants must be compared
-    # at the order lambda_k_closed used, which exceeds 10 for k = 6, 7, 8
+    # at the order lambda_k_closed used, which exceeds 10 for k = 4..8
     monkeypatch.setattr(QSeries, "shift", lambda self, k: self)
     code, out, _ = run_cli(capsys, "verify", "lambda-k", "--q-order", "10",
                            "--format", "json")
@@ -252,7 +252,7 @@ def test_cli_lambda_k_compares_at_the_order_it_used(capsys, monkeypatch):
     assert len(disagree) == 8
     assert not any(c["pass"] for c in disagree)
     assert [c["detail"] for c in disagree] == [
-        f"the routes agree through q^{max(20, k * (k + 1) // 2 + 2)}" for k in range(1, 9)]
+        f"the routes agree through q^{max(10, k * (k + 1) // 2 + 2)}" for k in range(1, 9)]
 
 
 def test_cli_lambda_k_computes_each_route_once(capsys, monkeypatch):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import qfgl.lambda_ring
 from qfgl import (
     Scalar, ZERO, ONE, Q, S, Series,
-    QSeries, q_int, q_binom, euler_phi, poch_inf_product,
+    QSeries, q_int, q_binom, q_fact, euler_phi, poch_inf_product,
     poch_inf_sum, adams, lambda_t, negate_t, witt_add,
     newton_adams_from_lambda, lambda_k_closed, elementary_symmetric_oracle,
     thom_class, discriminant_limit,
@@ -64,13 +65,13 @@ def test_lambda_of_a_line():
     w = lambda_t(Scalar.q_power(3), 4, 12)
     assert w[0] == QSeries(12, (1,))
     assert w[1] == QSeries(12, (0, 0, 0, 1))
-    assert w[2].is_zero()
+    assert not any(w[2].coeffs)
 
 
 def test_lambda_of_zero():
     w = lambda_t(ZERO, 4, 8)
     assert w[0] == QSeries(8, (1,))
-    assert all(w[k].is_zero() for k in range(1, 5))
+    assert not any(any(w[k].coeffs) for k in range(1, 5))
 
 
 def test_lambda_of_a_constant_is_a_binomial_row_by_row():
@@ -118,8 +119,9 @@ def test_lambda_additive_on_two_lines():
     wb = lambda_t(Q ** 2, 4, nq)
     ws = lambda_t(Q + Q ** 2, 4, nq)
     assert witt_add(wa, wb) == ws
-    # ghosts add as well
-    ghosts = [newton_adams_from_lambda(w, 3) for w in (witt_add(wa, wb), wa, wb)]
+    # ghosts add as well, all four of them
+    ghosts = [newton_adams_from_lambda(w) for w in (witt_add(wa, wb), wa, wb)]
+    assert len(ghosts[0]) == 4
     for ghost_sum, ghost_a, ghost_b in zip(*ghosts):
         assert ghost_sum == ghost_a + ghost_b
 
@@ -174,7 +176,7 @@ def assert_matches_series_oracle(a, nt, nq):
     body = lambda_t_series_oracle(a, nt, nq)
     for k in range(nt + 1):
         assert w[k] == QSeries.from_scalar(body[k], nq), (str(a), nt, nq, k)
-    assert newton_adams_from_lambda(w, nt) == ghost_log_derivative_oracle(body, nq)
+    assert newton_adams_from_lambda(w) == ghost_log_derivative_oracle(body, nq)
 
 
 def test_lambda_row_kernel_matches_series_oracle_random(rng):
@@ -229,7 +231,7 @@ def test_witt_neg_is_lambda_of_the_negative(rng):
 def test_newton_single_line():
     m = 2
     w = lambda_t(Scalar.q_power(m), 6, 20)
-    psis = newton_adams_from_lambda(w, 6)
+    psis = newton_adams_from_lambda(w)
     for k, psi in enumerate(psis, start=1):
         assert psi == QSeries.from_scalar(Scalar.q_power(m * k), 20)
 
@@ -237,13 +239,13 @@ def test_newton_single_line():
 def test_newton_two_lines_by_hand():
     # a = 1 + q: lambda_t = (1+t)(1+tq), psi^2 = 1 + q^2
     w = lambda_t(ONE + Q, 4, 16)
-    psis = newton_adams_from_lambda(w, 4)
+    psis = newton_adams_from_lambda(w)
     assert psis[1] == QSeries.from_scalar(ONE + Q ** 2, 16)
 
 
 def test_newton_matches_adams_on_geometric():
     w = lambda_t(geom(), 10, 30)
-    psis = newton_adams_from_lambda(w, 10)
+    psis = newton_adams_from_lambda(w)
     for k, psi in enumerate(psis, start=1):
         assert psi == QSeries.from_scalar(ONE / (ONE - Q ** k), 30)
 
@@ -253,17 +255,14 @@ def test_newton_matches_adams_random(rng):
     for _ in range(50):
         a = Scalar.from_q_coeffs(random_virtual_rep(rng))
         w = lambda_t(a, nt, nq)
-        psis = newton_adams_from_lambda(w, nt)
+        psis = newton_adams_from_lambda(w)
         for k, psi in enumerate(psis, start=1):
             assert psi == QSeries.from_scalar(adams(a, k), nq)
 
 
 def test_ghost_range_check():
     w = lambda_t(Q, 3, 6)
-    assert len(newton_adams_from_lambda(w, 3)) == 3
-    for K in (4, 5):
-        with pytest.raises(ValueError):
-            newton_adams_from_lambda(w, K)
+    assert len(newton_adams_from_lambda(w)) == 3
 
 
 # -- the closed form of lambda^k of the geometric series ----------------------------------
@@ -312,6 +311,24 @@ def test_lambda_k_adjudication():
         assert disagrees.name == f"k={k}: the k(k+1)/2 exponent variant disagrees"
         assert disagrees.passed
         assert disagrees.detail == f"first difference at q^{k * (k - 1) // 2}: 0 != 1"
+
+
+def test_lambda_k_printed_variant_is_the_printed_closed_form(monkeypatch):
+    # the "disagrees" check passes for any series other than the corrected
+    # one, so pin its first route, term by term, to the printed exponent
+    routes, compare = {}, qfgl.lambda_ring.compare
+
+    def recorder(name, order, *values, **kwargs):
+        routes[name] = values
+        return compare(name, order, *values, **kwargs)
+
+    monkeypatch.setattr(qfgl.lambda_ring, "compare", recorder)
+    assert lambda_k_closed(8, 10).all_passed
+    for k in range(1, 9):
+        printed = routes[f"k={k}: the k(k+1)/2 exponent variant disagrees"][0]
+        closed = Q ** (k * (k + 1) // 2) / (q_fact(k) * (ONE - Q) ** k)
+        assert printed.order == max(10, k * (k + 1) // 2 + 2)
+        assert printed == QSeries.from_scalar(closed, printed.order), k
 
 
 def test_lambda_k_route_equality_k3():

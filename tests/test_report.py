@@ -187,7 +187,7 @@ MUTATIONS = [
     ("adams", (qfgl.cli, "adams"), lambda f: lambda x, k: f(x, k) + Q,
      r"^psi", SCALARS),
     ("adams", (qfgl.cli, "newton_adams_from_lambda"),
-     lambda f: lambda w, n: [p + QSeries(p.order, (0, 0, 0, 1)) for p in f(w, n)],
+     lambda f: lambda w: [p + QSeries(p.order, (0, 0, 0, 1)) for p in f(w)],
      r"Newton", r"first difference at q\^3: "),
     ("pochhammer-identity", (qfgl.cli, "poch_inf_sum"), _row_bumped(2, (0,) * 5 + (1,)),
      r"summation", r"first difference at t\^2 q\^5: "),
