@@ -211,8 +211,8 @@ def _suite_pochhammer(args) -> VerificationReport:
 
     The product route and the lambda route share the integer row kernel
     of ``qcomb``, so their agreement alone proves little.  The summation
-    route, ``poch_inf_sum`` on the Scalar closed form, shares no code
-    with that kernel: it is the independent oracle of both routes.
+    route, ``poch_inf_sum`` by Euler's recurrence on integer lists, shares
+    no code with that kernel: it is the independent oracle of both routes.
     """
     t, n = args.t_order, args.q_order
     P = poch_inf_product(t, n)

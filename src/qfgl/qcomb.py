@@ -29,7 +29,7 @@ from itertools import repeat
 from math import comb, fsum, inf, isqrt, lcm, log, log1p, log2
 from operator import add, mul, sub
 
-from .scalar import Scalar, ONE, Q, _ip_mul, _ip_unpack
+from .scalar import Scalar, ONE, _ip_mul, _ip_unpack
 from .series import Series
 
 __all__ = [
@@ -275,16 +275,18 @@ def poch_inf_product(t_order: int, q_order: int) -> tuple:
 def poch_inf_sum(t_order: int, q_order: int) -> tuple:
     """(t; q)_infinity via the summation formula.
 
-    The t^k coefficient is the Euler term (-1)^k q^(k(k-1)/2) / ((1-q)^k [k]_q!),
-    a Scalar expanded to the q-truncation; its denominator is the running
-    product of (q - 1) [j]_q over j <= k.  This closed form shares no code
-    with the row kernel, so it is the independent oracle of the product
-    route and of the lambda route.
+    The t^k coefficient is the Euler term (-1)^k q^(k(k-1)/2) / ((1-q)^k [k]_q!).
+    By Euler's recurrence, row k is row k - 1 times -q^(k-1) over 1 - q^k:
+    on an integer list, one running sum at stride k, c[j] += c[j - k].
+    This route shares no code with the row kernel, so it is the
+    independent oracle of the product route and of the lambda route.
     """
-    rows, den = [QSeries(q_order, (1,))], ONE
+    rows, c = [QSeries(q_order, (1,))], [1] + [0] * q_order
     for k in range(1, t_order + 1):
-        den = den * (Q - ONE) * q_int(k)
-        rows.append(QSeries.from_scalar(Scalar.q_power(k * (k - 1) // 2) / den, q_order))
+        c = ([0] * (k - 1) + [-x for x in c])[: q_order + 1]
+        for j in range(k, q_order + 1):
+            c[j] += c[j - k]
+        rows.append(QSeries(q_order, c))
     return tuple(rows)
 
 

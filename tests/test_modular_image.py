@@ -5,7 +5,8 @@ p = 2**61 - 1.  It is a ring homomorphism wherever it is defined, so every
 operation must commute with it: phi(sum x*y) = sum phi(x)*phi(y), the
 image of a series product or reversion is the product or reversion of the
 images, in one variable or several, so is the image of a quotient, an
-exponential or a logarithm, each closed law F = N/D satisfies
+exponential or a logarithm, so is the image of a ``QSeries`` product or
+quotient over ``int`` and ``Fraction``, each closed law F = N/D satisfies
 phi(F) * phi(D) = phi(N) to its total order, and each coefficient of a
 power of log((1 - qT)/(1 - T)) maps to its binomial sum.  A nonzero
 difference of degree D survives a random s0 with probability at most D/p
@@ -20,15 +21,17 @@ The map cannot see a non-canonical form that has the right value;
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
+import qfgl.qcomb
 from qfgl import (
-    Scalar, Series, BiSeries, ZERO, ONE, Q, S, reverse, exp0, log1,
+    Scalar, Series, QSeries, BiSeries, ZERO, ONE, Q, S, reverse, exp0, log1,
     f_chi_closed, f_chi_derived_closed, multiplicative_law, drinfeld_form,
 )
 from qfgl.fgl import _log_u_powers
-from qfgl.scalar import _dot
+from qfgl.scalar import _dot, _ip_mul, _MUL_SCHOOLBOOK
 
 P = 2 ** 61 - 1
 SEED = 1729  # the suite's one seed (tests/conftest.py)
@@ -344,3 +347,47 @@ def test_log_u_powers_commute_with_the_image():
                             for j in range(k, n + 1))
                 want = total * pow(factorial(n), -1, P) % P
                 assert image(powers[k][n], s0) == want, (t_order, x_order, k, n)
+
+
+def _q_image(c) -> int:
+    """The image of an exact rational coefficient modulo P."""
+    c = Fraction(c)
+    return c.numerator * pow(c.denominator, -1, P) % P
+
+
+def _q_coeff(rng, bits: int, frac: bool):
+    """An int of up to ``bits`` bits, with ``frac`` now and then over a
+    small denominator."""
+    c = rng.randint(-(1 << bits), 1 << bits)
+    return Fraction(c, rng.randint(2, 40)) if frac and rng.randrange(3) == 0 else c
+
+
+def test_qseries_product_and_quotient_commute_with_the_image(monkeypatch):
+    rng = random.Random(SEED + 8)
+    packed, lasts = set(), set()
+    # the side of ``_MUL_SCHOOLBOOK`` that each product's one ``_ip_mul`` takes
+    monkeypatch.setattr(qfgl.qcomb, "_ip_mul", lambda a, b, n: packed.add(
+        min(len(a), len(b)) > _MUL_SCHOOLBOOK) or _ip_mul(a, b, n))
+    for case in range(60):
+        order = rng.randint(0, 24)
+        # wide coefficients in long factors pack past ``_BYTE_ROUTE_BITS``
+        bits = (case % 3) * 100 + 8
+        frac = case % 2 == 1
+        f, g = (QSeries(order + rng.randint(0, 2), [_q_coeff(rng, bits, frac)
+                                                    for _ in range(order + 1)]) for _ in "fg")
+        n = min(f.order, g.order)
+        fi, gi = ([_q_image(c) for c in h.coeffs] for h in (f, g))
+        assert [_q_image(c) for c in (f * g).coeffs] == _mod_mullow(fi, gi, n), case
+        # the divisor's last nonzero term sits anywhere from q**0 to past the
+        # quotient's order, with only zeros after it
+        last = rng.randint(0, order + 1)
+        d = QSeries(order + rng.randint(0, 2), [_q_coeff(rng, bits, frac) or 1] + [
+            _q_coeff(rng, bits, frac) for _ in range(last - 1)] + [_q_coeff(rng, bits, frac) or 1][:last])
+        n = min(f.order, d.order)
+        di = [_q_image(c) for c in d.coeffs]
+        assert [_q_image(c) for c in (f / d).coeffs] == _mod_div(fi, di, n), case
+        stop = max(i for i, c in enumerate(d.coeffs[: n + 1]) if c)
+        lasts.add((stop < n, any(d.coeffs[n + 1:])))
+    assert packed == {True, False}
+    # a divisor that ends before the order, and one with terms past it
+    assert {(True, False), (False, True)} <= lasts

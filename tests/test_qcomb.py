@@ -13,8 +13,9 @@ from operator import add, mul
 
 import pytest
 
+import qfgl.qcomb
 from qfgl import (
-    Scalar, ZERO, ONE, Q, membership,
+    Scalar, ZERO, ONE, Q, membership, Series,
     QSeries, q_int, q_fact, q_binom,
     poch_finite, poch_inf_product, poch_inf_sum,
     euler_phi, discriminant,
@@ -234,17 +235,43 @@ def test_sum_equals_product():
     assert poch_inf_sum(8, 30) == poch_inf_product(8, 30)
 
 
+def _euler_term(k: int, n: int) -> QSeries:
+    """The t^k row of (t; q)_infinity expanded from the Scalar closed form
+    (-1)^k q^(k(k-1)/2) / ([k]_q! (1-q)^k), its factorial built afresh."""
+    term = Scalar.from_int((-1) ** k) * Q ** (k * (k - 1) // 2) / (q_fact(k) * (ONE - Q) ** k)
+    return QSeries.from_scalar(term, n)
+
+
 def test_sum_rows_match_the_euler_term_built_per_row():
-    # the running product of (q - 1) [k]_q against the per-row closed form
-    # q^(k(k-1)/2) / ([k]_q! (1-q)^k), its factorial built afresh each time
-    for t in range(13):
-        for n in (0, 1, 7, 40):
+    # Euler's recurrence on integer lists against the per-row closed form
+    for n in (0, 1, 2, 7, 40, 200):
+        terms = [_euler_term(k, n) for k in range(21)]
+        for t in range(21):
             rows = poch_inf_sum(t, n)
-            assert len(rows) == t + 1
-            for k, row in enumerate(rows):
-                term = Scalar.from_int((-1) ** k) * Q ** (k * (k - 1) // 2) \
-                    / (q_fact(k) * (ONE - Q) ** k)
-                assert row == QSeries.from_scalar(term, n)
+            assert rows == tuple(terms[: t + 1]), (t, n)
+        for k, row in enumerate(rows):
+            assert row.is_integral(), (k, n)
+            v = k * (k - 1) // 2
+            # the row starts at q^(k(k-1)/2) with (-1)^k, and is zero once that passes n
+            assert row.coeffs[:min(v, n + 1)] == (0,) * min(v, n + 1)
+            assert row.coeffs[v:v + 1] == (() if v > n else ((-1) ** k,)), (k, n)
+
+
+def test_sum_route_runs_no_scalar_no_division_and_no_row_kernel(monkeypatch):
+    calls = []
+
+    def recorder(owner, name):
+        f = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or f(*a, **k))
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__pow__", "__neg__"):
+        recorder(Scalar, name)
+    recorder(Series, "__truediv__")
+    recorder(qfgl.qcomb, "_row_product")
+    recorder(QSeries, "from_scalar")
+    rows = poch_inf_sum(12, 80)
+    assert calls == []
+    assert rows == poch_inf_product(12, 80)
 
 
 def test_infinite_product_rows_past_the_truncation_are_zero():
