@@ -1,5 +1,6 @@
-"""q-combinatorics: q-integers, Gaussian binomials, Pochhammer products,
-the Euler function and the modular discriminant.
+"""q-combinatorics: q-integers, q-factorials, Gaussian binomials, Pochhammer
+products, the Euler function and the modular discriminant.  The factorials
+and binomials are built on integer rows in q, each made a Scalar once.
 
 Besides Scalar, one data shape is used: ``QSeries``, the ``Series`` of
 ``series.py`` with exact rational coefficients instead of Scalars; its
@@ -25,11 +26,11 @@ shifted multiples of the rows below to each row, modulo 2**(w*(q_order+1)).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, fsum, inf, isqrt, lcm, log, log1p, log2
 from operator import add, mul, sub
 
-from .scalar import Scalar, ONE, _ip_mul, _ip_unpack
+from .scalar import Scalar, _ip_mul, _ip_unpack
 from .series import Series
 
 __all__ = [
@@ -56,13 +57,15 @@ def q_int(k: int) -> Scalar:
 
 
 def q_fact(k: int) -> Scalar:
-    """Product of q_int(1) .. q_int(k); q_fact(0) = 1."""
+    """[k]_q! = q_int(1) ... q_int(k), q_fact(0) = 1, on one integer row:
+    times q_int(i) = (1 - q^i)/(1 - q) is a difference at stride i, then a
+    running sum, cut at degree i(i-1)/2, past which it is zero."""
     if k < 0:
         raise ValueError("q_fact index must be >= 0")
-    acc = ONE
-    for i in range(1, k + 1):
-        acc = acc * q_int(i)
-    return acc
+    c = [1]
+    for i in range(2, k + 1):
+        c = list(accumulate(map(sub, c + [0] * (i - 1), [0] * i + c)))
+    return Scalar.from_q_coeffs(c)
 
 
 def q_binom(n: int, k: int) -> Scalar:

@@ -7,8 +7,9 @@ image of a series product or reversion is the product or reversion of the
 images, in one variable or several, so is the image of a quotient, an
 exponential or a logarithm, so is the image of a ``QSeries`` product or
 quotient over ``int`` and ``Fraction``, each closed law F = N/D satisfies
-phi(F) * phi(D) = phi(N) to its total order, and each coefficient of a
-power of log((1 - qT)/(1 - T)) maps to its binomial sum.  A nonzero
+phi(F) * phi(D) = phi(N) to its total order, each coefficient of a
+power of log((1 - qT)/(1 - T)) maps to its binomial sum, and a
+q-factorial maps to the product of its q-integers' images.  A nonzero
 difference of degree D survives a random s0 with probability at most D/p
 (J. T. Schwartz, J. ACM 27, 1980; R. Zippel, EUROSAM 1979).  The map
 reads only a Scalar's ``num`` and ``den`` and runs Horner's rule on Python
@@ -29,6 +30,7 @@ import qfgl.qcomb
 from qfgl import (
     Scalar, Series, QSeries, BiSeries, ZERO, ONE, Q, S, reverse, exp0, log1,
     f_chi_closed, f_chi_derived_closed, multiplicative_law, drinfeld_form,
+    q_fact, q_binom,
 )
 from qfgl.fgl import _log_u_powers
 from qfgl.scalar import _dot, _ip_mul, _MUL_SCHOOLBOOK
@@ -391,3 +393,31 @@ def test_qseries_product_and_quotient_commute_with_the_image(monkeypatch):
     assert packed == {True, False}
     # a divisor that ends before the order, and one with terms past it
     assert {(True, False), (False, True)} <= lasts
+
+
+def _q_int_images(q0: int, k: int) -> list:
+    """phi([i]_q) = 1 + q0 + ... + q0^(i-1) modulo P, for i = 0..k."""
+    out, power = [0], 1
+    for _ in range(k):
+        out.append((out[-1] + power) % P)
+        power = power * q0 % P
+    return out
+
+
+def test_q_factorials_and_binomials_commute_with_the_image():
+    # q_fact's integer row against the product of the q-integers' images,
+    # and q_binom's q-Pascal rows against [n]! / ([k]! [n-k]!) at q0, at two
+    # random q0 = s0^2; a running sum at a stride off by one changes the
+    # row's values, not only its length
+    rng = random.Random(SEED + 9)
+    facts = [q_fact(k) for k in range(33)]
+    binoms = [[q_binom(n, k) for k in range(n + 1)] for n in range(33)]
+    for s0 in (rng.randrange(2, P - 1) for _ in range(2)):
+        ints, want = _q_int_images(s0 * s0 % P, 32), [1]
+        for i in range(1, 33):
+            want.append(want[-1] * ints[i] % P)
+        got = [image(f, s0) for f in facts]
+        assert got == want, s0
+        for n, row in enumerate(binoms):
+            for k, b in enumerate(row):
+                assert image(b, s0) * got[k] * got[n - k] % P == got[n], (s0, n, k)

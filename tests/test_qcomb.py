@@ -8,7 +8,7 @@ oracles first.
 
 import random
 from fractions import Fraction
-from math import comb, gcd, log2
+from math import comb, factorial, gcd, log2
 from operator import add, mul
 
 import pytest
@@ -154,6 +154,44 @@ def test_q_fact_base():
     assert q_fact(3) == Scalar.from_q_coeffs([1, 2, 2, 1])
 
 
+def _q_fact_by_products(k: int) -> Scalar:
+    """Oracle of ``q_fact``: [k]_q! as the product of the Scalars
+    q_int(1) .. q_int(k), each product a full Scalar multiply and
+    canonicalisation, with no integer row and no running sum."""
+    acc = ONE
+    for i in range(1, k + 1):
+        acc = acc * q_int(i)
+    return acc
+
+
+def test_q_fact_equals_the_product_of_q_integers():
+    for k in range(41):
+        assert q_fact(k) == _q_fact_by_products(k), k
+
+
+def test_q_fact_row_is_integral_palindromic_of_degree_k_choose_2():
+    for k in range(41):
+        f, deg = q_fact(k), k * (k - 1) // 2
+        assert f.den == (1,) and f.num[1] == 1, k
+        series = QSeries.from_scalar(f, deg + 2)
+        assert series.is_integral(), k
+        row = series.coeffs
+        assert row[deg] != 0 and row[deg + 1:] == (0, 0), k
+        assert row[: deg + 1] == row[deg::-1], k
+        assert f.eval_s(1) == factorial(k), k
+
+
+def test_q_fact_runs_no_scalar_product_and_one_from_q_coeffs(monkeypatch):
+    calls = []
+    mul_, make = Scalar.__mul__, Scalar.from_q_coeffs
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append("*") or mul_(a, b))
+    monkeypatch.setattr(Scalar, "from_q_coeffs",
+                        staticmethod(lambda c: calls.append("from_q_coeffs") or make(c)))
+    f = q_fact(20)
+    assert calls == ["from_q_coeffs"]
+    assert f == _q_fact_by_products(20)
+
+
 def test_q_binom_frozen_and_integral():
     assert q_binom(4, 2) == Scalar.from_q_coeffs([1, 1, 2, 1, 1])
     for n in range(13):
@@ -237,8 +275,13 @@ def test_sum_equals_product():
 
 def _euler_term(k: int, n: int) -> QSeries:
     """The t^k row of (t; q)_infinity expanded from the Scalar closed form
-    (-1)^k q^(k(k-1)/2) / ([k]_q! (1-q)^k), its factorial built afresh."""
-    term = Scalar.from_int((-1) ** k) * Q ** (k * (k - 1) // 2) / (q_fact(k) * (ONE - Q) ** k)
+    (-1)^k q^(k(k-1)/2) / ([k]_q! (1-q)^k), its factorial built afresh as a
+    product of q-integer Scalars (``_q_fact_by_products``).  ``q_fact``
+    builds it by a running sum at stride i, the idiom ``poch_inf_sum``
+    runs at stride k, so an error in that idiom could appear on both
+    sides of the comparison; the products share none of it."""
+    term = Scalar.from_int((-1) ** k) * Q ** (k * (k - 1) // 2) / (
+        _q_fact_by_products(k) * (ONE - Q) ** k)
     return QSeries.from_scalar(term, n)
 
 
