@@ -1,6 +1,7 @@
 """q-combinatorics: q-integers, q-factorials, Gaussian binomials, Pochhammer
 products, the Euler function and the modular discriminant.  The factorials
-and binomials are built on integer rows in q, each made a Scalar once.
+and binomials are built on integer rows in q, each made a Scalar once; only
+``_times_one_minus`` and ``_over_one_minus`` multiply or divide a row by 1 - q^k.
 
 Besides Scalar, one data shape is used: ``QSeries``, the ``Series`` of
 ``series.py`` with exact rational coefficients instead of Scalars; its
@@ -56,15 +57,32 @@ def q_int(k: int) -> Scalar:
     return Scalar.from_q_coeffs([1] * k)
 
 
+def _times_one_minus(c: list, k: int) -> list:
+    """The integer row c times 1 - q^k, cut at len(c): out[j] = c[j] - c[j - k]."""
+    out = c[:k]
+    out += map(sub, c[k:], c)
+    return out
+
+
+def _over_one_minus(c: list, k: int) -> list:
+    """The integer row c over 1 - q^k, cut at len(c): out[j] = c[j] + out[j - k],
+    the map reading ``out`` as it grows; ``accumulate`` is faster at stride 1."""
+    if k == 1:
+        return list(accumulate(c))
+    out = c[:k]
+    out += map(add, c[k:], out)
+    return out
+
+
 def q_fact(k: int) -> Scalar:
-    """[k]_q! = q_int(1) ... q_int(k), q_fact(0) = 1, on one integer row:
-    times q_int(i) = (1 - q^i)/(1 - q) is a difference at stride i, then a
-    running sum, cut at degree i(i-1)/2, past which it is zero."""
+    """[k]_q! = q_int(1) ... q_int(k), q_fact(0) = 1, on one integer row: times
+    q_int(i) = (1 - q^i)/(1 - q), the row padded to degree i(i-1)/2 goes through
+    ``_times_one_minus`` at stride i, then ``_over_one_minus`` at stride 1."""
     if k < 0:
         raise ValueError("q_fact index must be >= 0")
     c = [1]
     for i in range(2, k + 1):
-        c = list(accumulate(map(sub, c + [0] * (i - 1), [0] * i + c)))
+        c = _over_one_minus(_times_one_minus(c + [0] * (i - 1), i), 1)
     return Scalar.from_q_coeffs(c)
 
 
@@ -279,16 +297,14 @@ def poch_inf_sum(t_order: int, q_order: int) -> tuple:
     """(t; q)_infinity via the summation formula.
 
     The t^k coefficient is the Euler term (-1)^k q^(k(k-1)/2) / ((1-q)^k [k]_q!).
-    By Euler's recurrence, row k is row k - 1 times -q^(k-1) over 1 - q^k:
-    on an integer list, one running sum at stride k, c[j] += c[j - k].
-    This route shares no code with the row kernel, so it is the
-    independent oracle of the product route and of the lambda route.
+    By Euler's recurrence, row k is row k - 1 times -q^(k-1), then
+    ``_over_one_minus`` at stride k.  This route shares no code with the
+    row kernel, so it is the independent oracle of the product route and of
+    the lambda route.
     """
     rows, c = [QSeries(q_order, (1,))], [1] + [0] * q_order
     for k in range(1, t_order + 1):
-        c = ([0] * (k - 1) + [-x for x in c])[: q_order + 1]
-        for j in range(k, q_order + 1):
-            c[j] += c[j - k]
+        c = _over_one_minus(([0] * (k - 1) + [-x for x in c])[: q_order + 1], k)
         rows.append(QSeries(q_order, c))
     return tuple(rows)
 
@@ -297,14 +313,12 @@ def poch_inf_sum(t_order: int, q_order: int) -> tuple:
 # the Euler function and the discriminant
 
 def euler_phi(q_order: int) -> QSeries:
-    """The product of (1 - q^k) for k = 1..q_order, truncated."""
+    """The product of (1 - q^k) for k = 1..q_order, by ``_times_one_minus``."""
     if q_order < 1:
         raise ValueError("q-order must be >= 1")
-    out = [0] * (q_order + 1)
-    out[0] = 1
+    out = [1] + [0] * q_order
     for k in range(1, q_order + 1):
-        # multiply by (1 - q^k) in place
-        out[k:] = map(sub, out[k:], out[: q_order + 1 - k])
+        out = _times_one_minus(out, k)
     return QSeries(q_order, out)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import qfgl.fgl
-from qfgl import Scalar, ZERO, ONE, Series, QSeries, Mobius
+from qfgl import Scalar, ZERO, ONE, Series, QSeries, Mobius, q_int
 
 SEED = 1729
 
@@ -41,6 +41,16 @@ def random_scalar(rng, deg=3) -> Scalar:
         den = random_q_poly(rng, max(deg - 1, 1))
         if not den.is_zero():
             return num / den
+
+
+def _q_fact_by_products(k: int) -> Scalar:
+    """Oracle of ``q_fact``: [k]_q! as the product of the Scalars
+    q_int(1) .. q_int(k), each product a full Scalar multiply and
+    canonicalisation, with no integer row and no running sum."""
+    acc = ONE
+    for i in range(1, k + 1):
+        acc = acc * q_int(i)
+    return acc
 
 
 def random_series(rng, order=8, coeff_deg=2) -> Series:

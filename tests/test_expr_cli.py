@@ -415,11 +415,14 @@ def test_cli_expand_after_a_larger_order_prints_as_a_fresh_process(capsys, targe
 
 
 def test_cli_expand_plain_table(capsys):
-    code, out, _ = run_cli(capsys, "expand", "euler_phi", "--q-order", "7")
-    assert code == 0
-    rows = [l.split("\t") for l in out.splitlines() if not l.startswith("#")]
-    assert rows[0] == ["0", "1"]
-    assert rows[5] == ["5", "1"]
+    # q-order 1 is the smallest euler_phi admits: 1 - q
+    for q_order, want in (("7", {0: ["0", "1"], 5: ["5", "1"]}),
+                          ("1", {0: ["0", "1"], 1: ["1", "-1"]})):
+        code, out, _ = run_cli(capsys, "expand", "euler_phi", "--q-order", q_order)
+        assert code == 0
+        rows = [l.split("\t") for l in out.splitlines() if not l.startswith("#")]
+        assert len(rows) == int(q_order) + 1
+        assert {i: rows[i] for i in want} == want, q_order
 
 
 def test_cli_expand_pochhammer_prints_the_rows_past_the_truncation(capsys):

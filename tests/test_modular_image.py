@@ -8,8 +8,9 @@ images, in one variable or several, so is the image of a quotient, an
 exponential or a logarithm, so is the image of a ``QSeries`` product or
 quotient over ``int`` and ``Fraction``, each closed law F = N/D satisfies
 phi(F) * phi(D) = phi(N) to its total order, each coefficient of a
-power of log((1 - qT)/(1 - T)) maps to its binomial sum, and a
-q-factorial maps to the product of its q-integers' images.  A nonzero
+power of log((1 - qT)/(1 - T)) maps to its binomial sum, a
+q-factorial maps to the product of its q-integers' images, and an integer
+row times or over 1 - q^k maps to its image times or over 1 - q0^k.  A nonzero
 difference of degree D survives a random s0 with probability at most D/p
 (J. T. Schwartz, J. ACM 27, 1980; R. Zippel, EUROSAM 1979).  The map
 reads only a Scalar's ``num`` and ``den`` and runs Horner's rule on Python
@@ -33,6 +34,7 @@ from qfgl import (
     q_fact, q_binom,
 )
 from qfgl.fgl import _log_u_powers
+from qfgl.qcomb import _over_one_minus, _times_one_minus
 from qfgl.scalar import _dot, _ip_mul, _MUL_SCHOOLBOOK
 
 P = 2 ** 61 - 1
@@ -421,3 +423,26 @@ def test_q_factorials_and_binomials_commute_with_the_image():
         for n, row in enumerate(binoms):
             for k, b in enumerate(row):
                 assert image(b, s0) * got[k] * got[n - k] % P == got[n], (s0, n, k)
+
+
+def _row_image(row, q0: int) -> int:
+    """phi of the integer polynomial sum row[j] q^j: Horner's rule at q0 modulo P."""
+    out = 0
+    for c in reversed(row):
+        out = (out * q0 + c) % P
+    return out
+
+
+def test_row_helpers_commute_with_the_image():
+    # p padded with k zeros holds p * (1 - q^k) whole, so its image is
+    # phi(p) * (1 - q0^k), and the running sum over 1 - q^k gives phi(p)
+    # back; a stride off by one in either helper changes the value
+    rng = random.Random(SEED + 10)
+    for s0 in (rng.randrange(2, P - 1) for _ in range(2)):
+        q0 = s0 * s0 % P
+        for k in list(range(1, 9)) + [rng.randint(9, 60) for _ in range(12)]:
+            p = [rng.randint(-(1 << 70), 1 << 70) for _ in range(rng.randint(1, 50))]
+            want = _row_image(p, q0)
+            product = _times_one_minus(p + [0] * k, k)
+            assert _row_image(product, q0) == want * (1 - pow(q0, k, P)) % P, (s0, k)
+            assert _row_image(_over_one_minus(product, k), q0) == want, (s0, k)

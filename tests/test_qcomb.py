@@ -20,7 +20,9 @@ from qfgl import (
     poch_finite, poch_inf_product, poch_inf_sum,
     euler_phi, discriminant,
 )
-from qfgl.qcomb import _row_product, _row_width
+from qfgl.qcomb import _row_product, _row_width, _times_one_minus, _over_one_minus, _top_row
+
+from conftest import _q_fact_by_products
 
 
 # -- QSeries products: one packed integer product ----------------------------
@@ -154,16 +156,6 @@ def test_q_fact_base():
     assert q_fact(3) == Scalar.from_q_coeffs([1, 2, 2, 1])
 
 
-def _q_fact_by_products(k: int) -> Scalar:
-    """Oracle of ``q_fact``: [k]_q! as the product of the Scalars
-    q_int(1) .. q_int(k), each product a full Scalar multiply and
-    canonicalisation, with no integer row and no running sum."""
-    acc = ONE
-    for i in range(1, k + 1):
-        acc = acc * q_int(i)
-    return acc
-
-
 def test_q_fact_equals_the_product_of_q_integers():
     for k in range(41):
         assert q_fact(k) == _q_fact_by_products(k), k
@@ -190,6 +182,47 @@ def test_q_fact_runs_no_scalar_product_and_one_from_q_coeffs(monkeypatch):
     f = q_fact(20)
     assert calls == ["from_q_coeffs"]
     assert f == _q_fact_by_products(20)
+
+
+# -- the row helpers: times and over 1 - q^k ----------------------------------------
+
+def test_row_helpers_equal_the_schoolbook_product_and_quotient():
+    # times: the full product with 1 - q^k, cut; over: the full product with
+    # the geometric series 1 + q^k + q^2k + ..., cut, and its product with
+    # 1 - q^k gives the row back; a stride of at least len(c) changes nothing
+    rng = random.Random(1729)
+    for _ in range(120):
+        c = [rng.randint(-10 ** 20, 10 ** 20) for _ in range(rng.randint(0, 30))]
+        before, n = c[:], len(c)
+        for k in range(1, n + 2):
+            one_minus = [1] + [0] * (k - 1) + [-1]
+            geometric = [int(j % k == 0) for j in range(n)]
+            times, over = _times_one_minus(c, k), _over_one_minus(c, k)
+            assert times == poly_mul(one_minus, c)[:n], (c, k)
+            assert over == poly_mul(geometric, c)[:n], (c, k)
+            assert poly_mul(one_minus, over)[:n] == c, (c, k)
+            if k >= n:
+                assert times == over == c, (c, k)
+            assert c == before
+
+
+def test_q_products_run_on_the_row_helpers(monkeypatch):
+    # each product records (helper, stride): q_fact times then over at stride 1
+    # per factor, poch_inf_sum over at each stride k, euler_phi times at each k
+    calls = []
+    for name in ("_times_one_minus", "_over_one_minus"):
+        helper = getattr(qfgl.qcomb, name)
+        monkeypatch.setattr(qfgl.qcomb, name, lambda c, k, name=name, helper=helper:
+                            calls.append((name, k)) or helper(c, k))
+    assert q_fact(20) == _q_fact_by_products(20)
+    assert calls == [call for i in range(2, 21)
+                     for call in (("_times_one_minus", i), ("_over_one_minus", 1))]
+    calls.clear()
+    assert poch_inf_sum(12, 80) == poch_inf_product(12, 80)
+    assert calls == [("_over_one_minus", k) for k in range(1, 13)]
+    calls.clear()
+    assert euler_phi(30) == QSeries(30, oracle_euler_product(30)[:31])
+    assert calls == [("_times_one_minus", k) for k in range(1, 31)]
 
 
 def test_q_binom_frozen_and_integral():
@@ -276,10 +309,10 @@ def test_sum_equals_product():
 def _euler_term(k: int, n: int) -> QSeries:
     """The t^k row of (t; q)_infinity expanded from the Scalar closed form
     (-1)^k q^(k(k-1)/2) / ([k]_q! (1-q)^k), its factorial built afresh as a
-    product of q-integer Scalars (``_q_fact_by_products``).  ``q_fact``
-    builds it by a running sum at stride i, the idiom ``poch_inf_sum``
-    runs at stride k, so an error in that idiom could appear on both
-    sides of the comparison; the products share none of it."""
+    product of q-integer Scalars (``_q_fact_by_products``).  ``q_fact`` and
+    ``poch_inf_sum`` both divide by 1 - q^k through ``_over_one_minus``, so
+    an error there could appear on both sides of the comparison; the
+    products share none of it."""
     term = Scalar.from_int((-1) ** k) * Q ** (k * (k - 1) // 2) / (
         _q_fact_by_products(k) * (ONE - Q) ** k)
     return QSeries.from_scalar(term, n)
@@ -315,6 +348,13 @@ def test_sum_route_runs_no_scalar_no_division_and_no_row_kernel(monkeypatch):
     rows = poch_inf_sum(12, 80)
     assert calls == []
     assert rows == poch_inf_product(12, 80)
+
+
+def test_top_row_is_the_largest_k_with_k_choose_2_at_most_the_q_order():
+    # a larger value would only compute rows that are zero; pin it exactly
+    for q in range(5001):
+        k = _top_row(q)
+        assert k * (k - 1) // 2 <= q < (k + 1) * k // 2, q
 
 
 def test_infinite_product_rows_past_the_truncation_are_zero():
