@@ -1,6 +1,5 @@
 """q-combinatorics: q-integers, q-factorials, Gaussian binomials, Pochhammer
-products, the Euler function and the modular discriminant.  The factorials
-and binomials are built on integer rows in q, each made a Scalar once; only
+products, the Euler function and the modular discriminant.  Only the helpers
 ``_times_one_minus`` and ``_over_one_minus`` multiply or divide a row by 1 - q^k.
 
 Besides Scalar, one data shape is used: ``QSeries``, the ``Series`` of
@@ -27,7 +26,7 @@ shifted multiples of the rows below to each row, modulo 2**(w*(q_order+1)).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import comb, fsum, inf, isqrt, lcm, log, log1p, log2
 from operator import add, mul, sub
 
@@ -65,19 +64,15 @@ def _times_one_minus(c: list, k: int) -> list:
 
 
 def _over_one_minus(c: list, k: int) -> list:
-    """The integer row c over 1 - q^k, cut at len(c): out[j] = c[j] + out[j - k],
-    the map reading ``out`` as it grows; ``accumulate`` is faster at stride 1."""
-    if k == 1:
-        return list(accumulate(c))
+    """The integer row c over 1 - q^k, cut at len(c): out[j] = c[j] + out[j - k]."""
     out = c[:k]
     out += map(add, c[k:], out)
     return out
 
 
 def q_fact(k: int) -> Scalar:
-    """[k]_q! = q_int(1) ... q_int(k), q_fact(0) = 1, on one integer row: times
-    q_int(i) = (1 - q^i)/(1 - q), the row padded to degree i(i-1)/2 goes through
-    ``_times_one_minus`` at stride i, then ``_over_one_minus`` at stride 1."""
+    """[k]_q! = q_int(1) ... q_int(k), q_fact(0) = 1: times q_int(i), the row is
+    padded to degree i(i-1)/2, ``_times_one_minus`` at i, ``_over_one_minus`` at 1."""
     if k < 0:
         raise ValueError("q_fact index must be >= 0")
     c = [1]
@@ -296,11 +291,9 @@ def poch_inf_product(t_order: int, q_order: int) -> tuple:
 def poch_inf_sum(t_order: int, q_order: int) -> tuple:
     """(t; q)_infinity via the summation formula.
 
-    The t^k coefficient is the Euler term (-1)^k q^(k(k-1)/2) / ((1-q)^k [k]_q!).
-    By Euler's recurrence, row k is row k - 1 times -q^(k-1), then
-    ``_over_one_minus`` at stride k.  This route shares no code with the
-    row kernel, so it is the independent oracle of the product route and of
-    the lambda route.
+    The t^k coefficient is the Euler term (-1)^k q^(k(k-1)/2) / ((1-q)^k [k]_q!),
+    row k - 1 times -q^(k-1) through ``_over_one_minus`` at stride k.  Sharing no
+    code with the row kernel, it is the oracle of the product and lambda routes.
     """
     rows, c = [QSeries(q_order, (1,))], [1] + [0] * q_order
     for k in range(1, t_order + 1):
